@@ -15,7 +15,7 @@ from .growth import (Atlas, SphereTable, TableExhausted, build_atlas,
                      enumerate_spheres, kappa_estimates)
 from .incompressible import (approximate_I_infty, check_polynomial_bound,
                              extract_ternary_data, factorization_dp,
-                             level_function, membership_Ik)
+                             level_function)
 from .criterion import (partition, pair_factors, run_criterion,
                         theorem_hypotheses_report)
 

@@ -19,6 +19,15 @@ class CatalogError(ValueError):
     """A construction parameter violates a defining condition."""
 
 
+def _validated(spec):
+    """The spec itself, or CatalogError naming its first failed check."""
+    report = validate(spec)
+    if not report.ok:
+        bad = report.failures()[0]
+        raise CatalogError(f"{bad.check}: {bad.detail or 'check failed'}")
+    return spec
+
+
 # -- finite abelian B and homomorphisms into Sym(d) ------------------------
 
 def b_elements(orders):
@@ -181,11 +190,7 @@ def spinal(data):
     else:
         spec = FamilySpec(d, tuple(levels[:p + 1]), tuple(levels[p + 1:]),
                           name=data.name, meta=meta)
-    report = validate(spec)
-    if not report.ok:
-        bad = report.failures()[0]
-        raise CatalogError(f"{bad.check}: {bad.detail or 'check failed'}")
-    return spec
+    return _validated(spec)
 
 
 # -- named families --------------------------------------------------------
@@ -322,11 +327,7 @@ def nekrashevych_D(pre, per, name=""):
                       tuple(level_for(b) for b in per),
                       name=name or f"nekrashevych_D({list(pre)}+{list(per)})",
                       meta={"kind": "nekrashevych"})
-    report = validate(spec)
-    if not report.ok:
-        bad = report.failures()[0]
-        raise CatalogError(f"{bad.check}: {bad.detail or 'check failed'}")
-    return spec
+    return _validated(spec)
 
 
 def neumann_pairs():
@@ -373,8 +374,4 @@ def neumann6(name="neumann6"):
             root=a, children=ch))
     spec = FamilySpec(6, (), (LevelSpec(tuple(gens)),), name=name,
                       meta={"kind": "neumann"})
-    report = validate(spec)
-    if not report.ok:
-        bad = report.failures()[0]
-        raise CatalogError(f"{bad.check}: {bad.detail or 'check failed'}")
-    return spec
+    return _validated(spec)

@@ -8,7 +8,6 @@ exceeded.
 import argparse
 import csv
 import json
-import os
 import sys
 
 from . import criterion as cr
@@ -34,8 +33,6 @@ def _add_common(p):
     p.add_argument("--k-depth", type=int, default=6)
     p.add_argument("--epsilon", type=float, default=0.45)
     p.add_argument("--out", default=None)
-    p.add_argument("--cache-dir", default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--budget", type=int, default=10_000_000)
 
 
@@ -51,22 +48,16 @@ def build_parser():
 
 
 def _spec_from(args):
-    config = store.load_config(args.config)
-    return config, store.build_spec(config)
+    return store.build_spec(store.load_config(args.config))
 
 
 def _atlas(args, spec):
-    atlas = growth.Atlas(spec, engine=Engine(spec, budget=args.budget))
-    nclasses = spec.num_classes if args.levels is None \
-        else min(args.levels, spec.num_classes)
-    for c in range(nclasses):
-        growth.enumerate_spheres(atlas, c, args.max_radius,
-                                 max_elements=args.budget,
-                                 threads=args.threads)
-    return atlas
+    return growth.build_atlas(spec, args.max_radius, levels=args.levels,
+                              max_elements=args.budget,
+                              engine=Engine(spec, budget=args.budget))
 
 
-def _emit(args, payload, default_name):
+def _emit(args, payload):
     text = json.dumps(payload, indent=2, sort_keys=True, default=str)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -76,27 +67,15 @@ def _emit(args, payload, default_name):
 
 
 def cmd_define(args):
-    config, spec = _spec_from(args)
+    spec = _spec_from(args)
     report = validate(spec)
     print(report.summary())
     return EXIT_OK if report.ok else EXIT_DOMAIN
 
 
 def cmd_spheres(args):
-    config, spec = _spec_from(args)
-    cache_path = None
-    if args.cache_dir:
-        os.makedirs(args.cache_dir, exist_ok=True)
-        cache_path = os.path.join(
-            args.cache_dir,
-            f"{store.group_hash(config)}-c0-r{args.max_radius}.csv")
+    spec = _spec_from(args)
     atlas = _atlas(args, spec)
-    if cache_path and os.path.exists(cache_path):
-        header, rows = store.load_table(cache_path)
-        fresh = store.counts_from_rows(header, rows)
-        live = atlas.table(0).sphere_sizes()
-        if fresh == live:
-            print(f"cache hit: {cache_path}", file=sys.stderr)
     rows = []
     truncated = False
     for c in sorted(atlas.tables):
@@ -113,13 +92,11 @@ def cmd_spheres(args):
         w = csv.writer(fh)
         w.writerow(["level", "n", "sphere_size", "gamma", "kappa_pointwise"])
         w.writerows(rows)
-    if cache_path:
-        store.save_table(cache_path, config, atlas.table(0))
     return EXIT_BUDGET if truncated else EXIT_OK
 
 
 def cmd_incompressible(args):
-    config, spec = _spec_from(args)
+    spec = _spec_from(args)
     atlas = _atlas(args, spec)
     report = inc.approximate_I_infty(atlas, args.k_depth)
     out = args.out or "incompressible"
@@ -167,7 +144,7 @@ def cmd_criterion(args):
     if not 0 < args.epsilon < 0.5:
         print("epsilon must lie strictly between 0 and 1/2", file=sys.stderr)
         return EXIT_DOMAIN
-    config, spec = _spec_from(args)
+    spec = _spec_from(args)
     atlas = _atlas(args, spec)
     report = inc.approximate_I_infty(atlas, args.k_depth)
     res = cr.run_criterion(atlas, report, 0, args.max_radius, args.epsilon)
@@ -191,12 +168,12 @@ def cmd_criterion(args):
         "insufficient_n": [n for n in res.n_range
                            if res.small_factor_ok[n] is None],
     }
-    _emit(args, payload, "criterion.json")
+    _emit(args, payload)
     return EXIT_OK if not payload["failures"] else EXIT_DOMAIN
 
 
 def cmd_report(args):
-    config, spec = _spec_from(args)
+    spec = _spec_from(args)
     atlas = _atlas(args, spec)
     report = inc.approximate_I_infty(atlas, args.k_depth)
     payload = {
@@ -209,7 +186,7 @@ def cmd_report(args):
                                   for c in sorted(report.counts)},
         "stabilization_depth": report.stabilization_depth,
     }
-    _emit(args, payload, "report.json")
+    _emit(args, payload)
     return EXIT_OK
 
 

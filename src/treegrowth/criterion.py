@@ -54,15 +54,23 @@ def pair_factors(atlas, report, c, factors, epsilon):
 
 
 def check_small_factor_lower_bound(atlas, report, c, back, big, n, epsilon):
-    """|S(g)| > (epsilon/8) n for every g in the big part, when n > 3/epsilon."""
+    """|S(g)| > (epsilon/8) n for every g in the big part, when n > 3/epsilon.
+
+    Returns the verdict (None below the threshold, where nothing is
+    asserted) and the elements of the big part whose factorization pairs two
+    factors into a product still in the depth-K set, which contradicts the
+    minimality of that factorization."""
     if n <= 3 / epsilon:
-        return None
+        return None, []
+    not_minimal = []
     for g in big:
         factors = inc.factors_of(back, g)
         data = pair_factors(atlas, report, c, factors, epsilon)
+        if data.pairs_in_I:
+            not_minimal.append(g)
         if not len(data.small) > (epsilon / 8) * n:
-            return False
-    return True
+            return False, not_minimal
+    return True, not_minimal
 
 
 def sections_at_depth(atlas, c, g, depth):
@@ -103,17 +111,8 @@ class CriterionReport:
     level_used: int
     level_exact: bool
     partition_sizes: dict = field(default_factory=dict)  # n -> (big, small)
-    partition_exact: bool = True
     small_factor_ok: dict = field(default_factory=dict)  # n -> bool or None
     level_reduction_ok: dict = field(default_factory=dict)
-    pairs_in_I_violations: int = 0
-    generators_incompressible: bool = None
-    generator_bound: int = None
-    poly_bound: object = None
-    envelope: list = field(default_factory=list)         # max |I_K(n)| over classes
-    fit_exponent: float = None
-    fit_log_concave: bool = None
-    wreath_ok: bool = None
     failures: list = field(default_factory=list)
 
     @property
@@ -134,14 +133,15 @@ def run_criterion(atlas, report, c, n_max, epsilon):
     for n in out.n_range:
         big, small = partition(table, N, n, epsilon)
         out.partition_sizes[n] = (len(big), len(small))
-        if len(big) + len(small) != len(table.sphere(n)):
-            out.partition_exact = False
-            out.failures.append(f"partition not exact at n={n}")
-        sf = check_small_factor_lower_bound(atlas, report, c, back, big,
-                                            n, epsilon)
+        sf, not_minimal = check_small_factor_lower_bound(
+            atlas, report, c, back, big, n, epsilon)
         out.small_factor_ok[n] = sf
         if sf is False:
             out.failures.append(f"small-factor bound fails at n={n}")
+        if not_minimal:
+            out.failures.append(
+                f"factorization not minimal at n={n}: {len(not_minimal)} "
+                f"elements pair two factors into the depth-{report.K} set")
         lr = check_level_reduction(atlas, big, c, n, epsilon, lf.value)
         out.level_reduction_ok[n] = lr
         if lr is False:
@@ -149,12 +149,23 @@ def run_criterion(atlas, report, c, n_max, epsilon):
     return out
 
 
+@dataclass
+class HypothesesReport:
+    generators_incompressible: bool
+    generator_bound: int
+    envelope: list               # max |I_K(n)| over classes, n = 0..n_max
+    poly_bound: object           # BoundCheck, or None off ternary spinal
+    fit_exponent: float          # log-log slope of the envelope, or None
+    wreath_ok: bool
+    failures: list
+
+
 def theorem_hypotheses_report(atlas, report, epsilon, n_max, bound_class=0):
     """Hypothesis audit across one full period of level classes: generators
     incompressible to depth K, uniform generating-set bound, polynomial
     envelope on incompressible counts, and the wreath counting inequality."""
     spec = atlas.spec
-    out = CriterionReport(epsilon, list(range(1, n_max + 1)), 0, report.exact)
+    failures = []
 
     gens_ok = True
     bound = 0
@@ -167,35 +178,30 @@ def theorem_hypotheses_report(atlas, report, epsilon, n_max, bound_class=0):
             gid = atlas.engine.gen_id(c, g.name)
             if not report.in_Ik(c, gid, report.K):
                 gens_ok = False
-                out.failures.append(f"generator {g.name} leaves the depth-"
-                                    f"{report.K} set at class {c}")
-    out.generators_incompressible = gens_ok
-    out.generator_bound = bound
+                failures.append(f"generator {g.name} leaves the depth-"
+                                f"{report.K} set at class {c}")
 
     env = [0] * (n_max + 1)
     for c, per_k in report.counts.items():
         top = per_k[report.K]
         for n in range(1, min(n_max, len(top) - 1) + 1):
             env[n] = max(env[n], top[n])
-    out.envelope = env
 
     try:
-        bc = inc.check_polynomial_bound(spec, report, bound_class)
-        out.poly_bound = bc
-        if not bc.ok:
-            out.failures.append("polynomial bound violated")
+        poly_bound = inc.check_polynomial_bound(spec, report, bound_class)
+        if not poly_bound.ok:
+            failures.append("polynomial bound violated")
     except inc.NotTernarySpinal:
-        out.poly_bound = None
+        poly_bound = None
 
+    fit_exponent = None
     pts = [(log(n), log(env[n])) for n in range(2, n_max + 1) if env[n] > 0]
     if len(pts) >= 2:
         mx = sum(x for x, _ in pts) / len(pts)
         my = sum(y for _, y in pts) / len(pts)
         den = sum((x - mx) ** 2 for x, _ in pts)
-        out.fit_exponent = (sum((x - mx) * (y - my) for x, y in pts) / den
-                            if den else 0.0)
-        # a power law C*n^e has concave logarithm on n >= 1
-        out.fit_log_concave = True
+        fit_exponent = (sum((x - mx) * (y - my) for x, y in pts) / den
+                        if den else 0.0)
 
     wr_ok = True
     for c in spec.classes():
@@ -204,6 +210,6 @@ def theorem_hypotheses_report(atlas, report, epsilon, n_max, bound_class=0):
         for n in range(n_max + 1):
             if not check_wreath_inequality(atlas, c, n):
                 wr_ok = False
-                out.failures.append(f"wreath inequality fails at class {c}, n={n}")
-    out.wreath_ok = wr_ok
-    return out
+                failures.append(f"wreath inequality fails at class {c}, n={n}")
+    return HypothesesReport(gens_ok, bound, env, poly_bound, fit_exponent,
+                            wr_ok, failures)

@@ -17,7 +17,6 @@ class are equal as automorphisms.
 """
 
 import sys
-import threading
 
 from . import perms
 
@@ -70,9 +69,7 @@ class Engine:
         self.mul_memo = {}
         self.inv_memo = {}
         self.gen_ids = [dict() for _ in range(self.nclasses)]
-        self._zero_cache = {}
         self._perm_pool = {}
-        self.lock = threading.RLock()
         ident = perms.identity(self.d)
         idch = (0,) * self.d
         for c in range((self.nclasses)):
@@ -97,7 +94,6 @@ class Engine:
         return self.tables[c].children[i]
 
     def _charge(self, n=1):
-        self.n_ids += 0  # ids counted at intern; memo growth charged here
         if self.n_ids + len(self.mul_memo) + n > self.budget:
             raise BudgetExceeded(
                 f"engine state-space budget of {self.budget} exceeded "
@@ -234,7 +230,7 @@ class Engine:
         stack.discard(key)
         return i
 
-    # -- generators, words and the zero subgroup ---------------------------
+    # -- generators and words ---------------------------------------------
 
     def gen_id(self, c, name):
         gid = self.gen_ids[c].get(name)
@@ -252,32 +248,6 @@ class Engine:
         for name in names:
             cur = self.mul(c, cur, self.gen_id(c, name))
         return cur
-
-    def zero_elements(self, c, cap=100000):
-        """Ids of the subgroup generated by the zero-length generators, in
-        deterministic BFS order starting at the identity."""
-        cached = self._zero_cache.get(c)
-        if cached is not None:
-            return cached
-        gens = [self.gen_id(c, g.name) for g in self.spec.level(c).zero_generators]
-        seen = {0}
-        order = [0]
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for g in gens:
-                    w = self.mul(c, u, g)
-                    if w not in seen:
-                        seen.add(w)
-                        order.append(w)
-                        nxt.append(w)
-                        if len(order) > cap:
-                            raise BudgetExceeded(
-                                "zero-length subgroup closure exceeded cap")
-            frontier = nxt
-        self._zero_cache[c] = order
-        return order
 
     # -- sections, actions, portraits -------------------------------------
 

@@ -7,7 +7,6 @@ element is discovered exactly at its minimal pseudolength.  Tables record a
 parent link per element, giving one geodesic word per element.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import factorial
 
@@ -82,15 +81,14 @@ class Atlas:
     def table_at_level(self, nu):
         return self.table(self.spec.class_of_level(nu))
 
-    def length(self, c, g):
-        return self.table(c).length(g)
 
-
-def enumerate_spheres(atlas, c, max_radius, max_elements=1_000_000, threads=1):
+def enumerate_spheres(atlas, c, max_radius, max_elements=1_000_000):
     """Fill the atlas table for class c up to max_radius.
 
     Deterministic: expansion follows stored sphere order, generator order of
-    the spec, and breadth-first saturation by zero-length generators.
+    the spec, and breadth-first saturation by zero-length generators.  The
+    radius-0 sphere is the subgroup generated by the zero-length generators,
+    in that breadth-first order from the identity.
     """
     eng = atlas.engine
     spec = atlas.spec
@@ -107,62 +105,38 @@ def enumerate_spheres(atlas, c, max_radius, max_elements=1_000_000, threads=1):
 
     lengths = {0: 0}
     parents = {0: None}
-    ball = {0}
-    first = [0]
-    # radius-0 sphere: closure under the zero-length generators
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for nm, z in zip(zero, zero_ids):
-                w = eng.mul(c, u, z, store=False)
-                if w not in ball:
-                    ball.add(w)
-                    lengths[w] = 0
-                    parents[w] = (u, nm)
-                    first.append(w)
-                    nxt.append(w)
-        frontier = nxt
-    spheres = [first]
-    truncated = False
 
-    def expand(chunk):
-        with eng.lock:
-            return [(u, nm, eng.mul(c, u, s, store=False))
-                    for u in chunk for nm, s in zip(unit, unit_ids)]
-
-    for n in range(1, max_radius + 1):
-        prev = spheres[n - 1]
-        if threads > 1 and len(prev) > 4 * threads:
-            size = (len(prev) + threads - 1) // threads
-            chunks = [prev[i:i + size] for i in range(0, len(prev), size)]
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                produced = [t for part in ex.map(expand, chunks) for t in part]
-        else:
-            produced = expand(prev)
-        sphere = []
-        for u, nm, w in produced:
-            if w not in ball:
-                ball.add(w)
-                lengths[w] = n
-                parents[w] = (u, nm)
-                sphere.append(w)
-        # close the new sphere under the zero-length generators
+    def close_under_zero(sphere, n):
+        # extend the sphere breadth first by every element reached from it
+        # through the zero-length generators and not yet enumerated
         frontier = list(sphere)
         while frontier:
             nxt = []
             for u in frontier:
                 for nm, z in zip(zero, zero_ids):
                     w = eng.mul(c, u, z, store=False)
-                    if w not in ball:
-                        ball.add(w)
+                    if w not in lengths:
                         lengths[w] = n
                         parents[w] = (u, nm)
                         sphere.append(w)
                         nxt.append(w)
             frontier = nxt
+
+    spheres = [[0]]
+    close_under_zero(spheres[0], 0)
+    truncated = False
+    for n in range(1, max_radius + 1):
+        sphere = []
+        for u in spheres[n - 1]:
+            for nm, s in zip(unit, unit_ids):
+                w = eng.mul(c, u, s, store=False)
+                if w not in lengths:
+                    lengths[w] = n
+                    parents[w] = (u, nm)
+                    sphere.append(w)
+        close_under_zero(sphere, n)
         spheres.append(sphere)
-        if len(ball) > max_elements:
+        if len(lengths) > max_elements:
             truncated = True
             break
 
@@ -172,13 +146,16 @@ def enumerate_spheres(atlas, c, max_radius, max_elements=1_000_000, threads=1):
 
 
 def build_atlas(spec, max_radius, levels=None, max_elements=1_000_000,
-                threads=1, engine=None):
+                engine=None):
     """Enumerate tables for the first `levels` level classes (default all)."""
+    if max_radius < 0:
+        raise ValueError(f"max radius must be at least 0, got {max_radius}")
+    if levels is not None and levels < 1:
+        raise ValueError(f"levels must be at least 1, got {levels}")
     atlas = Atlas(spec, engine=engine)
     nclasses = spec.num_classes if levels is None else min(levels, spec.num_classes)
     for c in range(nclasses):
-        enumerate_spheres(atlas, c, max_radius, max_elements=max_elements,
-                          threads=threads)
+        enumerate_spheres(atlas, c, max_radius, max_elements=max_elements)
     return atlas
 
 

@@ -104,10 +104,6 @@ def _radial_counts(table, ids):
     return out
 
 
-def membership_Ik(atlas, report, c, g, k):
-    return report.in_Ik(c, g, k)
-
-
 @dataclass
 class LevelFunctionResult:
     value: int

@@ -145,10 +145,3 @@ def load_table(path):
                          int(row["parent"]) if row["parent"] != "" else None,
                          row["generator"], int(row["flags"])))
     return header, rows
-
-
-def counts_from_rows(header, rows):
-    out = [0] * (header["max_radius"] + 1)
-    for _, n, _, _, _ in rows:
-        out[n] += 1
-    return out

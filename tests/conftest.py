@@ -1,7 +1,28 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from treegrowth import build_atlas, fabrykowski_gupta, first_grigorchuk
 from treegrowth.incompressible import approximate_I_infty
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+@pytest.fixture(scope="session")
+def run_fresh():
+    """Run `python ARGV...` in a fresh interpreter with the package from
+    src/ and the given PYTHONHASHSEED; returns the CompletedProcess."""
+    def run(argv, hash_seed):
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+                   PYTHONPATH=os.pathsep.join([SRC] + ([path] if path else [])))
+        return subprocess.run([sys.executable, *argv], env=env,
+                              capture_output=True, timeout=300)
+    return run
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,6 @@ from treegrowth import build_atlas, catalog, store
 from treegrowth import criterion as cr
 from treegrowth import incompressible as inc
 from treegrowth.catalog import CatalogError
-from treegrowth.cli import main as cli_main
 from treegrowth.growth import check_wreath_inequality
 
 from oracle import oracle_spheres
@@ -75,7 +74,7 @@ def test_criterion_02_ball_bound(fg_atlas10, grig_atlas8, sunic_data,
               for _, atlas, _ in small_groups.values()]
     ok = True
     for atlas, radius in cases:
-        g0 = len(atlas.engine.zero_elements(0))
+        g0 = len(atlas.table(0).sphere(0))
         s1 = len(atlas.spec.level(0).unit_generators)
         sizes = atlas.table(0).sphere_sizes()
         gamma = atlas.table(0).gamma()
@@ -182,7 +181,10 @@ def test_criterion_06_polynomial_bound(fg_atlas10, fg_report10):
 
 def test_criterion_07_partition_machinery(fg_atlas10, fg_report10):
     res = cr.run_criterion(fg_atlas10, fg_report10, 0, 8, 0.45)
-    ok = res.ok and res.partition_exact and res.level_used == 2
+    table = fg_atlas10.table(0)
+    ok = res.ok and res.level_used == 2
+    ok = ok and all(sum(res.partition_sizes[n]) == len(table.sphere(n))
+                    for n in res.n_range)
     for n in res.n_range:
         if n > 3 / 0.45:
             ok = ok and res.small_factor_ok[n] is True
@@ -202,27 +204,30 @@ def test_criterion_08_wreath_inequality(fg_atlas10, grig_atlas8):
 
 
 def test_criterion_09_determinism_persistence(tmp_path, fg_atlas6,
-                                              fg_report6):
+                                              fg_report6, run_fresh):
     cfg = tmp_path / "fg.json"
     cfg.write_text(json.dumps(FG_CONFIG))
     outs = []
-    for threads in ("1", "4"):
-        out = tmp_path / f"s{threads}.csv"
-        code = cli_main(["spheres", "--config", str(cfg), "--max-radius", "6",
-                         "--threads", threads, "--out", str(out)])
-        outs.append((code, out.read_bytes()))
+    for seed in (0, 1):
+        out = tmp_path / f"s{seed}.csv"
+        proc = run_fresh(["-m", "treegrowth.cli", "spheres", "--config",
+                          str(cfg), "--max-radius", "6", "--out", str(out)],
+                         hash_seed=seed)
+        outs.append((proc.returncode, out.read_bytes()))
     ok = outs[0][0] == 0 and outs[1][0] == 0 and outs[0][1] == outs[1][1]
 
     path = str(tmp_path / "table.csv")
     table = fg_atlas6.table(0)
     store.save_table(path, FG_CONFIG, table, report=fg_report6)
     header, rows = store.load_table(path)
-    ok = ok and store.counts_from_rows(header, rows) == table.sphere_sizes()
-    flags = {g: store.flags_bitfield(fg_report6, 0, g)
-             for sphere in table.spheres for g in sphere}
-    ok = ok and all(flags[r[0]] == r[4] for r in rows)
-    _check(9, "thread counts 1 and 4 give bit-identical CSV; save/load "
-              "round-trip preserves all counts and flags", ok)
+    ok = ok and sorted(r[0] for r in rows) == sorted(table.lengths)
+    for g, n, pid, name, flags in rows:
+        ok = ok and n == table.lengths[g]
+        ok = ok and (None if pid is None else (pid, name)) == table.parents[g]
+        ok = ok and flags == store.flags_bitfield(fg_report6, 0, g)
+    _check(9, "two fresh processes with different hash seeds give "
+              "bit-identical CSV; save/load round-trip preserves every "
+              "radius, parent link and flag", ok)
 
 
 def test_criterion_10_negative_controls():

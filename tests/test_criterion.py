@@ -40,7 +40,19 @@ def test_small_factor_bound_below_threshold(fg_atlas6, fg_report6, fg_dp):
     big, _ = cr.partition(table, N, 3, 0.45)
     # n = 3 <= 3/epsilon: the bound is not asserted there
     assert cr.check_small_factor_lower_bound(
-        fg_atlas6, fg_report6, 0, back, big, 3, 0.45) is None
+        fg_atlas6, fg_report6, 0, back, big, 3, 0.45) == (None, [])
+
+
+def test_small_factor_bound_reports_non_minimal_pair(fg_atlas6, fg_report6):
+    eng = fg_atlas6.engine
+    b1 = eng.gen_id(0, "b1")
+    g = eng.mul(0, b1, b1)
+    # hand-built chain g = b1 * b1, whose pair b1*b1 = b2 is a generator and
+    # so lies in the depth-K set: the factorization cannot be minimal
+    assert fg_report6.in_Ik(0, g, fg_report6.K)
+    back = {0: None, b1: (0, b1), g: (b1, b1)}
+    assert cr.check_small_factor_lower_bound(
+        fg_atlas6, fg_report6, 0, back, [g], 7, 0.45) == (True, [g])
 
 
 def test_sections_at_depth(fg_atlas6):
@@ -69,8 +81,10 @@ def test_level_reduction_monotone(fg_atlas6, fg_report6, fg_dp):
 
 def test_run_criterion_fg(fg_atlas6, fg_report6):
     res = cr.run_criterion(fg_atlas6, fg_report6, 0, 6, 0.45)
+    table = fg_atlas6.table(0)
     assert res.ok
-    assert res.partition_exact
+    assert all(sum(res.partition_sizes[n]) == len(table.sphere(n))
+               for n in res.n_range)
     assert res.level_used == 2
     # the 6/epsilon radius exceeds the table, so the level is a lower bound;
     # the reduction check stays conclusive because section sums are monotone

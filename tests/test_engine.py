@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treegrowth import Engine, Group, catalog
+from treegrowth import Engine, Group, build_atlas, catalog
 from treegrowth.engine import BudgetExceeded
 
 from oracle import TruncatedAction
@@ -85,8 +85,9 @@ def test_neumann_inverse_pairs():
 
 
 def test_zero_elements_sizes(fg, grig):
-    assert len(fg.engine.zero_elements(0)) == 3
-    assert len(grig.engine.zero_elements(0)) == 2
+    for group, size in ((fg, 3), (grig, 2)):
+        atlas = build_atlas(group.spec, 0, levels=1, engine=group.engine)
+        assert len(atlas.table(0).sphere(0)) == size
 
 
 def test_element_from_word(fg):

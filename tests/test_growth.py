@@ -74,15 +74,20 @@ def test_truncation_flag():
     assert atlas.table(0).max_radius < 8
 
 
-def test_threaded_enumeration_matches():
-    spec = catalog.fabrykowski_gupta()
-    one = build_atlas(spec, 5, levels=1, threads=1)
-    two = build_atlas(spec, 5, levels=1, threads=2)
-    assert one.table(0).sphere_sizes() == two.table(0).sphere_sizes()
-    # identical discovery order, not merely identical counts
-    g1 = [one.table(0).geodesic(g) for g in one.table(0).spheres[4][:100]]
-    g2 = [two.table(0).geodesic(g) for g in two.table(0).spheres[4][:100]]
-    assert g1 == g2
+def test_enumeration_order_deterministic(run_fresh):
+    # identical discovery order, not merely identical counts, across fresh
+    # processes with different hash seeds
+    code = ("from treegrowth import build_atlas, catalog\n"
+            "spec = catalog.fabrykowski_gupta()\n"
+            "t = build_atlas(spec, 5, levels=1).table(0)\n"
+            "print(t.sphere_sizes())\n"
+            "for g in t.spheres[4][:100]:\n"
+            "    print(g, t.geodesic(g))\n")
+    one, two = (run_fresh(["-c", code], hash_seed=s) for s in (0, 1))
+    assert one.returncode == two.returncode == 0
+    assert one.stdout.splitlines()[0] == b"[3, 18, 72, 288, 1152, 4296]"
+    assert len(one.stdout.splitlines()) == 101
+    assert one.stdout == two.stdout
 
 
 def test_kappa_estimates(fg_atlas6):

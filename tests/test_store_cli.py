@@ -81,7 +81,11 @@ def test_save_load_roundtrip(tmp_path, fg_atlas6, fg_report6):
     got_header, rows = store.load_table(path)
     assert got_header == header
     assert got_header["group_hash"] == store.group_hash(FG_CONFIG)
-    assert store.counts_from_rows(got_header, rows) == table.sphere_sizes()
+    # every row's radius and parent link match the table, every id once
+    assert sorted(r[0] for r in rows) == sorted(table.lengths)
+    for g, n, pid, name, _ in rows:
+        assert n == table.lengths[g]
+        assert (None if pid is None else (pid, name)) == table.parents[g]
     # flags preserved: bit k-1 set iff the element is in the depth-k set
     by_id = {r[0]: r for r in rows}
     for g in table.spheres[3]:
@@ -119,26 +123,31 @@ def test_cli_define_io_error(tmp_path):
     assert main(["define", "--config", str(tmp_path / "none.json")]) == 2
 
 
-def test_cli_spheres_deterministic(tmp_path, fg_config_path):
+def test_cli_spheres_deterministic(tmp_path, fg_config_path, run_fresh):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
-    args = ["spheres", "--config", fg_config_path, "--max-radius", "5"]
-    assert main(args + ["--out", str(out1), "--threads", "1"]) == 0
-    assert main(args + ["--out", str(out2), "--threads", "3"]) == 0
+    args = ["-m", "treegrowth.cli", "spheres", "--config", fg_config_path,
+            "--max-radius", "5", "--out"]
+    assert run_fresh(args + [str(out1)], hash_seed=0).returncode == 0
+    assert run_fresh(args + [str(out2)], hash_seed=1).returncode == 0
     assert out1.read_bytes() == out2.read_bytes()
     first = out1.read_text().splitlines()
     assert first[0] == "level,n,sphere_size,gamma,kappa_pointwise"
     assert first[1].startswith("0,0,3,3,")
 
 
-def test_cli_spheres_cache(tmp_path, fg_config_path, capsys):
-    cache = tmp_path / "cache"
-    args = ["spheres", "--config", fg_config_path, "--max-radius", "4",
-            "--out", str(tmp_path / "s.csv"), "--cache-dir", str(cache)]
-    assert main(args) == 0
-    assert "cache hit" not in capsys.readouterr().err
-    assert main(args) == 0
-    assert "cache hit" in capsys.readouterr().err
+@pytest.mark.parametrize("flags,message", [
+    (["--max-radius", "-1"], "max radius must be at least 0"),
+    (["--levels", "0"], "levels must be at least 1"),
+])
+def test_cli_spheres_rejects_nonsense(tmp_path, fg_config_path, capsys,
+                                      flags, message):
+    out = tmp_path / "s.csv"
+    code = main(["spheres", "--config", fg_config_path, "--out", str(out)]
+                + flags)
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_spheres_budget_exit(tmp_path, fg_config_path):
