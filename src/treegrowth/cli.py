@@ -25,25 +25,29 @@ EXIT_IO = 2
 EXIT_BUDGET = 3
 
 
-def _add_common(p):
-    p.add_argument("--config", required=True, help="JSON group description")
-    p.add_argument("--max-radius", type=int, default=6)
-    p.add_argument("--levels", type=int, default=None,
-                   help="number of level classes to enumerate (default all)")
-    p.add_argument("--k-depth", type=int, default=6)
-    p.add_argument("--epsilon", type=float, default=0.45)
-    p.add_argument("--out", default=None)
-    p.add_argument("--budget", type=int, default=10_000_000)
-
-
 def build_parser():
+    """Each subcommand takes only the flags it reads, and define --out."""
     ap = argparse.ArgumentParser(
         prog="treegrowth",
         description="exact growth and incompressibility computations for "
                     "groups acting on regular rooted trees")
     sub = ap.add_subparsers(dest="command", required=True)
     for name in ("define", "spheres", "incompressible", "criterion", "report"):
-        _add_common(sub.add_parser(name))
+        p = sub.add_parser(name)
+        p.add_argument("--config", required=True, help="JSON group description")
+        # define prints to stdout; it still takes --out because the
+        # benchmark's define jobs pass it
+        p.add_argument("--out", default=None)
+        if name == "define":
+            continue
+        p.add_argument("--max-radius", type=int, default=6)
+        p.add_argument("--levels", type=int, default=None,
+                       help="number of level classes to enumerate (default all)")
+        p.add_argument("--budget", type=int, default=10_000_000)
+        if name != "spheres":
+            p.add_argument("--k-depth", type=int, default=6)
+        if name == "criterion":
+            p.add_argument("--epsilon", type=float, default=0.45)
     return ap
 
 
@@ -148,8 +152,7 @@ def cmd_criterion(args):
     atlas = _atlas(args, spec)
     report = inc.approximate_I_infty(atlas, args.k_depth)
     res = cr.run_criterion(atlas, report, 0, args.max_radius, args.epsilon)
-    hyp = cr.theorem_hypotheses_report(atlas, report, args.epsilon,
-                                       args.max_radius)
+    hyp = cr.theorem_hypotheses_report(atlas, report, args.max_radius)
     payload = {
         "epsilon": args.epsilon,
         "n_range": res.n_range,

@@ -160,7 +160,7 @@ class HypothesesReport:
     failures: list
 
 
-def theorem_hypotheses_report(atlas, report, epsilon, n_max, bound_class=0):
+def theorem_hypotheses_report(atlas, report, n_max, bound_class=0):
     """Hypothesis audit across one full period of level classes: generators
     incompressible to depth K, uniform generating-set bound, polynomial
     envelope on incompressible counts, and the wreath counting inequality."""

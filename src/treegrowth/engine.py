@@ -9,11 +9,15 @@ depth truncation.
 
 Products and inverses are computed recursively through the decomposition.
 The recursion can revisit itself (e.g. squaring a generator whose section is
-itself); those cases are resolved by collecting the cyclic dependency set,
-partitioning it by bisimulation, and matching the resulting classes against
-already-interned elements through a shallow-portrait index.  The invariant
-maintained throughout is minimality: no two distinct ids at the same level
-class are equal as automorphisms.
+itself); such a request is handed to a session, which materializes the
+closure of pending wreath nodes and settles it in one pass of Tarjan's
+strongly-connected-components algorithm.  Tarjan emits components sinks
+first, so every node a component refers to outside itself already has an
+id: a lone node without a self-reference is interned directly, and any other
+component is partitioned by bisimulation and matched against already-interned
+elements through a shallow-portrait index.  The invariant maintained
+throughout is minimality: no two distinct ids at the same level class are
+equal as automorphisms.
 """
 
 import sys
@@ -80,7 +84,7 @@ class Engine:
             self.n_ids += 1
         for c in range(self.nclasses):
             t = self.tables[c]
-            t.fp_index.setdefault(self._fp(c, 0), []).append(0)
+            t.fp_index.setdefault(self._fp(c, ident, idch), []).append(0)
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -99,15 +103,22 @@ class Engine:
                 f"engine state-space budget of {self.budget} exceeded "
                 f"({self.n_ids} elements, {len(self.mul_memo)} cached products)")
 
-    def _fp(self, c, i):
-        """Shallow portrait (depth 2) used to index candidate matches."""
+    def _fp(self, c, root, ch):
+        """Shallow portrait (depth 2) used to index candidate matches.  The
+        children are ids at the next class or pending session nodes."""
         sc = self.succ(c)
-        ssc = self.succ(sc)
-        t1, t2 = self.tables[sc], self.tables[ssc]
-        ch = self.tables[c].children[i]
-        chroots = tuple(t1.roots[r] for r in ch)
-        gch = tuple(t2.roots[g] for r in ch for g in t1.children[r])
-        return (self.tables[c].roots[i], chroots, gch)
+        t1, t2 = self.tables[sc], self.tables[self.succ(sc)]
+        chroots = []
+        gch = []
+        for r in ch:
+            if isinstance(r, int):
+                chroots.append(t1.roots[r])
+                gch.extend(t2.roots[g] for g in t1.children[r])
+            else:
+                chroots.append(r.root)
+                gch.extend(t2.roots[g] if isinstance(g, int) else g.root
+                           for g in r.children)
+        return (root, tuple(chroots), tuple(gch))
 
     def _intern(self, c, root, ch):
         # fp_index is deliberately not updated here: an id whose reference
@@ -118,15 +129,19 @@ class Engine:
         key = (root, ch)
         i = t.intern.get(key)
         if i is None:
+            self._check_ids(1)
             i = len(t.roots)
             t.roots.append(self._pool_perm(root))
             t.children.append(ch)
             t.intern[key] = i
             self.n_ids += 1
-            if self.n_ids > self.budget:
-                raise BudgetExceeded(
-                    f"engine state-space budget of {self.budget} exceeded")
         return i
+
+    def _check_ids(self, n):
+        # runs before any table is mutated, so a raise leaves no partial row
+        if self.n_ids + n > self.budget:
+            raise BudgetExceeded(
+                f"engine state-space budget of {self.budget} exceeded")
 
     def _pool_perm(self, p):
         q = self._perm_pool.get(p)
@@ -152,11 +167,7 @@ class Engine:
             res = self._mul_rec(c, u, v, stack, key if not store else None)
         except _Cycle:
             s = _Session(self)
-            node = s.mul_node(c, u, v)
-            if isinstance(node, int):
-                return node
-            s.run()
-            res = node.id
+            res = s.run(s.mul_node(c, u, v))
         if store and key not in self.mul_memo:
             self._charge()
             self.mul_memo[key] = res
@@ -202,11 +213,7 @@ class Engine:
             res = self._inv_rec(c, u, set())
         except _Cycle:
             s = _Session(self)
-            node = s.inv_node(c, u)
-            if isinstance(node, int):
-                return node
-            s.run()
-            res = node.id
+            res = s.run(s.inv_node(c, u))
         self.inv_memo[key] = res
         return res
 
@@ -237,11 +244,7 @@ class Engine:
         if gid is not None:
             return gid
         s = _Session(self)
-        node = s.gen_node(c, name)
-        if isinstance(node, int):
-            return node
-        s.run()
-        return node.id
+        return s.run(s.gen_node(c, name))
 
     def element_from_word(self, c, names):
         cur = 0
@@ -285,26 +288,23 @@ class Engine:
 
 
 class _Session:
-    """One resolution episode: builds the closure of pending wreath nodes,
-    resolves acyclic ones directly, and settles cyclic dependency sets by
-    bisimulation partitioning plus matching against interned elements."""
+    """One resolution episode: materializes the closure of pending wreath
+    nodes, then settles it component by component in Tarjan's emission
+    order, interning acyclic nodes directly and settling cyclic components
+    by bisimulation partitioning plus matching against interned elements."""
 
     def __init__(self, eng):
         self.eng = eng
         self.nodes = []
         self.index = {}
 
-    def _new(self, kind, cls, a=None, b=None, name=None, root=None, key=None):
+    def _new(self, key, kind, cls, a=None, b=None, name=None, root=None):
         n = _Node(kind, cls, len(self.nodes), a=a, b=b, name=name, root=root)
         self.nodes.append(n)
         if len(self.nodes) > 1_000_000:
             raise BudgetExceeded("pending-node closure exceeded cap")
-        if key is not None:
-            self.index[key] = n
+        self.index[key] = n
         return n
-
-    def _refkey(self, r):
-        return ("i", r) if isinstance(r, int) else ("n", r.seq)
 
     def _root_of(self, c, r):
         return self.eng.tables[c].roots[r] if isinstance(r, int) else r.root
@@ -317,7 +317,7 @@ class _Session:
         n = self.index.get(key)
         if n is None:
             g = self.eng.spec.level(c).gen(name)
-            n = self._new("gen", c, name=name, root=tuple(g.root), key=key)
+            n = self._new(key, "gen", c, name=name, root=tuple(g.root))
         return n
 
     def mul_node(self, c, a, b):
@@ -329,11 +329,11 @@ class _Session:
             m = self.eng.mul_memo.get((c, a, b))
             if m is not None:
                 return m
-        key = ("m", c, self._refkey(a), self._refkey(b))
+        key = ("m", c, a, b)
         n = self.index.get(key)
         if n is None:
             root = perms.compose(self._root_of(c, a), self._root_of(c, b))
-            n = self._new("mul", c, a=a, b=b, root=root, key=key)
+            n = self._new(key, "mul", c, a=a, b=b, root=root)
         return n
 
     def inv_node(self, c, a):
@@ -343,33 +343,33 @@ class _Session:
             m = self.eng.inv_memo.get((c, a))
             if m is not None:
                 return m
-        key = ("v", c, self._refkey(a))
+        key = ("v", c, a)
         n = self.index.get(key)
         if n is None:
-            n = self._new("inv", c, a=a, root=perms.inverse(self._root_of(c, a)),
-                          key=key)
+            n = self._new(key, "inv", c, a=a,
+                          root=perms.inverse(self._root_of(c, a)))
         return n
 
-    def run(self):
+    def run(self, target):
+        """Settle the closure of the session's nodes; the id of `target`.
+        Callers check the memos first, so `target` is always a node."""
         eng = self.eng
         i = 0
         while i < len(self.nodes):
             self._ensure(self.nodes[i])
             i += 1
-        pending = [n for n in self.nodes if n.id is None]
-        while pending:
-            progress = False
-            for n in pending:
-                n.children = [
-                    (r.id if isinstance(r, _Node) and r.id is not None else r)
-                    for r in n.children]
-                if all(isinstance(r, int) for r in n.children):
-                    n.id = eng._intern(n.cls, n.root, tuple(n.children))
-                    progress = True
-            pending = [n for n in pending if n.id is None]
-            if pending and not progress:
-                self._resolve_cycles(pending)
+        for comp in self._tarjan():
+            # children outside the component were settled by earlier ones
+            for n in comp:
+                n.children = [r.id if isinstance(r, _Node) and r.id is not None
+                              else r for r in n.children]
+            n = comp[0]
+            if len(comp) == 1 and all(isinstance(r, int) for r in n.children):
+                n.id = eng._intern(n.cls, n.root, tuple(n.children))
+            else:
+                self._settle_component(comp)
         self._record_memos()
+        return target.id
 
     def _ensure(self, n):
         """Materialize the child refs of a pending node (one wreath step)."""
@@ -382,9 +382,8 @@ class _Session:
         def opchild(r, x):
             if isinstance(r, int):
                 return eng.tables[n.cls].children[r][x]
-            self._ensure_full(r)
-            ch = r.children[x]
-            return ch.id if isinstance(ch, _Node) and ch.id is not None else ch
+            self._ensure(r)
+            return r.children[x]
 
         if n.kind == "gen":
             g = eng.spec.level(n.cls).gen(n.name)
@@ -406,93 +405,63 @@ class _Session:
 
     # -- cyclic dependency sets -------------------------------------------
 
-    def _resolve_cycles(self, pending):
-        sccs = self._tarjan(pending)
-        in_pending = set(id(n) for n in pending)
-        resolved_any = False
-        for comp in sccs:
-            comp_ids = set(id(n) for n in comp)
-            ready = True
-            for n in comp:
-                for r in n.children:
-                    if isinstance(r, _Node) and r.id is None and id(r) not in comp_ids:
-                        ready = False
-                        break
-                if not ready:
-                    break
-            if ready:
-                self._settle_component(comp, comp_ids)
-                resolved_any = True
-                break
-        if not resolved_any:
-            raise AssertionError("no ready strongly connected component")
-
-    def _tarjan(self, pending):
-        index = {}
-        low = {}
-        onstack = set()
+    def _tarjan(self):
+        """Strongly connected components of the reference graph over all
+        session nodes, yielded sinks first (Tarjan 1972)."""
+        size = len(self.nodes)
+        index = [None] * size
+        low = [0] * size
+        onstack = [False] * size
         stack = []
-        sccs = []
-        counter = [0]
-        pend_ids = {id(n): n for n in pending}
-
-        def edges(n):
-            for r in n.children:
-                if isinstance(r, _Node) and r.id is None and id(r) in pend_ids:
-                    yield r
-
-        def strongconnect(n):
-            work = [(n, iter(edges(n)))]
-            index[id(n)] = low[id(n)] = counter[0]
-            counter[0] += 1
-            stack.append(n)
-            onstack.add(id(n))
+        counter = 0
+        for start in self.nodes:
+            if index[start.seq] is not None:
+                continue
+            index[start.seq] = low[start.seq] = counter
+            counter += 1
+            stack.append(start)
+            onstack[start.seq] = True
+            work = [(start, iter(start.children))]
             while work:
                 v, it = work[-1]
-                advanced = False
                 for w in it:
-                    if id(w) not in index:
-                        index[id(w)] = low[id(w)] = counter[0]
-                        counter[0] += 1
+                    if not isinstance(w, _Node):
+                        continue
+                    if index[w.seq] is None:
+                        index[w.seq] = low[w.seq] = counter
+                        counter += 1
                         stack.append(w)
-                        onstack.add(id(w))
-                        work.append((w, iter(edges(w))))
-                        advanced = True
+                        onstack[w.seq] = True
+                        work.append((w, iter(w.children)))
                         break
-                    elif id(w) in onstack:
-                        low[id(v)] = min(low[id(v)], index[id(w)])
-                if advanced:
-                    continue
-                work.pop()
-                if low[id(v)] == index[id(v)]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        onstack.discard(id(w))
-                        comp.append(w)
-                        if w is v:
-                            break
-                    sccs.append(comp)
-                if work:
-                    u, _ = work[-1]
-                    low[id(u)] = min(low[id(u)], low[id(v)])
+                    if onstack[w.seq]:
+                        low[v.seq] = min(low[v.seq], index[w.seq])
+                else:
+                    work.pop()
+                    if low[v.seq] == index[v.seq]:
+                        comp = []
+                        while True:
+                            w = stack.pop()
+                            onstack[w.seq] = False
+                            comp.append(w)
+                            if w is v:
+                                break
+                        yield comp
+                    if work:
+                        u = work[-1][0]
+                        low[u.seq] = min(low[u.seq], low[v.seq])
 
-        for n in pending:
-            if id(n) not in index:
-                strongconnect(n)
-        return sccs
-
-    def _settle_component(self, comp, comp_ids):
+    def _settle_component(self, comp):
         eng = self.eng
         # bisimulation partition of the component
         block = {}
         for n in comp:
-            block[id(n)] = (n.cls, n.root)
+            block[n.seq] = (n.cls, n.root)
         while True:
             sig = {}
             for n in comp:
-                sig[id(n)] = (block[id(n)], tuple(
-                    ("i", r) if isinstance(r, int) else ("b", block[id(r)])
+                sig[n.seq] = (block[n.seq], tuple(
+                    ("i", r) if isinstance(r, int) else ("b", block[r.seq])
                     for r in n.children))
             if len(set(sig.values())) == len(set(block.values())):
                 block = sig
@@ -500,35 +469,29 @@ class _Session:
             block = sig
         reps = {}
         for n in comp:
-            reps.setdefault(block[id(n)], n)
+            reps.setdefault(block[n.seq], n)
 
         # try to match the component against already-interned elements
         probe = comp[0]
-        assign = None
-        for cand in eng.tables[probe.cls].fp_index.get(self._node_fp(probe), []):
-            h = {}
-            if self._try_match(probe, cand, h, block):
-                assign = h
-                break
-        if assign is not None:
-            for n in comp:
-                n.id = assign[block[id(n)]]
-            return
+        fp = eng._fp(probe.cls, probe.root, probe.children)
+        for cand in eng.tables[probe.cls].fp_index.get(fp, []):
+            assign = self._try_match(probe, cand, block)
+            if assign is not None:
+                for n in comp:
+                    n.id = assign[block[n.seq]]
+                return
 
         # fresh elements, one per bisimulation class
+        eng._check_ids(len(reps))
         fresh = {}
         for b, rep in reps.items():
             t = eng.tables[rep.cls]
-            i = len(t.roots)
+            fresh[b] = len(t.roots)
             t.roots.append(eng._pool_perm(rep.root))
             t.children.append(None)
-            fresh[b] = i
             eng.n_ids += 1
-            if eng.n_ids > eng.budget:
-                raise BudgetExceeded(
-                    f"engine state-space budget of {eng.budget} exceeded")
         for b, rep in reps.items():
-            ch = tuple(r if isinstance(r, int) else fresh[block[id(r)]]
+            ch = tuple(r if isinstance(r, int) else fresh[block[r.seq]]
                        for r in rep.children)
             t = eng.tables[rep.cls]
             i = fresh[b]
@@ -536,74 +499,52 @@ class _Session:
             key = (rep.root, ch)
             assert key not in t.intern, "cyclic class duplicates an interned key"
             t.intern[key] = i
-        for b, rep in reps.items():
-            i = fresh[b]
-            t = eng.tables[rep.cls]
-            t.fp_index.setdefault(eng._fp(rep.cls, i), []).append(i)
+            # bisimilar nodes share roots, so the node portrait is the id's
+            t.fp_index.setdefault(eng._fp(rep.cls, rep.root, rep.children),
+                                  []).append(i)
         for n in comp:
-            n.id = fresh[block[id(n)]]
+            n.id = fresh[block[n.seq]]
 
-    def _node_fp(self, n):
+    def _try_match(self, n0, e0, block):
+        """Map from bisimulation block to interned id that embeds the
+        component at e0, or None."""
         eng = self.eng
-        sc = eng.succ(n.cls)
-        ssc = eng.succ(sc)
-        chroots = []
-        gchroots = []
-        for r in n.children:
-            if isinstance(r, int):
-                chroots.append(eng.tables[sc].roots[r])
-                for g in eng.tables[sc].children[r]:
-                    gchroots.append(eng.tables[ssc].roots[g])
-            else:
-                chroots.append(r.root)
-                for rr in r.children:
-                    if isinstance(rr, int):
-                        gchroots.append(eng.tables[ssc].roots[rr])
-                    else:
-                        gchroots.append(rr.root)
-        return (n.root, tuple(chroots), tuple(gchroots))
-
-    def _try_match(self, n0, e0, hyp, block):
-        eng = self.eng
-        hyp[block[id(n0)]] = e0
+        hyp = {block[n0.seq]: e0}
         stack = [(n0, e0)]
         checked = set()
         while stack:
             n, e = stack.pop()
-            if (id(n), e) in checked:
+            if (n.seq, e) in checked:
                 continue
-            checked.add((id(n), e))
+            checked.add((n.seq, e))
             t = eng.tables[n.cls]
             if t.roots[e] != n.root:
-                return False
+                return None
             ech = t.children[e]
             for x, r in enumerate(n.children):
                 if isinstance(r, int):
                     if r != ech[x]:
-                        return False
+                        return None
                 else:
-                    b = block[id(r)]
+                    b = block[r.seq]
                     if b in hyp:
                         if hyp[b] != ech[x]:
-                            return False
+                            return None
                     else:
                         hyp[b] = ech[x]
                     stack.append((r, ech[x]))
-        return True
+        return hyp
 
     def _record_memos(self):
         eng = self.eng
+
+        def ref(r):
+            return r.id if isinstance(r, _Node) else r
+
         for n in self.nodes:
-            if n.id is None:
-                continue
             if n.kind == "gen":
                 eng.gen_ids[n.cls][n.name] = n.id
             elif n.kind == "mul":
-                a = n.a.id if isinstance(n.a, _Node) else n.a
-                b = n.b.id if isinstance(n.b, _Node) else n.b
-                if a is not None and b is not None:
-                    eng.mul_memo[(n.cls, a, b)] = n.id
+                eng.mul_memo[(n.cls, ref(n.a), ref(n.b))] = n.id
             else:
-                a = n.a.id if isinstance(n.a, _Node) else n.a
-                if a is not None:
-                    eng.inv_memo[(n.cls, a)] = n.id
+                eng.inv_memo[(n.cls, ref(n.a))] = n.id

@@ -71,7 +71,7 @@ def build_spec(config):
         if kind == "neumann6":
             return catalog.neumann6()
         if kind == "custom":
-            return _custom_spec(params)
+            return catalog._validated(_custom_spec(params))
     except KeyError as e:
         raise ConfigError(f"missing parameter {e} for kind {kind}")
     raise ConfigError(f"unknown group kind: {kind!r}")

@@ -102,7 +102,7 @@ def test_run_criterion_epsilon_range(fg_atlas6, fg_report6):
 
 
 def test_theorem_hypotheses_fg(fg_atlas6, fg_report6):
-    hyp = cr.theorem_hypotheses_report(fg_atlas6, fg_report6, 0.45, 6)
+    hyp = cr.theorem_hypotheses_report(fg_atlas6, fg_report6, 6)
     assert hyp.generators_incompressible
     assert hyp.generator_bound == 4
     assert hyp.wreath_ok
@@ -115,7 +115,7 @@ def test_theorem_hypotheses_fg(fg_atlas6, fg_report6):
 
 def test_theorem_hypotheses_grig(grig_atlas8):
     rep = inc.approximate_I_infty(grig_atlas8, 6)
-    hyp = cr.theorem_hypotheses_report(grig_atlas8, rep, 0.45, 8)
+    hyp = cr.theorem_hypotheses_report(grig_atlas8, rep, 8)
     assert hyp.generators_incompressible
     assert hyp.wreath_ok
     assert hyp.poly_bound is None    # not a ternary spinal family

@@ -1,10 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treegrowth import Engine, Group, build_atlas, catalog
+from treegrowth import Engine, Group, build_atlas, catalog, store
 from treegrowth.engine import BudgetExceeded
 
-from oracle import TruncatedAction
+from oracle import TruncatedAction, oracle_spheres
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +121,56 @@ def test_budget_exceeded():
         for w in (["b1", "a120"], ["b1", "a120", "b1"],
                   ["b2", "a201", "b1", "a120"]):
             eng.element_from_word(0, w)
+
+
+def test_budget_exceeded_leaves_engine_consistent():
+    spec = catalog.first_grigorchuk()
+    eng = Engine(spec, budget=5)
+    with pytest.raises(BudgetExceeded):
+        eng.gen_id(0, "b01")
+    assert all(ch is not None for t in eng.tables for ch in t.children)
+    eng.budget = 10_000_000
+    retried = build_atlas(spec, 6, engine=eng)
+    fresh = build_atlas(spec, 6)
+    assert {c: t.spheres for c, t in retried.tables.items()} == \
+        {c: t.spheres for c, t in fresh.tables.items()}
+
+
+# -- custom families that exercise the session directly ----------------------
+
+def _gen(name, length, inverse, root, children):
+    return {"name": name, "pseudolength": length, "inverse": inverse,
+            "root": root, "children": children}
+
+
+def _custom(degree, level):
+    return store.build_spec({"kind": "custom", "parameters": {
+        "degree": degree, "preperiod": [], "period": [level]}})
+
+
+def test_two_letter_child_word():
+    # GGS(3,(1,2)) written with b = (z, z z, b), z the rooted 3-cycle
+    spec = _custom(3, [
+        _gen("z", 0, "y", [1, 2, 0], [[], [], []]),
+        _gen("y", 0, "z", [2, 0, 1], [[], [], []]),
+        _gen("b", 1, "c", [0, 1, 2], [["z"], ["z", "z"], ["b"]]),
+        _gen("c", 1, "b", [0, 1, 2], [["y"], ["y", "y"], ["c"]]),
+    ])
+    sizes = build_atlas(spec, 6).table(0).sphere_sizes()
+    assert sizes == build_atlas(catalog.ggs(3, (1, 2)), 6).table(0).sphere_sizes()
+    assert sizes == [3, 18, 72, 288, 1152, 4536, 17712]
+    assert sizes[:5] == oracle_spheres(spec, 8, 4)
+
+
+def test_session_with_two_cyclic_components():
+    # b = (w, b) refers to w = (w, w)·swap: one session settles both cycles
+    spec = _custom(2, [
+        _gen("w", 0, "w", [1, 0], [["w"], ["w"]]),
+        _gen("b", 1, "b", [0, 1], [["w"], ["b"]]),
+    ])
+    sizes = build_atlas(spec, 5).table(0).sphere_sizes()
+    assert sizes[:3] == [2, 4, 4]
+    assert sizes == oracle_spheres(spec, 8, 5)
 
 
 # -- action consistency with the independent truncated oracle ---------------

@@ -123,6 +123,33 @@ def test_cli_define_io_error(tmp_path):
     assert main(["define", "--config", str(tmp_path / "none.json")]) == 2
 
 
+def test_cli_rejects_expanding_custom_family(tmp_path, capsys):
+    # c = (c, c) with |c| = 1 doubles lengths under sections
+    path = tmp_path / "expanding.json"
+    path.write_text(json.dumps({"kind": "custom", "parameters": {
+        "degree": 2, "preperiod": [],
+        "period": [[{"name": "c", "pseudolength": 1, "inverse": "c",
+                     "root": [0, 1], "children": [["c"], ["c"]]}]]}}))
+    assert main(["report", "--config", str(path), "--max-radius", "2",
+                 "--out", str(tmp_path / "r.json")]) == 1
+    assert "non_expansion" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["define", "--max-radius", "3"],
+    ["define", "--budget", "5"],
+    ["spheres", "--k-depth", "4"],
+    ["spheres", "--epsilon", "0.3"],
+    ["incompressible", "--epsilon", "0.3"],
+    ["report", "--epsilon", "0.3"],
+])
+def test_cli_rejects_flags_the_subcommand_ignores(fg_config_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--config", fg_config_path])
+    assert exc.value.code == 2
+
+
 def test_cli_spheres_deterministic(tmp_path, fg_config_path, run_fresh):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
