@@ -84,7 +84,11 @@ def cmd_spheres(args):
     truncated = False
     for c in sorted(atlas.tables):
         table = atlas.table(c)
-        truncated = truncated or table.truncated
+        if table.truncated:
+            truncated = True
+            print(f"error: table truncated at level class {c} after radius "
+                  f"{table.max_radius}, {len(table.lengths)} elements",
+                  file=sys.stderr)
         gamma = table.gamma()
         est = growth.kappa_estimates(table)
         for n in range(table.max_radius + 1):
@@ -171,6 +175,10 @@ def cmd_criterion(args):
         "insufficient_n": [n for n in res.n_range
                            if res.small_factor_ok[n] is None],
     }
+    # vacuous: no radius exceeds 3/epsilon, so nothing was asserted
+    payload["verdict"] = (
+        "fail" if payload["failures"] else
+        "vacuous" if payload["insufficient_n"] == res.n_range else "pass")
     _emit(args, payload)
     return EXIT_OK if not payload["failures"] else EXIT_DOMAIN
 

@@ -10,7 +10,7 @@ parent link per element, giving one geodesic word per element.
 from dataclasses import dataclass, field
 from math import factorial
 
-from .engine import Engine
+from .engine import BudgetExceeded, Engine
 
 
 class TableExhausted(LookupError):
@@ -123,22 +123,27 @@ def enumerate_spheres(atlas, c, max_radius, max_elements=1_000_000):
             frontier = nxt
 
     spheres = [[0]]
-    close_under_zero(spheres[0], 0)
     truncated = False
-    for n in range(1, max_radius + 1):
-        sphere = []
-        for u in spheres[n - 1]:
-            for nm, s in zip(unit, unit_ids):
-                w = eng.mul(c, u, s, store=False)
-                if w not in lengths:
-                    lengths[w] = n
-                    parents[w] = (u, nm)
-                    sphere.append(w)
-        close_under_zero(sphere, n)
-        spheres.append(sphere)
-        if len(lengths) > max_elements:
-            truncated = True
-            break
+    n = 0
+    try:
+        close_under_zero(spheres[0], 0)
+        for n in range(1, max_radius + 1):
+            sphere = []
+            for u in spheres[n - 1]:
+                for nm, s in zip(unit, unit_ids):
+                    w = eng.mul(c, u, s, store=False)
+                    if w not in lengths:
+                        lengths[w] = n
+                        parents[w] = (u, nm)
+                        sphere.append(w)
+            close_under_zero(sphere, n)
+            spheres.append(sphere)
+            if len(lengths) > max_elements:
+                truncated = True
+                break
+    except BudgetExceeded as e:
+        raise BudgetExceeded(f"{e}; stopped at level class {c} expanding "
+                             f"radius {n}, {len(lengths)} elements") from e
 
     table = SphereTable(c, spheres, lengths, parents, truncated)
     atlas.tables[c] = table

@@ -151,6 +151,21 @@ def incompressible_by_length(atlas, report, c, max_len):
     return out
 
 
+def left_edges(atlas, c, radius):
+    """Per generator name, a list whose slot u holds gen*u for each ball
+    element u with |gen| + |u| <= radius, and -1 elsewhere."""
+    eng = atlas.engine
+    edges = {}
+    for gen in atlas.spec.level(c).generators:
+        g = eng.gen_id(c, gen.name)
+        inner = atlas.table(c).spheres[:radius - gen.pseudolength + 1]
+        ball = [u for sphere in inner for u in sphere]
+        row = edges[gen.name] = [-1] * (1 + max(ball, default=-1))
+        for u in ball:
+            row[u] = eng.mul(c, g, u, store=False)
+    return edges
+
+
 def factorization_dp(atlas, report, c, max_n):
     """Minimal counts N(g) of additive factorizations into depth-K elements,
     with one backpointer per element, for the whole radius-max_n ball.
@@ -158,10 +173,16 @@ def factorization_dp(atlas, report, c, max_n):
     Layered BFS: the j-th layer holds the elements of minimal count j; every
     additive factorization has additive prefixes, so extending shorter
     factorizations by single factors reaches each element at its true count.
+    Only p*h with |p| + |h| <= R = min(max_n, table radius) can be additive
+    in the ball.  It is h left-multiplied by the letters of p's geodesic,
+    last letter first, through left_edges: each partial product has length
+    at most |p| + |h| <= R, so the walk never leaves the edge lists.
     """
-    eng = atlas.engine
     table = atlas.table(c)
-    by_len = incompressible_by_length(atlas, report, c, max_n)
+    lengths = table.lengths
+    R = min(max_n, table.max_radius)
+    by_len = incompressible_by_length(atlas, report, c, R)
+    edges = left_edges(atlas, c, R)
     N = {0: 0}
     back = {0: None}
     frontier = [0]
@@ -170,14 +191,14 @@ def factorization_dp(atlas, report, c, max_n):
         j += 1
         nxt = []
         for p in frontier:
-            lp = table.length(p)
-            for lh in range(0, max_n - lp + 1):
-                for h in by_len[lh]:
-                    q = eng.mul(c, p, h, store=False)
-                    if q in N:
-                        continue
-                    lq = table.lengths.get(q)
-                    if lq is not None and lq == lp + lh:
+            lp = lengths[p]
+            walk = [edges[name] for name in reversed(table.geodesic(p))]
+            for lh in range(0, R - lp + 1):
+                hs = qs = by_len[lh]
+                for row in walk:
+                    qs = [row[x] for x in qs]
+                for q, h in zip(qs, hs):
+                    if q not in N and lengths[q] == lp + lh:
                         N[q] = j
                         back[q] = (p, h)
                         nxt.append(q)

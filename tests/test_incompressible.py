@@ -2,6 +2,7 @@ import pytest
 
 from treegrowth import build_atlas, catalog
 from treegrowth import incompressible as inc
+from treegrowth.engine import Engine
 
 FG_INCOMPRESSIBLE_COUNTS = [3, 18, 72, 216, 576, 1296, 2592]
 
@@ -83,6 +84,88 @@ def test_factorization_dp_histogram(fg_atlas6, fg_report6):
         assert len(factors) == N[g]
         assert sum(table.length(h) for h in factors) == 5
         assert all(h in fg_report6.final[0] for h in factors)
+
+
+def _reference_dp(atlas, report, c, max_n):
+    """The factorization DP with one wreath product per (p, h) pair."""
+    eng = atlas.engine
+    table = atlas.table(c)
+    by_len = inc.incompressible_by_length(atlas, report, c, max_n)
+    N = {0: 0}
+    back = {0: None}
+    frontier = [0]
+    j = 0
+    while frontier:
+        j += 1
+        nxt = []
+        for p in frontier:
+            lp = table.length(p)
+            for lh in range(0, max_n - lp + 1):
+                for h in by_len[lh]:
+                    q = eng.mul(c, p, h, store=False)
+                    if q in N:
+                        continue
+                    lq = table.lengths.get(q)
+                    if lq is not None and lq == lp + lh:
+                        N[q] = j
+                        back[q] = (p, h)
+                        nxt.append(q)
+        frontier = nxt
+    return N, back
+
+
+# (id, family, radius, max_n, classes or None for every class); the last
+# case asks for a larger radius than the table has
+DP_CASES = [
+    ("fg", catalog.fabrykowski_gupta, 6, 6, [0]),
+    ("grigorchuk", catalog.first_grigorchuk, 8, 8, None),
+    ("sunic320", lambda: catalog.sunic(3, 2, (0,)), 3, 3, [0]),
+    ("fg-beyond", catalog.fabrykowski_gupta, 5, 7, [0]),
+]
+
+
+@pytest.mark.parametrize("make,radius,max_n,classes",
+                         [case[1:] for case in DP_CASES],
+                         ids=[case[0] for case in DP_CASES])
+def test_factorization_dp_matches_reference(make, radius, max_n, classes):
+    # fresh atlases: the reference interns products outside the ball
+    atlas = build_atlas(make(), radius)
+    report = inc.approximate_I_infty(atlas, 6)
+    for c in classes or sorted(atlas.tables):
+        N, back = inc.factorization_dp(atlas, report, c, max_n)
+        ref_N, ref_back = _reference_dp(atlas, report, c, max_n)
+        assert list(N.items()) == list(ref_N.items())
+        assert list(back.items()) == list(ref_back.items())
+
+
+def test_factorization_dp_uses_only_edge_products(fg_atlas6, fg_report6,
+                                                  monkeypatch):
+    eng = fg_atlas6.engine
+    table = fg_atlas6.table(0)
+    gens = fg_atlas6.spec.level(0).generators
+    slots = sum(table.gamma(6 - gen.pseudolength) for gen in gens)
+    calls = [0]
+    mul = Engine.mul
+
+    def counting_mul(self, *args, **kwargs):
+        calls[0] += 1
+        return mul(self, *args, **kwargs)
+
+    monkeypatch.setattr(Engine, "mul", counting_mul)
+    inc.factorization_dp(fg_atlas6, fg_report6, 0, 6)
+    monkeypatch.undo()
+    assert 0 < calls[0] <= slots
+
+    edges = inc.left_edges(fg_atlas6, 0, 6)
+    assert sorted(edges) == sorted(gen.name for gen in gens)
+    for gen in gens:
+        g = eng.gen_id(0, gen.name)
+        inner = {u for n in range(7 - gen.pseudolength)
+                 for u in table.sphere(n)}
+        row = edges[gen.name]
+        assert {u for u, v in enumerate(row) if v != -1} == inner
+        for u in inner:
+            assert row[u] == eng.mul(0, g, u)
 
 
 def test_witness_minimal_count(fg_atlas6, fg_report6):

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from treegrowth import build_atlas, catalog, store
+from treegrowth import build_atlas, catalog, cli, store
 from treegrowth import incompressible as inc
 from treegrowth.cli import main
+from treegrowth.engine import Engine
 from treegrowth.store import ConfigError
 
 
@@ -177,10 +178,27 @@ def test_cli_spheres_rejects_nonsense(tmp_path, fg_config_path, capsys,
     assert not out.exists()
 
 
-def test_cli_spheres_budget_exit(tmp_path, fg_config_path):
+def test_cli_spheres_budget_exit(tmp_path, fg_config_path, capsys):
     code = main(["spheres", "--config", fg_config_path, "--max-radius", "8",
                  "--budget", "2000", "--out", str(tmp_path / "s.csv")])
     assert code == 3
+    err = capsys.readouterr().err
+    assert "budget of 2000 exceeded" in err
+    assert "stopped at level class 0 expanding radius 5, 1823 elements" in err
+
+
+def test_cli_spheres_truncated_table_exit(tmp_path, fg_config_path, capsys,
+                                          monkeypatch):
+    # the engine budget is lifted, so only the element budget stops the run
+    monkeypatch.setattr(cli, "Engine", lambda spec, budget: Engine(spec))
+    out = tmp_path / "s.csv"
+    code = main(["spheres", "--config", fg_config_path, "--max-radius", "8",
+                 "--budget", "2000", "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "error: table truncated at level class 0 after radius 5, "
+        "5829 elements\n")
+    assert out.read_text().splitlines()[-1].startswith("0,5,")
 
 
 def test_cli_incompressible(tmp_path, fg_config_path):
@@ -202,6 +220,19 @@ def test_cli_criterion(tmp_path, fg_config_path):
     payload = json.loads(out.read_text())
     assert payload["failures"] == []
     assert payload["level_used"] == 2
+    # every radius is at most 3/epsilon = 6.67, so nothing is asserted
+    assert payload["verdict"] == "vacuous"
+
+
+def test_cli_criterion_verdict_fail(tmp_path, fg_config_path, monkeypatch):
+    monkeypatch.setattr(cli.cr, "check_level_reduction",
+                        lambda *args: False)
+    out = tmp_path / "crit.json"
+    assert main(["criterion", "--config", fg_config_path,
+                 "--max-radius", "3", "--out", str(out)]) == 1
+    payload = json.loads(out.read_text())
+    assert payload["verdict"] == "fail"
+    assert payload["small_factor_ok"] == {"1": None, "2": None, "3": None}
 
 
 def test_cli_criterion_epsilon_rejected(fg_config_path):
