@@ -96,10 +96,10 @@ class SpinalData:
 def _check_kernel_condition(data):
     p, q = len(data.omega_pre), len(data.omega_per)
     orders = data.orders
-    for start in range(p + q):
-        classes = set(range(min(start, p), p + q)) | set(range(start, p + q))
+    # offsets past p repeat offset p: the period wraps round
+    for start in range(p + 1):
         ker = set(b_elements(orders))
-        for k in classes:
+        for k in range(start, p + q):
             for hom in data.omega_at(k):
                 ker &= hom_kernel(hom, orders)
         if ker != {(0,) * len(orders)}:
@@ -141,14 +141,9 @@ def spinal(data):
         if k == 0:
             gens = [tuple(a) for a in data.a_perms]
         else:
-            gens = [apply_hom(hom, b)
-                    for hom in data.omega_at((k - 1) if k - 1 < p
-                                             else p + (k - 1 - p) % q)
+            gens = [apply_hom(hom, b) for hom in data.omega_at(k - 1)
                     for b in b_elements(orders)]
         a_sets.append(sorted(perms.closure(gens, d)))
-
-    def oclass(k):
-        return k if k < p else p + (k - p) % q
 
     levels = []
     for k in range(nlevels):
@@ -160,7 +155,7 @@ def spinal(data):
                 name=perm_name(a), pseudolength=0,
                 inverse=perm_name(perms.inverse(a)),
                 root=a, children=((),) * d))
-        homs = data.omega_at(oclass(k))
+        homs = data.omega_at(k)
         for b in b_elements(orders):
             if b == (0,) * len(orders):
                 continue
@@ -234,15 +229,15 @@ def _matmul(m1, m2, p):
                        for j in range(n)) for i in range(n))
 
 
-def _mat_order(m, p, cap=10000):
+def _mat_order(m, p):
     n = len(m)
     ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     acc = m
-    for k in range(1, cap + 1):
+    for k in range(1, 10001):
         if acc == ident:
             return k
         acc = _matmul(acc, m, p)
-    raise CatalogError(f"matrix order exceeds cap {cap}")
+    raise CatalogError("matrix order exceeds cap 10000")
 
 
 def sunic(p, m, a_coeffs=(), name=""):

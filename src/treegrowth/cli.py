@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: define, spheres, incompressible, criterion, report.
-Exit codes: 0 success, 1 domain error, 2 I/O or parse error, 3 budget
-exceeded.
+Exit codes: 0 success, 1 domain error, 2 I/O or parse error, 3 the engine
+budget (`--budget`, the one limit on a run) was exceeded.
 """
 
 import argparse
@@ -57,7 +57,6 @@ def _spec_from(args):
 
 def _atlas(args, spec):
     return growth.build_atlas(spec, args.max_radius, levels=args.levels,
-                              max_elements=args.budget,
                               engine=Engine(spec, budget=args.budget))
 
 
@@ -81,14 +80,8 @@ def cmd_spheres(args):
     spec = _spec_from(args)
     atlas = _atlas(args, spec)
     rows = []
-    truncated = False
     for c in sorted(atlas.tables):
         table = atlas.table(c)
-        if table.truncated:
-            truncated = True
-            print(f"error: table truncated at level class {c} after radius "
-                  f"{table.max_radius}, {len(table.lengths)} elements",
-                  file=sys.stderr)
         gamma = table.gamma()
         est = growth.kappa_estimates(table)
         for n in range(table.max_radius + 1):
@@ -100,7 +93,7 @@ def cmd_spheres(args):
         w = csv.writer(fh)
         w.writerow(["level", "n", "sphere_size", "gamma", "kappa_pointwise"])
         w.writerows(rows)
-    return EXIT_BUDGET if truncated else EXIT_OK
+    return EXIT_OK
 
 
 def cmd_incompressible(args):

@@ -160,10 +160,11 @@ class HypothesesReport:
     failures: list
 
 
-def theorem_hypotheses_report(atlas, report, n_max, bound_class=0):
+def theorem_hypotheses_report(atlas, report, n_max):
     """Hypothesis audit across one full period of level classes: generators
     incompressible to depth K, uniform generating-set bound, polynomial
-    envelope on incompressible counts, and the wreath counting inequality."""
+    envelope on incompressible counts (the ternary bound checked at class 0),
+    and the wreath counting inequality."""
     spec = atlas.spec
     failures = []
 
@@ -188,7 +189,7 @@ def theorem_hypotheses_report(atlas, report, n_max, bound_class=0):
             env[n] = max(env[n], top[n])
 
     try:
-        poly_bound = inc.check_polynomial_bound(spec, report, bound_class)
+        poly_bound = inc.check_polynomial_bound(spec, report, 0)
         if not poly_bound.ok:
             failures.append("polynomial bound violated")
     except inc.NotTernarySpinal:

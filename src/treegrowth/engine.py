@@ -20,11 +20,7 @@ throughout is minimality: no two distinct ids at the same level class are
 equal as automorphisms.
 """
 
-import sys
-
 from . import perms
-
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 100000))
 
 
 class BudgetExceeded(RuntimeError):
@@ -97,8 +93,8 @@ class Engine:
     def children(self, c, i):
         return self.tables[c].children[i]
 
-    def _charge(self, n=1):
-        if self.n_ids + len(self.mul_memo) + n > self.budget:
+    def _charge(self):
+        if self.n_ids + len(self.mul_memo) >= self.budget:
             raise BudgetExceeded(
                 f"engine state-space budget of {self.budget} exceeded "
                 f"({self.n_ids} elements, {len(self.mul_memo)} cached products)")
@@ -153,7 +149,9 @@ class Engine:
     # -- products and inverses --------------------------------------------
 
     def mul(self, c, u, v, store=True):
-        """Interned id of the product u*v at class c."""
+        """Interned id of the product u*v at class c.  With store false the
+        recursive path leaves (c, u, v) itself out of mul_memo; a session
+        records every product it settles."""
         if u == 0:
             return v
         if v == 0:
@@ -163,15 +161,10 @@ class Engine:
         if r is not None:
             return r
         try:
-            stack = set()
-            res = self._mul_rec(c, u, v, stack, key if not store else None)
+            return self._mul_rec(c, u, v, set(), None if store else key)
         except _Cycle:
             s = _Session(self)
-            res = s.run(s.mul_node(c, u, v))
-        if store and key not in self.mul_memo:
-            self._charge()
-            self.mul_memo[key] = res
-        return res
+            return s.run(s.mul_node(c, u, v))
 
     def _mul_rec(self, c, u, v, stack, skip_key):
         if u == 0:
@@ -210,12 +203,10 @@ class Engine:
         if r is not None:
             return r
         try:
-            res = self._inv_rec(c, u, set())
+            return self._inv_rec(c, u, set())
         except _Cycle:
             s = _Session(self)
-            res = s.run(s.inv_node(c, u))
-        self.inv_memo[key] = res
-        return res
+            return s.run(s.inv_node(c, u))
 
     def _inv_rec(self, c, u, stack):
         if u == 0:

@@ -141,7 +141,7 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def validate(spec, zero_group_cap=100000):
+def validate(spec):
     """Run all definitional checks; failures are reported, never raised."""
     results = []
     d = spec.degree
@@ -204,8 +204,7 @@ def validate(spec, zero_group_cap=100000):
         # the engine re-derives the full closure exactly)
         ok, detail = True, ""
         try:
-            zc = perms.closure([g.root for g in level.zero_generators], d,
-                               cap=zero_group_cap)
+            zc = perms.closure([g.root for g in level.zero_generators], d)
             detail = f"root closure size {len(zc)}"
         except RuntimeError:
             ok, detail = False, "zero-length subgroup closure exceeded cap"

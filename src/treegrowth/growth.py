@@ -23,7 +23,6 @@ class SphereTable:
     spheres: list                  # per-radius lists of interned ids
     lengths: dict                  # id -> pseudolength
     parents: dict                  # id -> (parent id, generator name) or None
-    truncated: bool = False
 
     @property
     def max_radius(self):
@@ -82,13 +81,15 @@ class Atlas:
         return self.table(self.spec.class_of_level(nu))
 
 
-def enumerate_spheres(atlas, c, max_radius, max_elements=1_000_000):
+def enumerate_spheres(atlas, c, max_radius):
     """Fill the atlas table for class c up to max_radius.
 
     Deterministic: expansion follows stored sphere order, generator order of
     the spec, and breadth-first saturation by zero-length generators.  The
     radius-0 sphere is the subgroup generated by the zero-length generators,
-    in that breadth-first order from the identity.
+    in that breadth-first order from the identity.  The engine's budget is
+    the only limit: BudgetExceeded names the class, the radius being
+    expanded and the elements enumerated when it stops the run.
     """
     eng = atlas.engine
     spec = atlas.spec
@@ -99,8 +100,7 @@ def enumerate_spheres(atlas, c, max_radius, max_elements=1_000_000):
     zero_ids = [eng.gen_id(c, nm) for nm in zero]
 
     existing = atlas.tables.get(c)
-    if existing is not None and existing.max_radius >= max_radius \
-            and not existing.truncated:
+    if existing is not None and existing.max_radius >= max_radius:
         return existing
 
     lengths = {0: 0}
@@ -123,7 +123,6 @@ def enumerate_spheres(atlas, c, max_radius, max_elements=1_000_000):
             frontier = nxt
 
     spheres = [[0]]
-    truncated = False
     n = 0
     try:
         close_under_zero(spheres[0], 0)
@@ -138,20 +137,16 @@ def enumerate_spheres(atlas, c, max_radius, max_elements=1_000_000):
                         sphere.append(w)
             close_under_zero(sphere, n)
             spheres.append(sphere)
-            if len(lengths) > max_elements:
-                truncated = True
-                break
     except BudgetExceeded as e:
         raise BudgetExceeded(f"{e}; stopped at level class {c} expanding "
                              f"radius {n}, {len(lengths)} elements") from e
 
-    table = SphereTable(c, spheres, lengths, parents, truncated)
+    table = SphereTable(c, spheres, lengths, parents)
     atlas.tables[c] = table
     return table
 
 
-def build_atlas(spec, max_radius, levels=None, max_elements=1_000_000,
-                engine=None):
+def build_atlas(spec, max_radius, levels=None, engine=None):
     """Enumerate tables for the first `levels` level classes (default all)."""
     if max_radius < 0:
         raise ValueError(f"max radius must be at least 0, got {max_radius}")
@@ -160,7 +155,7 @@ def build_atlas(spec, max_radius, levels=None, max_elements=1_000_000,
     atlas = Atlas(spec, engine=engine)
     nclasses = spec.num_classes if levels is None else min(levels, spec.num_classes)
     for c in range(nclasses):
-        enumerate_spheres(atlas, c, max_radius, max_elements=max_elements)
+        enumerate_spheres(atlas, c, max_radius)
     return atlas
 
 

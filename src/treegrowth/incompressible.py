@@ -305,10 +305,9 @@ def ternary_bound_params(spec):
     return l, constant, exponent
 
 
-def check_polynomial_bound(spec, report, c, counts_override=None):
+def check_polynomial_bound(spec, report, c):
     l, constant, exponent = ternary_bound_params(spec)
-    counts = counts_override if counts_override is not None \
-        else report.counts[c][report.K]
+    counts = report.counts[c][report.K]
     rows = [(n, counts[n], constant * n ** exponent)
             for n in range(1, len(counts))]
     return BoundCheck(l, constant, exponent, rows)

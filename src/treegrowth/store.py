@@ -97,12 +97,13 @@ def load_config(path):
 # -- persisted sphere tables ----------------------------------------------
 
 TABLE_COLUMNS = ["id", "radius", "parent", "generator", "flags"]
+FLAG_BITS = 16      # depths 1..16 fit the flags column (FORMATS.md)
 
 
-def flags_bitfield(report, c, g, cap=16):
-    """Bit k set when the element is in the depth-k set, k = 1..cap."""
+def flags_bitfield(report, c, g):
+    """Bit k-1 set when the element is in the depth-k set, k = 1..FLAG_BITS."""
     bits = 0
-    top = min(report.K, cap)
+    top = min(report.K, FLAG_BITS)
     for k in range(1, top + 1):
         if report.in_Ik(c, g, k):
             bits |= 1 << (k - 1)
@@ -115,7 +116,7 @@ def save_table(path, config, table, report=None):
         "group_hash": group_hash(config),
         "level": table.cls,
         "max_radius": table.max_radius,
-        "truncated": table.truncated,
+        "truncated": False,     # v1 key; tables are exact to max_radius
     }
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("#" + json.dumps(header, sort_keys=True) + "\n")

@@ -54,7 +54,7 @@ def grig_atlas8(grig_spec):
 # a minute and a bit over 1 GB, so it is shared across the session.
 @pytest.fixture(scope="session")
 def fg_atlas10(fg_spec):
-    return build_atlas(fg_spec, 10, max_elements=5_000_000)
+    return build_atlas(fg_spec, 10)
 
 
 @pytest.fixture(scope="session")

@@ -36,7 +36,7 @@ def sunic_data():
     out = {}
     for a1 in (0, 1, 2):
         spec = catalog.sunic(3, 2, (a1,))
-        atlas = build_atlas(spec, 4, max_elements=2_000_000)
+        atlas = build_atlas(spec, 4)
         out[a1] = (spec, atlas, inc.approximate_I_infty(atlas, 6))
     return out
 

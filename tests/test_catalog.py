@@ -129,3 +129,15 @@ def test_spinal_rejects_intransitive_roots():
                       (), ((swap01, swap01),))
     with pytest.raises(CatalogError, match="level_transitivity"):
         catalog.spinal(data)
+
+
+def test_spinal_root_group_comes_from_the_homs_one_level_up():
+    # over B = (Z/2)^2 the images of x generate the Klein four-group and
+    # those of y a dihedral group of order 8, so the rooted generators of
+    # a level tell which tuple sits one level up
+    e, v1, v2 = (0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1)
+    x = ((v1, v2), (e, e), (e, e))
+    y = ((v1, (1, 0, 2, 3)), (v2, e), (e, e))
+    spec = catalog.spinal(SpinalData(4, (2, 2), (v1, v2), (), (x, y)))
+    assert [len(spec.level(c).zero_generators) for c in spec.classes()] \
+        == [3, 3, 7]

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treegrowth import Engine, Group, build_atlas, catalog, store
+from treegrowth import Engine, Group, build_atlas, catalog, engine, store
 from treegrowth.engine import BudgetExceeded
 
 from oracle import TruncatedAction, oracle_spheres
@@ -134,6 +134,50 @@ def test_budget_exceeded_leaves_engine_consistent():
     fresh = build_atlas(spec, 6)
     assert {c: t.spheres for c, t in retried.tables.items()} == \
         {c: t.spheres for c, t in fresh.tables.items()}
+
+
+@pytest.fixture()
+def sessions(monkeypatch):
+    """Counter of `_Session.run` calls, to tell the two product paths apart."""
+    count = [0]
+    run = engine._Session.run
+
+    def counted(self, target):
+        count[0] += 1
+        return run(self, target)
+    monkeypatch.setattr(engine._Session, "run", counted)
+    return count
+
+
+@pytest.mark.parametrize("left, right, via_session",
+                         [("a120", "b1", 0), ("b1", "b1", 1)])
+def test_mul_stores_its_key(sessions, left, right, via_session):
+    eng = Engine(catalog.fabrykowski_gupta())
+    u, v = eng.gen_id(0, left), eng.gen_id(0, right)
+    sessions[0] = 0
+    w = eng.mul(0, u, v, store=True)
+    assert sessions[0] == via_session
+    assert eng.mul_memo[(0, u, v)] == w
+
+
+@pytest.mark.parametrize("gen, via_session", [("a120", 0), ("b1", 1)])
+def test_inv_stores_its_key(sessions, gen, via_session):
+    eng = Engine(catalog.fabrykowski_gupta())
+    u = eng.gen_id(0, gen)
+    sessions[0] = 0
+    w = eng.inv(0, u)
+    assert sessions[0] == via_session
+    assert eng.inv_memo[(0, u)] == w
+    assert eng.mul(0, u, w) == 0
+
+
+def test_import_leaves_recursion_limit(run_fresh):
+    code = ("import sys\n"
+            "before = sys.getrecursionlimit()\n"
+            "import treegrowth\n"
+            "print(before, sys.getrecursionlimit())\n")
+    before, after = run_fresh(["-c", code], hash_seed=0).stdout.split()
+    assert after == before
 
 
 # -- custom families that exercise the session directly ----------------------

@@ -1,10 +1,12 @@
 import pytest
 
-from treegrowth import catalog, growth
+from treegrowth import catalog, growth, shift
 from treegrowth.growth import (Atlas, TableExhausted, build_atlas,
                                check_submultiplicative,
                                check_wreath_inequality, convolve,
                                enumerate_spheres, kappa_estimates)
+
+from oracle import oracle_spheres
 
 FG_SPHERES = [3, 18, 72, 288, 1152, 4296]
 GRIG_SPHERES = [2, 12, 34, 80, 190, 432, 976]
@@ -22,6 +24,26 @@ def test_same_group_three_ways():
     fg = build_atlas(catalog.fabrykowski_gupta(), 5, levels=1)
     su = build_atlas(catalog.sunic(3, 1), 5, levels=1)
     assert fg.table(0).sphere_sizes() == su.table(0).sphere_sizes()
+
+
+@pytest.mark.parametrize("spec, radius", [
+    (catalog.grigorchuk_p(2, (0,), (0, 1, 2)), 6),
+    (catalog.nekrashevych_D((1,), (0, 1)), 7),
+], ids=["grigorchuk_preperiod", "nekrashevych_preperiod"])
+def test_families_with_preperiod_match_oracle(spec, radius):
+    assert spec.preperiod
+    atlas = build_atlas(spec, radius)
+    for c in spec.classes():
+        assert atlas.table(c).sphere_sizes() == \
+            oracle_spheres(spec, 8, radius, cls=c), c
+
+
+def test_shift_into_preperiod():
+    spec = catalog.grigorchuk_p(2, (0,), (0, 1, 2))
+    shifted = shift(spec, 1)
+    assert len(shifted.preperiod) == len(spec.preperiod) - 1
+    assert build_atlas(shifted, 6, levels=1).table(0).sphere_sizes() == \
+        build_atlas(spec, 6, levels=2).table(1).sphere_sizes()
 
 
 def test_gamma_is_cumulative(fg_atlas6):
@@ -65,13 +87,6 @@ def test_enumerate_idempotent(fg_atlas6):
     table = fg_atlas6.table(0)
     again = enumerate_spheres(fg_atlas6, 0, 4)
     assert again is table          # existing deeper table is kept
-
-
-def test_truncation_flag():
-    atlas = build_atlas(catalog.fabrykowski_gupta(), 8, levels=1,
-                        max_elements=500)
-    assert atlas.table(0).truncated
-    assert atlas.table(0).max_radius < 8
 
 
 def test_enumeration_order_deterministic(run_fresh):

@@ -5,7 +5,6 @@ import pytest
 from treegrowth import build_atlas, catalog, cli, store
 from treegrowth import incompressible as inc
 from treegrowth.cli import main
-from treegrowth.engine import Engine
 from treegrowth.store import ConfigError
 
 
@@ -41,6 +40,13 @@ def test_build_spec_kinds():
                            "parameters": {"p": 3, "m": 2, "a_coeffs": [0]}})
     assert su.degree == 3
     assert store.build_spec({"kind": "neumann6", "parameters": {}}).degree == 6
+    # FG as raw spinal data: B = Z/3, omega = (b -> a, b -> 1)
+    sp = store.build_spec({"kind": "spinal", "parameters": {
+        "degree": 3, "orders": [3], "a_perms": [[1, 2, 0]],
+        "omega_per": [[[[1, 2, 0]], [[0, 1, 2]]]]}})
+    assert build_atlas(sp, 5).table(0).sphere_sizes() == \
+        build_atlas(catalog.fabrykowski_gupta(), 5).table(0).sphere_sizes() == \
+        [3, 18, 72, 288, 1152, 4296]
 
 
 def test_build_spec_errors():
@@ -185,20 +191,6 @@ def test_cli_spheres_budget_exit(tmp_path, fg_config_path, capsys):
     err = capsys.readouterr().err
     assert "budget of 2000 exceeded" in err
     assert "stopped at level class 0 expanding radius 5, 1823 elements" in err
-
-
-def test_cli_spheres_truncated_table_exit(tmp_path, fg_config_path, capsys,
-                                          monkeypatch):
-    # the engine budget is lifted, so only the element budget stops the run
-    monkeypatch.setattr(cli, "Engine", lambda spec, budget: Engine(spec))
-    out = tmp_path / "s.csv"
-    code = main(["spheres", "--config", fg_config_path, "--max-radius", "8",
-                 "--budget", "2000", "--out", str(out)])
-    assert code == 3
-    assert capsys.readouterr().err == (
-        "error: table truncated at level class 0 after radius 5, "
-        "5829 elements\n")
-    assert out.read_text().splitlines()[-1].startswith("0,5,")
 
 
 def test_cli_incompressible(tmp_path, fg_config_path):
