@@ -34,10 +34,6 @@ def b_elements(orders):
     return list(product(*(range(n) for n in orders)))
 
 
-def b_add(x, y, orders):
-    return tuple((a + b) % n for a, b, n in zip(x, y, orders))
-
-
 def b_neg(x, orders):
     return tuple((-a) % n for a, n in zip(x, orders))
 
@@ -128,6 +124,8 @@ def spinal(data):
     homomorphisms one level up, so that every child of a level-(k-1)
     generator is a generator at level k.
     """
+    if not data.omega_per:
+        raise CatalogError("period must be nonempty")
     d = data.degree
     orders = data.orders
     _check_kernel_condition(data)

@@ -41,10 +41,13 @@ def build_parser():
         if name == "define":
             continue
         p.add_argument("--max-radius", type=int, default=6)
-        p.add_argument("--levels", type=int, default=None,
-                       help="number of level classes to enumerate (default all)")
         p.add_argument("--budget", type=int, default=10_000_000)
-        if name != "spheres":
+        if name == "spheres":
+            # the filtration needs every class, so only spheres can stop early
+            p.add_argument("--levels", type=int, default=None,
+                           help="number of level classes to enumerate "
+                                "(default all)")
+        else:
             p.add_argument("--k-depth", type=int, default=6)
         if name == "criterion":
             p.add_argument("--epsilon", type=float, default=0.45)
@@ -55,8 +58,8 @@ def _spec_from(args):
     return store.build_spec(store.load_config(args.config))
 
 
-def _atlas(args, spec):
-    return growth.build_atlas(spec, args.max_radius, levels=args.levels,
+def _atlas(args, spec, levels=None):
+    return growth.build_atlas(spec, args.max_radius, levels=levels,
                               engine=Engine(spec, budget=args.budget))
 
 
@@ -78,14 +81,14 @@ def cmd_define(args):
 
 def cmd_spheres(args):
     spec = _spec_from(args)
-    atlas = _atlas(args, spec)
+    atlas = _atlas(args, spec, args.levels)
     rows = []
     for c in sorted(atlas.tables):
         table = atlas.table(c)
         gamma = table.gamma()
         est = growth.kappa_estimates(table)
         for n in range(table.max_radius + 1):
-            kp = est.pointwise[n]
+            kp = est[n]
             rows.append([c, n, len(table.spheres[n]), gamma[n],
                          f"{kp:.6f}" if kp is not None else ""])
     out = args.out or "spheres.csv"

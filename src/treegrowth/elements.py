@@ -5,9 +5,9 @@ from .engine import Engine
 
 
 class Group:
-    def __init__(self, spec, budget=10_000_000, engine=None):
+    def __init__(self, spec):
         self.spec = spec
-        self.engine = engine if engine is not None else Engine(spec, budget)
+        self.engine = Engine(spec)
 
     def identity(self, cls=0):
         return Element(self, cls, 0)

@@ -7,17 +7,17 @@ root permutation plus the tuple of interned section ids at the next level
 class, so equality, identity testing and composition are all exact with no
 depth truncation.
 
-Products and inverses are computed recursively through the decomposition.
-The recursion can revisit itself (e.g. squaring a generator whose section is
-itself); such a request is handed to a session, which materializes the
-closure of pending wreath nodes and settles it in one pass of Tarjan's
-strongly-connected-components algorithm.  Tarjan emits components sinks
-first, so every node a component refers to outside itself already has an
-id: a lone node without a self-reference is interned directly, and any other
-component is partitioned by bisimulation and matched against already-interned
-elements through a shallow-portrait index.  The invariant maintained
-throughout is minimality: no two distinct ids at the same level class are
-equal as automorphisms.
+Products are computed recursively through the decomposition.  When the
+recursion revisits itself (e.g. squaring a generator whose section is
+itself), the product is handed to a session; inverses and generators always
+go through one.  A session materializes the closure of pending wreath nodes
+and settles it in one pass of Tarjan's strongly-connected-components
+algorithm.  Tarjan emits components sinks first, so every node a component
+refers to outside itself already has an id: a lone node without a
+self-reference is interned directly, and any other component is partitioned
+by bisimulation and matched against already-interned elements through a
+shallow-portrait index.  The invariant maintained throughout is minimality:
+no two distinct ids at the same level class are equal as automorphisms.
 """
 
 from . import perms
@@ -60,6 +60,8 @@ class Engine:
     """Canonical-form arithmetic bound to one FamilySpec."""
 
     def __init__(self, spec, budget=10_000_000):
+        if budget < 1:
+            raise ValueError(f"budget must be at least 1, got {budget}")
         self.spec = spec
         self.d = spec.degree
         self.nclasses = spec.num_classes
@@ -152,16 +154,8 @@ class Engine:
         """Interned id of the product u*v at class c.  With store false the
         recursive path leaves (c, u, v) itself out of mul_memo; a session
         records every product it settles."""
-        if u == 0:
-            return v
-        if v == 0:
-            return u
-        key = (c, u, v)
-        r = self.mul_memo.get(key)
-        if r is not None:
-            return r
         try:
-            return self._mul_rec(c, u, v, set(), None if store else key)
+            return self._mul_rec(c, u, v, set(), None if store else (c, u, v))
         except _Cycle:
             s = _Session(self)
             return s.run(s.mul_node(c, u, v))
@@ -196,44 +190,12 @@ class Engine:
 
     def inv(self, c, u):
         """Interned id of the inverse of u at class c."""
-        if u == 0:
-            return 0
-        key = (c, u)
-        r = self.inv_memo.get(key)
-        if r is not None:
-            return r
-        try:
-            return self._inv_rec(c, u, set())
-        except _Cycle:
-            s = _Session(self)
-            return s.run(s.inv_node(c, u))
-
-    def _inv_rec(self, c, u, stack):
-        if u == 0:
-            return 0
-        key = (c, u)
-        r = self.inv_memo.get(key)
-        if r is not None:
-            return r
-        if key in stack:
-            raise _Cycle
-        stack.add(key)
-        t = self.tables[c]
-        sc = self.succ(c)
-        q = perms.inverse(t.roots[u])
-        cu = t.children[u]
-        ch = tuple(self._inv_rec(sc, cu[q[x]], stack) for x in range(self.d))
-        i = self._intern(c, q, ch)
-        self.inv_memo[key] = i
-        stack.discard(key)
-        return i
+        s = _Session(self)
+        return s.run(s.inv_node(c, u))
 
     # -- generators and words ---------------------------------------------
 
     def gen_id(self, c, name):
-        gid = self.gen_ids[c].get(name)
-        if gid is not None:
-            return gid
         s = _Session(self)
         return s.run(s.gen_node(c, name))
 
@@ -342,8 +304,10 @@ class _Session:
         return n
 
     def run(self, target):
-        """Settle the closure of the session's nodes; the id of `target`.
-        Callers check the memos first, so `target` is always a node."""
+        """Settle the closure of the session's nodes; the id of `target`,
+        which is returned unchanged when it is already an id."""
+        if isinstance(target, int):
+            return target
         eng = self.eng
         i = 0
         while i < len(self.nodes):

@@ -7,7 +7,7 @@ element is discovered exactly at its minimal pseudolength.  Tables record a
 parent link per element, giving one geodesic word per element.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import factorial
 
 from .engine import BudgetExceeded, Engine
@@ -77,9 +77,6 @@ class Atlas:
         except KeyError:
             raise TableExhausted(f"no table enumerated for level class {c}")
 
-    def table_at_level(self, nu):
-        return self.table(self.spec.class_of_level(nu))
-
 
 def enumerate_spheres(atlas, c, max_radius):
     """Fill the atlas table for class c up to max_radius.
@@ -106,36 +103,27 @@ def enumerate_spheres(atlas, c, max_radius):
     lengths = {0: 0}
     parents = {0: None}
 
-    def close_under_zero(sphere, n):
-        # extend the sphere breadth first by every element reached from it
-        # through the zero-length generators and not yet enumerated
-        frontier = list(sphere)
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for nm, z in zip(zero, zero_ids):
-                    w = eng.mul(c, u, z, store=False)
-                    if w not in lengths:
-                        lengths[w] = n
-                        parents[w] = (u, nm)
-                        sphere.append(w)
-                        nxt.append(w)
-            frontier = nxt
+    def extend(sphere, sources, names, ids, n):
+        # append to the sphere, at radius n, every product of a source with
+        # a generator that is not yet enumerated; with the sphere as its own
+        # sources the loop reaches the appended elements too, which closes
+        # it under zero-length generators breadth first
+        for u in sources:
+            for nm, s in zip(names, ids):
+                w = eng.mul(c, u, s, store=False)
+                if w not in lengths:
+                    lengths[w] = n
+                    parents[w] = (u, nm)
+                    sphere.append(w)
 
     spheres = [[0]]
     n = 0
     try:
-        close_under_zero(spheres[0], 0)
+        extend(spheres[0], spheres[0], zero, zero_ids, 0)
         for n in range(1, max_radius + 1):
             sphere = []
-            for u in spheres[n - 1]:
-                for nm, s in zip(unit, unit_ids):
-                    w = eng.mul(c, u, s, store=False)
-                    if w not in lengths:
-                        lengths[w] = n
-                        parents[w] = (u, nm)
-                        sphere.append(w)
-            close_under_zero(sphere, n)
+            extend(sphere, spheres[n - 1], unit, unit_ids, n)
+            extend(sphere, sphere, zero, zero_ids, n)
             spheres.append(sphere)
     except BudgetExceeded as e:
         raise BudgetExceeded(f"{e}; stopped at level class {c} expanding "
@@ -159,21 +147,13 @@ def build_atlas(spec, max_radius, levels=None, engine=None):
     return atlas
 
 
-@dataclass
-class KappaEstimate:
-    pointwise: list = field(default_factory=list)   # |Omega(n)|^(1/n)
-    ratios: list = field(default_factory=list)      # |Omega(n+1)|/|Omega(n)|
-
-
 def kappa_estimates(table):
+    """Pointwise estimates |Omega(n)|^(1/n), None at n = 0."""
     sizes = table.sphere_sizes()
     pointwise = [None]
     for n in range(1, len(sizes)):
         pointwise.append(sizes[n] ** (1.0 / n) if sizes[n] > 0 else 0.0)
-    ratios = []
-    for n in range(len(sizes) - 1):
-        ratios.append(sizes[n + 1] / sizes[n] if sizes[n] > 0 else float("inf"))
-    return KappaEstimate(pointwise, ratios)
+    return pointwise
 
 
 def check_submultiplicative(gamma):

@@ -47,6 +47,8 @@ class IncompressibilityReport:
 
 def approximate_I_infty(atlas, K, classes=None):
     """Layered computation of the filtration over all enumerated tables."""
+    if K < 1:
+        raise ValueError(f"depth K must be at least 1, got {K}")
     spec = atlas.spec
     if classes is None:
         classes = [c for c in spec.classes() if c in atlas.tables]
@@ -111,9 +113,6 @@ class LevelFunctionResult:
     exact: bool                  # filtration stabilized, so value is exact
     lower_bound_only: bool       # requested radius exceeded the tables
     empty_family: bool = False   # no compressible element in the ball
-
-    def __int__(self):
-        return self.value
 
 
 def level_function(atlas, report, c, r):

@@ -63,22 +63,3 @@ def is_transitive(gens, d):
 
 def all_perms(d):
     return [p for p in permutations(range(d))]
-
-
-def cycle_notation(p):
-    """Human-readable cycle string, 1-based, e.g. '(1 2 3)'."""
-    seen = set()
-    out = []
-    for i in range(len(p)):
-        if i in seen or p[i] == i:
-            seen.add(i)
-            continue
-        cyc = [i]
-        seen.add(i)
-        j = p[i]
-        while j != i:
-            cyc.append(j)
-            seen.add(j)
-            j = p[j]
-        out.append("(" + " ".join(str(x + 1) for x in cyc) + ")")
-    return "".join(out) if out else "()"

@@ -1,14 +1,13 @@
 import pytest
 
 from treegrowth import catalog, perms
-from treegrowth.catalog import (CatalogError, SpinalData, b_add, b_elements,
-                                b_neg, hom_kernel, kernel_depth)
+from treegrowth.catalog import (CatalogError, SpinalData, b_elements, b_neg,
+                                hom_kernel, kernel_depth)
 
 
 def test_b_arithmetic():
     orders = (2, 3)
     assert len(b_elements(orders)) == 6
-    assert b_add((1, 2), (1, 2), orders) == (0, 1)
     assert b_neg((1, 2), orders) == (1, 1)
 
 

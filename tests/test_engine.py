@@ -160,13 +160,13 @@ def test_mul_stores_its_key(sessions, left, right, via_session):
     assert eng.mul_memo[(0, u, v)] == w
 
 
-@pytest.mark.parametrize("gen, via_session", [("a120", 0), ("b1", 1)])
-def test_inv_stores_its_key(sessions, gen, via_session):
+@pytest.mark.parametrize("gen", ["a120", "b1"])
+def test_inv_stores_its_key(sessions, gen):
     eng = Engine(catalog.fabrykowski_gupta())
     u = eng.gen_id(0, gen)
     sessions[0] = 0
     w = eng.inv(0, u)
-    assert sessions[0] == via_session
+    assert sessions[0] == 1
     assert eng.inv_memo[(0, u)] == w
     assert eng.mul(0, u, w) == 0
 
@@ -192,14 +192,18 @@ def _custom(degree, level):
         "degree": degree, "preperiod": [], "period": [level]}})
 
 
-def test_two_letter_child_word():
+def _two_letter_ggs():
     # GGS(3,(1,2)) written with b = (z, z z, b), z the rooted 3-cycle
-    spec = _custom(3, [
+    return _custom(3, [
         _gen("z", 0, "y", [1, 2, 0], [[], [], []]),
         _gen("y", 0, "z", [2, 0, 1], [[], [], []]),
         _gen("b", 1, "c", [0, 1, 2], [["z"], ["z", "z"], ["b"]]),
         _gen("c", 1, "b", [0, 1, 2], [["y"], ["y", "y"], ["c"]]),
     ])
+
+
+def test_two_letter_child_word():
+    spec = _two_letter_ggs()
     sizes = build_atlas(spec, 6).table(0).sphere_sizes()
     assert sizes == build_atlas(catalog.ggs(3, (1, 2)), 6).table(0).sphere_sizes()
     assert sizes == [3, 18, 72, 288, 1152, 4536, 17712]
@@ -215,6 +219,24 @@ def test_session_with_two_cyclic_components():
     sizes = build_atlas(spec, 5).table(0).sphere_sizes()
     assert sizes[:3] == [2, 4, 4]
     assert sizes == oracle_spheres(spec, 8, 5)
+
+
+@pytest.mark.parametrize("make_spec, radius", [
+    (catalog.neumann6, 1),
+    (lambda: catalog.nekrashevych_D((1,), (0, 1)), 6),
+    (_two_letter_ggs, 5),
+], ids=["neumann6", "nekrashevych_preperiod", "two_letter_ggs"])
+def test_inverse_of_every_ball_element(make_spec, radius):
+    # each family has generators whose sections refer back to themselves,
+    # so inverting its ball settles cyclic components
+    atlas = build_atlas(make_spec(), radius)
+    eng = atlas.engine
+    for c, table in atlas.tables.items():
+        for sphere in table.spheres:
+            for u in sphere:
+                w = eng.inv(c, u)
+                assert eng.mul(c, u, w) == 0
+                assert eng.inv(c, w) == u
 
 
 # -- action consistency with the independent truncated oracle ---------------

@@ -107,10 +107,10 @@ def test_enumeration_order_deterministic(run_fresh):
 
 def test_kappa_estimates(fg_atlas6):
     est = kappa_estimates(fg_atlas6.table(0))
-    assert est.pointwise[0] is None
-    assert est.pointwise[1] == pytest.approx(18.0)
-    assert est.ratios[0] == pytest.approx(6.0)
-    assert len(est.ratios) == fg_atlas6.table(0).max_radius
+    assert est[0] is None
+    assert est[1] == pytest.approx(18.0)
+    assert est[2] == pytest.approx(72 ** 0.5)
+    assert len(est) == fg_atlas6.table(0).max_radius + 1
 
 
 def test_submultiplicative(fg_atlas6, grig_atlas8):
@@ -131,10 +131,3 @@ def test_wreath_inequality_small(fg_atlas6, grig_atlas8):
             assert check_wreath_inequality(grig_atlas8, c, n)
     with pytest.raises(TableExhausted):
         check_wreath_inequality(fg_atlas6, 0, 99)
-
-
-def test_table_at_level(grig_atlas8):
-    spec = grig_atlas8.spec
-    assert grig_atlas8.table_at_level(0) is grig_atlas8.table(0)
-    assert grig_atlas8.table_at_level(3) is \
-        grig_atlas8.table(spec.class_of_level(3))

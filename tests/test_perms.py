@@ -60,9 +60,3 @@ def test_orbit_and_transitivity():
 
 def test_all_perms():
     assert len(perms.all_perms(4)) == 24
-
-
-def test_cycle_notation():
-    assert perms.cycle_notation((1, 2, 0)) == "(1 2 3)"
-    assert perms.cycle_notation((0, 1, 2)) == "()"
-    assert perms.cycle_notation((1, 0, 3, 2)) == "(1 2)(3 4)"

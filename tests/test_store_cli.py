@@ -130,6 +130,19 @@ def test_cli_define_io_error(tmp_path):
     assert main(["define", "--config", str(tmp_path / "none.json")]) == 2
 
 
+@pytest.mark.parametrize("config", [
+    {"kind": "spinal", "parameters": {
+        "degree": 3, "orders": [3], "a_perms": [[1, 2, 0]],
+        "omega_pre": [[[[1, 2, 0]], [[0, 1, 2]]]], "omega_per": []}},
+    {"kind": "grigorchuk_p", "parameters": {"p": 2, "pre": [0], "per": []}},
+], ids=["spinal", "grigorchuk_p"])
+def test_cli_define_rejects_empty_period(tmp_path, capsys, config):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(config))
+    assert main(["define", "--config", str(path)]) == 1
+    assert "period must be nonempty" in capsys.readouterr().err
+
+
 def test_cli_rejects_expanding_custom_family(tmp_path, capsys):
     # c = (c, c) with |c| = 1 doubles lengths under sections
     path = tmp_path / "expanding.json"
@@ -150,6 +163,9 @@ def test_cli_rejects_expanding_custom_family(tmp_path, capsys):
     ["spheres", "--epsilon", "0.3"],
     ["incompressible", "--epsilon", "0.3"],
     ["report", "--epsilon", "0.3"],
+    ["report", "--levels", "1"],
+    ["criterion", "--levels", "1"],
+    ["incompressible", "--levels", "1"],
 ])
 def test_cli_rejects_flags_the_subcommand_ignores(fg_config_path, argv):
     with pytest.raises(SystemExit) as exc:
@@ -173,6 +189,7 @@ def test_cli_spheres_deterministic(tmp_path, fg_config_path, run_fresh):
 @pytest.mark.parametrize("flags,message", [
     (["--max-radius", "-1"], "max radius must be at least 0"),
     (["--levels", "0"], "levels must be at least 1"),
+    (["--budget", "-5"], "budget must be at least 1, got -5"),
 ])
 def test_cli_spheres_rejects_nonsense(tmp_path, fg_config_path, capsys,
                                       flags, message):
@@ -181,6 +198,17 @@ def test_cli_spheres_rejects_nonsense(tmp_path, fg_config_path, capsys,
                 + flags)
     assert code == 1
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("depth", ["0", "-2"])
+def test_cli_report_rejects_nonsense_depth(tmp_path, fg_config_path, capsys,
+                                           depth):
+    out = tmp_path / "r.json"
+    code = main(["report", "--config", fg_config_path, "--max-radius", "2",
+                 "--k-depth", depth, "--out", str(out)])
+    assert code == 1
+    assert f"depth K must be at least 1, got {depth}" in capsys.readouterr().err
     assert not out.exists()
 
 
