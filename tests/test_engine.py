@@ -1,3 +1,8 @@
+import hashlib
+import json
+import os
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -210,12 +215,16 @@ def test_two_letter_child_word():
     assert sizes[:5] == oracle_spheres(spec, 8, 4)
 
 
-def test_session_with_two_cyclic_components():
+def _two_cycles():
     # b = (w, b) refers to w = (w, w)·swap: one session settles both cycles
-    spec = _custom(2, [
+    return _custom(2, [
         _gen("w", 0, "w", [1, 0], [["w"], ["w"]]),
         _gen("b", 1, "b", [0, 1], [["w"], ["b"]]),
     ])
+
+
+def test_session_with_two_cyclic_components():
+    spec = _two_cycles()
     sizes = build_atlas(spec, 5).table(0).sphere_sizes()
     assert sizes[:3] == [2, 4, 4]
     assert sizes == oracle_spheres(spec, 8, 5)
@@ -237,6 +246,37 @@ def test_inverse_of_every_ball_element(make_spec, radius):
                 w = eng.inv(c, u)
                 assert eng.mul(c, u, w) == 0
                 assert eng.inv(c, w) == u
+
+
+# Families whose balls settle cyclic components.  Their ids are pinned by a
+# sha256 of every class's roots/children tables and sphere id order, kept in
+# tests/id_fingerprints.json; regenerate it (only after a deliberate
+# renumbering, recorded in CHANGES.md) with:
+#
+#     GOLDEN_UPDATE=1 PYTHONPATH=src python -m pytest -q tests/test_engine.py -k fingerprint
+CYCLIC_FAMILIES = {
+    "neumann6-r1": (catalog.neumann6, 1),
+    "nekrashevych_preperiod-r6":
+        (lambda: catalog.nekrashevych_D((1,), (0, 1)), 6),
+    "two_letter_ggs-r5": (_two_letter_ggs, 5),
+    "two_cycles-r5": (_two_cycles, 5),
+    "ggs4_102-r3": (lambda: catalog.ggs(4, (1, 0, 2)), 3),
+}
+FINGERPRINTS = Path(__file__).resolve().parent / "id_fingerprints.json"
+
+
+def _id_fingerprint(atlas):
+    tables = [[t.roots, t.children] for t in atlas.engine.tables]
+    spheres = [atlas.tables[c].spheres for c in sorted(atlas.tables)]
+    return hashlib.sha256(json.dumps([tables, spheres]).encode()).hexdigest()
+
+
+def test_ids_match_fingerprints():
+    got = {name: _id_fingerprint(build_atlas(make_spec(), radius))
+           for name, (make_spec, radius) in CYCLIC_FAMILIES.items()}
+    if os.environ.get("GOLDEN_UPDATE") == "1":
+        FINGERPRINTS.write_text(json.dumps(got, indent=2, sort_keys=True) + "\n")
+    assert got == json.loads(FINGERPRINTS.read_text())
 
 
 # -- action consistency with the independent truncated oracle ---------------
