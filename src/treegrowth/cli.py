@@ -126,7 +126,7 @@ def cmd_incompressible(args):
     except inc.NotTernarySpinal:
         payload["polynomial_bound"] = "not applicable"
     audit = {"applicable": False}
-    if spec.degree == 3 and spec.meta.get("kind") == "spinal":
+    if inc.is_ternary_spinal(spec):
         table = atlas.table(0)
         violations = []
         checked = 0
@@ -145,9 +145,6 @@ def cmd_incompressible(args):
 
 
 def cmd_criterion(args):
-    if not 0 < args.epsilon < 0.5:
-        print("epsilon must lie strictly between 0 and 1/2", file=sys.stderr)
-        return EXIT_DOMAIN
     spec = _spec_from(args)
     atlas = _atlas(args, spec)
     report = inc.approximate_I_infty(atlas, args.k_depth)
@@ -206,9 +203,18 @@ COMMANDS = {
 }
 
 
+def _check_flags(args):
+    """Reject nonsense flag values before any table is enumerated."""
+    if "k_depth" in args and args.k_depth < 1:
+        raise ValueError(f"depth K must be at least 1, got {args.k_depth}")
+    if "epsilon" in args and not 0 < args.epsilon < 0.5:
+        raise ValueError("epsilon must lie strictly between 0 and 1/2")
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         return COMMANDS[args.command](args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -16,8 +16,9 @@ algorithm.  Tarjan emits components sinks first, so every node a component
 refers to outside itself already has an id: a lone node without a
 self-reference is interned directly, and any other component is partitioned
 by bisimulation and matched against already-interned elements through a
-shallow-portrait index.  The invariant maintained throughout is minimality:
-no two distinct ids at the same level class are equal as automorphisms.
+root-keyed index of the ids on reference cycles.  The invariant maintained
+throughout is minimality: no two distinct ids at the same level class are
+equal as automorphisms.
 """
 
 from . import perms
@@ -32,13 +33,13 @@ class _Cycle(Exception):
 
 
 class _ClassTable:
-    __slots__ = ("roots", "children", "intern", "fp_index")
+    __slots__ = ("roots", "children", "intern", "cyclic")
 
     def __init__(self):
         self.roots = []
         self.children = []
         self.intern = {}
-        self.fp_index = {}
+        self.cyclic = {}
 
 
 class _Node:
@@ -72,22 +73,17 @@ class Engine:
         self.inv_memo = {}
         self.gen_ids = [dict() for _ in range(self.nclasses)]
         self._perm_pool = {}
-        ident = perms.identity(self.d)
+        self.succ = [spec.succ_class(c) for c in range(self.nclasses)]
+        ident = self._pool_perm(perms.identity(self.d))
         idch = (0,) * self.d
-        for c in range((self.nclasses)):
-            t = self.tables[c]
+        for t in self.tables:
             t.roots.append(ident)
             t.children.append(idch)
             t.intern[(ident, idch)] = 0
+            t.cyclic[ident] = [0]   # the identity's sections are identities
             self.n_ids += 1
-        for c in range(self.nclasses):
-            t = self.tables[c]
-            t.fp_index.setdefault(self._fp(c, ident, idch), []).append(0)
 
     # -- bookkeeping -------------------------------------------------------
-
-    def succ(self, c):
-        return self.spec.succ_class(c)
 
     def root(self, c, i):
         return self.tables[c].roots[i]
@@ -101,37 +97,20 @@ class Engine:
                 f"engine state-space budget of {self.budget} exceeded "
                 f"({self.n_ids} elements, {len(self.mul_memo)} cached products)")
 
-    def _fp(self, c, root, ch):
-        """Shallow portrait (depth 2) used to index candidate matches.  The
-        children are ids at the next class or pending session nodes."""
-        sc = self.succ(c)
-        t1, t2 = self.tables[sc], self.tables[self.succ(sc)]
-        chroots = []
-        gch = []
-        for r in ch:
-            if isinstance(r, int):
-                chroots.append(t1.roots[r])
-                gch.extend(t2.roots[g] for g in t1.children[r])
-            else:
-                chroots.append(r.root)
-                gch.extend(t2.roots[g] if isinstance(g, int) else g.root
-                           for g in r.children)
-        return (root, tuple(chroots), tuple(gch))
-
     def _intern(self, c, root, ch):
-        # fp_index is deliberately not updated here: an id whose reference
-        # graph is acyclic can never be the target of a cyclic-component
-        # match (a cycle of equal elements must have been created by a
-        # session settlement, which does index its ids)
+        # Invariant: every id on a reference cycle is listed in `cyclic`
+        # under its root.  An id made here is on none: its children are
+        # older ids, whose children never change.  Ids on cycles come only
+        # from a session settlement, which lists them.
         t = self.tables[c]
-        key = (root, ch)
-        i = t.intern.get(key)
+        i = t.intern.get((root, ch))
         if i is None:
             self._check_ids(1)
             i = len(t.roots)
-            t.roots.append(self._pool_perm(root))
+            root = self._pool_perm(root)
+            t.roots.append(root)
             t.children.append(ch)
-            t.intern[key] = i
+            t.intern[(root, ch)] = i
             self.n_ids += 1
         return i
 
@@ -173,7 +152,7 @@ class Engine:
             raise _Cycle
         stack.add(key)
         t = self.tables[c]
-        sc = self.succ(c)
+        sc = self.succ[c]
         pu = t.roots[u]
         pv = t.roots[v]
         cu = t.children[u]
@@ -211,7 +190,7 @@ class Engine:
         cur, cc = i, c
         for x in vertex:
             cur = self.tables[cc].children[cur][x]
-            cc = self.succ(cc)
+            cc = self.succ[cc]
         return cur, cc
 
     def apply(self, c, i, vertex):
@@ -221,7 +200,7 @@ class Engine:
         for x in vertex:
             out.append(self.tables[cc].roots[cur][x])
             cur = self.tables[cc].children[cur][x]
-            cc = self.succ(cc)
+            cc = self.succ[cc]
         return tuple(out)
 
     def portrait(self, c, i, depth):
@@ -234,7 +213,7 @@ class Engine:
                 continue
             out[v] = self.tables[cc].roots[cur]
             ch = self.tables[cc].children[cur]
-            sc = self.succ(cc)
+            sc = self.succ[cc]
             for x in range(self.d):
                 stack.append((v + (x,), ch[x], sc))
         return out
@@ -328,16 +307,14 @@ class _Session:
 
     def _ensure(self, n):
         """Materialize the child refs of a pending node (one wreath step)."""
-        if n.children is not None:
-            return
         eng = self.eng
         d = eng.d
-        sc = eng.succ(n.cls)
+        sc = eng.succ[n.cls]
 
         def opchild(r, x):
+            # operands precede n in `run`'s order, so their children are set
             if isinstance(r, int):
                 return eng.tables[n.cls].children[r][x]
-            self._ensure(r)
             return r.children[x]
 
         if n.kind == "gen":
@@ -428,8 +405,7 @@ class _Session:
 
         # try to match the component against already-interned elements
         probe = comp[0]
-        fp = eng._fp(probe.cls, probe.root, probe.children)
-        for cand in eng.tables[probe.cls].fp_index.get(fp, []):
+        for cand in eng.tables[probe.cls].cyclic.get(probe.root, ()):
             assign = self._try_match(probe, cand, block)
             if assign is not None:
                 for n in comp:
@@ -450,13 +426,12 @@ class _Session:
                        for r in rep.children)
             t = eng.tables[rep.cls]
             i = fresh[b]
+            root = t.roots[i]
             t.children[i] = ch
-            key = (rep.root, ch)
+            key = (root, ch)
             assert key not in t.intern, "cyclic class duplicates an interned key"
             t.intern[key] = i
-            # bisimilar nodes share roots, so the node portrait is the id's
-            t.fp_index.setdefault(eng._fp(rep.cls, rep.root, rep.children),
-                                  []).append(i)
+            t.cyclic.setdefault(root, []).append(i)
         for n in comp:
             n.id = fresh[block[n.seq]]
 

@@ -45,15 +45,14 @@ class IncompressibilityReport:
         return ff is None or ff > k
 
 
-def approximate_I_infty(atlas, K, classes=None):
+def approximate_I_infty(atlas, K):
     """Layered computation of the filtration over all enumerated tables."""
     if K < 1:
         raise ValueError(f"depth K must be at least 1, got {K}")
     spec = atlas.spec
-    if classes is None:
-        classes = [c for c in spec.classes() if c in atlas.tables]
+    classes = [c for c in spec.classes() if c in atlas.tables]
     for c in classes:
-        if spec.succ_class(c) not in classes:
+        if spec.succ_class(c) not in atlas.tables:
             raise ValueError(
                 f"class {spec.succ_class(c)} needed for sections of class {c}")
     eng = atlas.engine
@@ -216,6 +215,11 @@ def factors_of(back, g):
 
 # -- ternary spinal geodesic data ------------------------------------------
 
+def is_ternary_spinal(spec):
+    """The normal-form analysis and the polynomial bound apply only here."""
+    return spec.degree == 3 and spec.meta.get("kind") == "spinal"
+
+
 @dataclass
 class TernaryGeodesicData:
     beta: list                   # spine letter names, in word order
@@ -253,7 +257,7 @@ def extract_ternary_data(spec, table, spec_cls, g):
     convention x^y = y x y^{-1}) as b_1^{a^{c_1}} ... b_m^{a^{c_m}} a^s where
     c_j is the prefix sum of rooted exponents and s the total sum, mod 3.
     """
-    if spec.degree != 3 or spec.meta.get("kind") != "spinal":
+    if not is_ternary_spinal(spec):
         raise NotTernarySpinal(f"{spec.name or 'family'} is not ternary spinal")
     level = spec.level(spec_cls)
     beta, cs = [], []
@@ -291,7 +295,7 @@ class BoundCheck:
 def ternary_bound_params(spec):
     """Constant and exponent of the polynomial bound, from the least l with
     trivial joint kernel and the order of the defining group B."""
-    if spec.degree != 3 or spec.meta.get("kind") != "spinal":
+    if not is_ternary_spinal(spec):
         raise NotTernarySpinal(f"{spec.name or 'family'} is not ternary spinal")
     l = spec.meta.get("kernel_depth")
     if l is None:

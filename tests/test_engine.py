@@ -279,6 +279,76 @@ def test_ids_match_fingerprints():
     assert got == json.loads(FINGERPRINTS.read_text())
 
 
+def _ids_on_cycles(eng):
+    """(class, id) pairs on a cycle of the child-reference graph, from the
+    strongly connected components found by Kosaraju's algorithm."""
+    def out(v):
+        c, i = v
+        return [(eng.succ[c], j) for j in eng.tables[c].children[i]]
+
+    nodes = [(c, i) for c, t in enumerate(eng.tables)
+             for i in range(len(t.roots))]
+    order, seen = [], set()
+    for s in nodes:
+        if s in seen:
+            continue
+        seen.add(s)
+        stack = [(s, iter(out(s)))]
+        while stack:
+            v, it = stack[-1]
+            for w in it:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append((w, iter(out(w))))
+                    break
+            else:
+                stack.pop()
+                order.append(v)
+    into = {v: [] for v in nodes}
+    for v in nodes:
+        for w in out(v):
+            into[w].append(v)
+    done, on_cycle = set(), set()
+    for s in reversed(order):
+        if s in done:
+            continue
+        done.add(s)
+        comp = [s]
+        for v in comp:
+            for w in into[v]:
+                if w not in done:
+                    done.add(w)
+                    comp.append(w)
+        if len(comp) > 1 or s in out(s):
+            on_cycle.update(comp)
+    return on_cycle
+
+
+@pytest.mark.parametrize("name", CYCLIC_FAMILIES)
+def test_ids_on_cycles_are_listed_by_root(name):
+    # a cyclic component is matched only against the ids listed under its
+    # root, so an unlisted id on a cycle would be interned a second time
+    make_spec, radius = CYCLIC_FAMILIES[name]
+    eng = build_atlas(make_spec(), radius).engine
+    on_cycle = _ids_on_cycles(eng)
+    assert len(on_cycle) > eng.nclasses   # more than the identities
+    for c, i in on_cycle:
+        t = eng.tables[c]
+        assert i in t.cyclic[t.roots[i]]
+
+
+@pytest.mark.parametrize("make_spec, radius", [
+    (catalog.fabrykowski_gupta, 5),
+    (catalog.neumann6, 1),
+], ids=["fg", "neumann6"])
+def test_intern_keys_share_pooled_roots(make_spec, radius):
+    eng = build_atlas(make_spec(), radius).engine
+    for t in eng.tables:
+        assert len({id(p) for p in t.roots}) == len(set(t.roots))
+        for key, i in t.intern.items():
+            assert key[0] is t.roots[i]
+
+
 # -- action consistency with the independent truncated oracle ---------------
 
 def _apply_portrait(ta, pid, vertex):

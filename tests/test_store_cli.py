@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from treegrowth import build_atlas, catalog, cli, store
+from treegrowth import build_atlas, catalog, cli, growth, store
 from treegrowth import incompressible as inc
 from treegrowth.cli import main
 from treegrowth.store import ConfigError
@@ -202,14 +202,19 @@ def test_cli_spheres_rejects_nonsense(tmp_path, fg_config_path, capsys,
 
 
 @pytest.mark.parametrize("depth", ["0", "-2"])
-def test_cli_report_rejects_nonsense_depth(tmp_path, fg_config_path, capsys,
-                                           depth):
-    out = tmp_path / "r.json"
-    code = main(["report", "--config", fg_config_path, "--max-radius", "2",
-                 "--k-depth", depth, "--out", str(out)])
+@pytest.mark.parametrize("command", ["report", "criterion", "incompressible"])
+def test_cli_rejects_nonsense_depth(tmp_path, fg_config_path, capsys,
+                                    monkeypatch, command, depth):
+    def enumerate_nothing(*args, **kwargs):
+        raise AssertionError("tables enumerated before the flags were checked")
+    monkeypatch.setattr(growth, "build_atlas", enumerate_nothing)
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    code = main([command, "--config", fg_config_path, "--max-radius", "2",
+                 "--k-depth", depth, "--out", str(outdir / "r")])
     assert code == 1
     assert f"depth K must be at least 1, got {depth}" in capsys.readouterr().err
-    assert not out.exists()
+    assert not any(outdir.iterdir())
 
 
 def test_cli_spheres_budget_exit(tmp_path, fg_config_path, capsys):
