@@ -242,7 +242,9 @@ def sunic(p, m, a_coeffs=(), name=""):
     """Spinal group over B = (Z/p)^m with defining sequence given by the
     row functional (0...0 1) composed with powers of the companion-style
     matrix whose first row is (0...0 -1) and last column (-1, a_1..a_{m-1})."""
-    if len(a_coeffs) != max(m - 1, 0):
+    if m < 1:
+        raise CatalogError(f"B = (Z/p)^m needs m at least 1, got {m}")
+    if len(a_coeffs) != m - 1:
         raise CatalogError(f"expected {m - 1} coefficients, got {len(a_coeffs)}")
     rho = []
     for i in range(m):
@@ -255,15 +257,13 @@ def sunic(p, m, a_coeffs=(), name=""):
     order = _mat_order(rho, p)
 
     a = _cycle(p)
-    phi = tuple(tuple(int(j == m - 1) for j in range(m)) for _ in range(1))[0]
     trivial_hom = tuple(perms.identity(p) for _ in range(m))
 
     homs = []
     mat = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
     for _ in range(order):
-        row = tuple(sum(phi[k] * mat[k][j] for k in range(m)) % p
-                    for j in range(m))
-        first = tuple(perm_pow(a, e) for e in row)
+        # the row functional (0...0 1) picks the last row of mat
+        first = tuple(perm_pow(a, e) for e in mat[m - 1])
         homs.append((first,) + (trivial_hom,) * (p - 2))
         mat = _matmul(mat, rho, p)
 

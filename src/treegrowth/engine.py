@@ -7,18 +7,19 @@ root permutation plus the tuple of interned section ids at the next level
 class, so equality, identity testing and composition are all exact with no
 depth truncation.
 
-Products are computed recursively through the decomposition.  When the
-recursion revisits itself (e.g. squaring a generator whose section is
-itself), the product is handed to a session; inverses and generators always
-go through one.  A session materializes the closure of pending wreath nodes
-and settles it in one pass of Tarjan's strongly-connected-components
+A product takes one wreath step when every child product is trivial or
+already memoized; any other product, and every inverse and generator, is
+handed to a session.  A session materializes the closure of pending wreath
+nodes and settles it in one pass of Tarjan's strongly-connected-components
 algorithm.  Tarjan emits components sinks first, so every node a component
 refers to outside itself already has an id: a lone node without a
 self-reference is interned directly, and any other component is partitioned
 by bisimulation and matched against already-interned elements through a
 root-keyed index of the ids on reference cycles.  The invariant maintained
 throughout is minimality: no two distinct ids at the same level class are
-equal as automorphisms.
+equal as automorphisms.  One budget bounds the state: interned ids plus
+cached products, with the nodes of a running session counted as products to
+come.
 """
 
 from . import perms
@@ -26,10 +27,6 @@ from . import perms
 
 class BudgetExceeded(RuntimeError):
     """The configured state-space budget was hit; raise it and retry."""
-
-
-class _Cycle(Exception):
-    pass
 
 
 class _ClassTable:
@@ -91,13 +88,7 @@ class Engine:
     def children(self, c, i):
         return self.tables[c].children[i]
 
-    def _charge(self):
-        if self.n_ids + len(self.mul_memo) >= self.budget:
-            raise BudgetExceeded(
-                f"engine state-space budget of {self.budget} exceeded "
-                f"({self.n_ids} elements, {len(self.mul_memo)} cached products)")
-
-    def _intern(self, c, root, ch):
+    def _intern(self, c, root, ch, pending=0):
         # Invariant: every id on a reference cycle is listed in `cyclic`
         # under its root.  An id made here is on none: its children are
         # older ids, whose children never change.  Ids on cycles come only
@@ -105,7 +96,7 @@ class Engine:
         t = self.tables[c]
         i = t.intern.get((root, ch))
         if i is None:
-            self._check_ids(1)
+            self._check_ids(pending + 1)
             i = len(t.roots)
             root = self._pool_perm(root)
             t.roots.append(root)
@@ -115,10 +106,12 @@ class Engine:
         return i
 
     def _check_ids(self, n):
-        # runs before any table is mutated, so a raise leaves no partial row
-        if self.n_ids + n > self.budget:
+        # runs before any table or memo is mutated, so a raise leaves no
+        # partial row
+        if self.n_ids + len(self.mul_memo) + n > self.budget:
             raise BudgetExceeded(
-                f"engine state-space budget of {self.budget} exceeded")
+                f"engine state-space budget of {self.budget} exceeded "
+                f"({self.n_ids} elements, {len(self.mul_memo)} cached products)")
 
     def _pool_perm(self, p):
         q = self._perm_pool.get(p)
@@ -130,41 +123,43 @@ class Engine:
     # -- products and inverses --------------------------------------------
 
     def mul(self, c, u, v, store=True):
-        """Interned id of the product u*v at class c.  With store false the
-        recursive path leaves (c, u, v) itself out of mul_memo; a session
-        records every product it settles."""
-        try:
-            return self._mul_rec(c, u, v, set(), None if store else (c, u, v))
-        except _Cycle:
-            s = _Session(self)
-            return s.run(s.mul_node(c, u, v))
-
-    def _mul_rec(self, c, u, v, stack, skip_key):
+        """Interned id of the product u*v at class c.  When every child
+        product is trivial or memoized this is one wreath step, which stores
+        (c, u, v) in mul_memo only if `store` is true; otherwise a session
+        settles the product and records every product it settles."""
         if u == 0:
             return v
         if v == 0:
             return u
         key = (c, u, v)
-        r = self.mul_memo.get(key)
+        memo = self.mul_memo
+        r = memo.get(key)
         if r is not None:
             return r
-        if key in stack:
-            raise _Cycle
-        stack.add(key)
         t = self.tables[c]
         sc = self.succ[c]
-        pu = t.roots[u]
         pv = t.roots[v]
         cu = t.children[u]
         cv = t.children[v]
-        ch = tuple(self._mul_rec(sc, cu[pv[x]], cv[x], stack, skip_key)
-                   for x in range(self.d))
-        root = tuple(pu[pv[x]] for x in range(self.d))
-        i = self._intern(c, root, ch)
-        if key != skip_key:
-            self._charge()
-            self.mul_memo[key] = i
-        stack.discard(key)
+        ch = []
+        for x in range(self.d):
+            a = cu[pv[x]]
+            b = cv[x]
+            if a == 0:
+                ch.append(b)
+            elif b == 0:
+                ch.append(a)
+            else:
+                r = memo.get((sc, a, b))
+                if r is None:
+                    s = _Session(self)
+                    return s.run(s.mul_node(c, u, v))
+                ch.append(r)
+        pu = t.roots[u]
+        i = self._intern(c, tuple([pu[y] for y in pv]), tuple(ch))
+        if store:
+            self._check_ids(1)
+            memo[key] = i
         return i
 
     def inv(self, c, u):
@@ -231,10 +226,10 @@ class _Session:
         self.index = {}
 
     def _new(self, key, kind, cls, a=None, b=None, name=None, root=None):
+        # a pending node counts as the product the session will record
+        self.eng._check_ids(len(self.nodes) + 1)
         n = _Node(kind, cls, len(self.nodes), a=a, b=b, name=name, root=root)
         self.nodes.append(n)
-        if len(self.nodes) > 1_000_000:
-            raise BudgetExceeded("pending-node closure exceeded cap")
         self.index[key] = n
         return n
 
@@ -299,7 +294,8 @@ class _Session:
                               else r for r in n.children]
             n = comp[0]
             if len(comp) == 1 and all(isinstance(r, int) for r in n.children):
-                n.id = eng._intern(n.cls, n.root, tuple(n.children))
+                n.id = eng._intern(n.cls, n.root, tuple(n.children),
+                                   len(self.nodes))
             else:
                 self._settle_component(comp)
         self._record_memos()
@@ -413,7 +409,7 @@ class _Session:
                 return
 
         # fresh elements, one per bisimulation class
-        eng._check_ids(len(reps))
+        eng._check_ids(len(self.nodes) + len(reps))
         fresh = {}
         for b, rep in reps.items():
             t = eng.tables[rep.cls]

@@ -65,6 +65,11 @@ def test_sunic_coefficient_count():
         catalog.sunic(3, 2, ())
 
 
+def test_sunic_rejects_empty_base():
+    with pytest.raises(CatalogError, match="m at least 1, got 0"):
+        catalog.sunic(3, 0, ())
+
+
 def test_ggs_rejects_zero_vector():
     with pytest.raises(CatalogError, match="gcd_condition"):
         catalog.ggs(3, (0, 0))

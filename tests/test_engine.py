@@ -141,6 +141,21 @@ def test_budget_exceeded_leaves_engine_consistent():
         {c: t.spheres for c, t in fresh.tables.items()}
 
 
+@pytest.mark.parametrize("make_spec, radius", [
+    (catalog.first_grigorchuk, 9),
+    (lambda: catalog.nekrashevych_D((1,), (0, 1)), 8),
+], ids=["grigorchuk", "nekrashevych_preperiod"])
+def test_budget_bounds_ids_and_cached_products(make_spec, radius):
+    # stops inside sessions too, where the products a session will record
+    # count against the budget before its new ids are made
+    spec = make_spec()
+    for budget in range(100, 4000, 100):
+        eng = Engine(spec, budget=budget)
+        with pytest.raises(BudgetExceeded):
+            build_atlas(spec, radius, engine=eng)
+        assert eng.n_ids + len(eng.mul_memo) <= budget
+
+
 @pytest.fixture()
 def sessions(monkeypatch):
     """Counter of `_Session.run` calls, to tell the two product paths apart."""
@@ -277,6 +292,33 @@ def test_ids_match_fingerprints():
     if os.environ.get("GOLDEN_UPDATE") == "1":
         FINGERPRINTS.write_text(json.dumps(got, indent=2, sort_keys=True) + "\n")
     assert got == json.loads(FINGERPRINTS.read_text())
+
+
+def _session_mul(eng, c, u, v, store=True):
+    s = engine._Session(eng)
+    return s.run(s.mul_node(c, u, v))
+
+
+def _engine_state(atlas):
+    eng = atlas.engine
+    return ([atlas.tables[c].spheres for c in sorted(atlas.tables)],
+            [(t.roots, t.children) for t in eng.tables], eng.n_ids)
+
+
+@pytest.mark.parametrize("make_spec, radius", [
+    *CYCLIC_FAMILIES.values(),
+    (catalog.fabrykowski_gupta, 5),
+    (catalog.first_grigorchuk, 8),
+    (lambda: catalog.sunic(3, 2, (0,)), 3),
+], ids=[*CYCLIC_FAMILIES, "fg-r5", "grigorchuk-r8", "sunic320-r3"])
+def test_one_step_products_match_session_products(monkeypatch, make_spec,
+                                                  radius):
+    # the session is the general product algorithm and the reference here:
+    # settling every product in one must give the same ids in the same order
+    spec = make_spec()
+    expected = _engine_state(build_atlas(spec, radius))
+    monkeypatch.setattr(Engine, "mul", _session_mul)
+    assert _engine_state(build_atlas(spec, radius)) == expected
 
 
 def _ids_on_cycles(eng):

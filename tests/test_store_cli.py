@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -223,7 +224,11 @@ def test_cli_spheres_budget_exit(tmp_path, fg_config_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "budget of 2000 exceeded" in err
-    assert "stopped at level class 0 expanding radius 5, 1823 elements" in err
+    assert "stopped at level class 0 expanding radius 5, 1670 elements" in err
+    # the budget bounds ids plus cached products, session memo writes included
+    ids, products = re.search(
+        r"\((\d+) elements, (\d+) cached products\)", err).groups()
+    assert int(ids) + int(products) <= 2000
 
 
 def test_cli_incompressible(tmp_path, fg_config_path):
