@@ -1,6 +1,6 @@
-"""Golden outputs: the `spheres` CSV, the `report` and `criterion` JSON and
-the `save_table` file, byte for byte, for FG, first Grigorchuk and
-sunic(3,2,0) at small radii.  Element ids are part of the `save_table`
+"""Golden outputs: the `spheres` CSV, the `report` and `criterion` JSON, the
+`incompressible` CSV and JSON and the `save_table` file, byte for byte, for
+FG, first Grigorchuk and sunic(3,2,0) at small radii.  Element ids are part of the `save_table`
 bytes, so a change that renumbers them fails here too.
 
 Regenerate every file in tests/golden/ (only after a deliberate format or
@@ -29,6 +29,10 @@ CLI_CASES = [
     for command in ("spheres", "report", "criterion")
 ]
 
+# (group, radius) of the `incompressible` CSV and JSON pair, which carries
+# the full depth-by-radius count matrix of every class
+INCOMPRESSIBLE_CASES = [("fg", 6), ("grigorchuk", 8), ("sunic320", 3)]
+
 # (group, radius) of the class-0 save_table file with depth-6 flags
 TABLE_CASES = [("fg", 4), ("grigorchuk", 6), ("sunic320", 2)]
 
@@ -50,6 +54,19 @@ def test_cli_output_matches_golden(tmp_path, group, command, radius):
                  "--max-radius", str(radius), "--out", str(out)])
     assert code == 0
     _compare(out, f"{group}_{command}_r{radius}.{ext}")
+
+
+@pytest.mark.parametrize("group,radius", INCOMPRESSIBLE_CASES,
+                         ids=[f"{g}-incompressible-r{r}"
+                              for g, r in INCOMPRESSIBLE_CASES])
+def test_incompressible_output_matches_golden(tmp_path, group, radius):
+    out = tmp_path / "out"
+    code = main(["incompressible", "--config", str(GOLDEN / f"{group}.json"),
+                 "--max-radius", str(radius), "--out", str(out)])
+    assert code == 0
+    for ext in ("csv", "json"):
+        _compare(tmp_path / f"out.{ext}",
+                 f"{group}_incompressible_r{radius}.{ext}")
 
 
 @pytest.mark.parametrize("group,radius", TABLE_CASES,
