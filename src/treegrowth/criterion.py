@@ -21,10 +21,14 @@ class PairData:
 
 
 def partition(table, N, n, epsilon):
-    """Split the radius-n sphere by the factorization-count threshold."""
+    """Split the radius-n sphere by the factorization-count threshold; an
+    element absent from N (no additive factorization) is in neither part."""
     big, small = [], []
     for g in table.sphere(n):
-        if N[g] > epsilon * n:
+        j = N.get(g)
+        if j is None:
+            continue
+        if j > epsilon * n:
             big.append(g)
         else:
             small.append(g)
@@ -133,6 +137,11 @@ def run_criterion(atlas, report, c, n_max, epsilon):
     for n in out.n_range:
         big, small = partition(table, N, n, epsilon)
         out.partition_sizes[n] = (len(big), len(small))
+        unreached = len(table.sphere(n)) - len(big) - len(small)
+        if unreached:
+            out.failures.append(
+                f"no additive factorization into depth-{report.K} elements "
+                f"for {unreached} elements at n={n}")
         sf, not_minimal = check_small_factor_lower_bound(
             atlas, report, c, back, big, n, epsilon)
         out.small_factor_ok[n] = sf

@@ -16,14 +16,6 @@ class NotTernarySpinal(ValueError):
     pass
 
 
-def additive(atlas, c, g):
-    """Section pseudolengths sum exactly to the element's pseudolength."""
-    sc = atlas.spec.succ_class(c)
-    nxt = atlas.table(sc)
-    return sum(nxt.length(x) for x in atlas.engine.children(c, g)) \
-        == atlas.table(c).length(g)
-
-
 @dataclass
 class IncompressibilityReport:
     K: int
@@ -46,63 +38,58 @@ class IncompressibilityReport:
 
 
 def approximate_I_infty(atlas, K):
-    """Layered computation of the filtration over all enumerated tables."""
+    """The depth-k filtration of every enumerated table, k = 1..K, held as
+    first_fail[c]: id -> least k with the id outside the depth-k set.
+
+    Round 1 drops the elements whose section lengths do not add up.  Round
+    k drops the elements still alive with a section no longer alive, and
+    the first round that drops nothing gives stabilization_depth = k-1.
+    counts[c][k][n] is the radius-n sphere size less the radius-n elements
+    with first_fail at most k; final[c] is the set still alive.
+    """
     if K < 1:
         raise ValueError(f"depth K must be at least 1, got {K}")
-    spec = atlas.spec
-    classes = [c for c in spec.classes() if c in atlas.tables]
+    classes = [c for c in atlas.spec.classes() if c in atlas.tables]
+    succ = atlas.engine.succ
     for c in classes:
-        if spec.succ_class(c) not in atlas.tables:
+        if succ[c] not in atlas.tables:
             raise ValueError(
-                f"class {spec.succ_class(c)} needed for sections of class {c}")
-    eng = atlas.engine
+                f"class {succ[c]} needed for sections of class {c}")
+    children = {c: atlas.engine.tables[c].children for c in classes}
 
-    counts = {}
-    first_fail = {c: {} for c in classes}
-    cur = {}
+    first_fail, alive = {}, {}
     for c in classes:
-        table = atlas.table(c)
-        sets = set()
-        for n, sphere in enumerate(table.spheres):
-            for g in sphere:
-                if additive(atlas, c, g):
-                    sets.add(g)
-                else:
-                    first_fail[c][g] = 1
-        cur[c] = sets
-        counts[c] = [table.sphere_sizes(), _radial_counts(table, sets)]
+        lengths, ch = atlas.table(c).lengths, children[c]
+        next_lengths = atlas.table(succ[c]).lengths
+        first_fail[c] = {g: 1 for g, n in lengths.items()
+                         if sum(next_lengths[x] for x in ch[g]) != n}
+        alive[c] = lengths.keys() - first_fail[c]
 
     stab = None
     for k in range(2, K + 1):
-        nxt = {}
-        changed = False
+        # every class is checked against the round k-1 sets before any drop
+        dropped = {}
         for c in classes:
-            sc = spec.succ_class(c)
-            keep = set()
-            for g in cur[c]:
-                if all(x in cur[sc] for x in eng.children(c, g)):
-                    keep.add(g)
-                else:
-                    first_fail[c][g] = k
-            if len(keep) != len(cur[c]):
-                changed = True
-            nxt[c] = keep
-        for c in classes:
-            counts[c].append(_radial_counts(atlas.table(c), nxt[c]))
-        cur = nxt
-        if not changed:
+            ch, live_next = children[c], alive[succ[c]]
+            dropped[c] = [g for g in alive[c]
+                          if not all(x in live_next for x in ch[g])]
+        if not any(dropped.values()):
             stab = k - 1
-            for c in classes:
-                counts[c].extend([counts[c][-1]] * (K - k))
             break
-    return IncompressibilityReport(K, counts, first_fail, cur, stab)
+        for c in classes:
+            alive[c].difference_update(dropped[c])
+            first_fail[c].update(dict.fromkeys(dropped[c], k))
 
-
-def _radial_counts(table, ids):
-    out = [0] * (table.max_radius + 1)
-    for g in ids:
-        out[table.length(g)] += 1
-    return out
+    counts = {}
+    for c in classes:
+        table = atlas.table(c)
+        drops = [[0] * len(table.spheres) for _ in range(K + 1)]
+        for g, k in first_fail[c].items():
+            drops[k][table.lengths[g]] += 1
+        counts[c] = [table.sphere_sizes()]
+        for k in range(1, K + 1):
+            counts[c].append([m - d for m, d in zip(counts[c][-1], drops[k])])
+    return IncompressibilityReport(K, counts, first_fail, alive, stab)
 
 
 @dataclass
@@ -215,9 +202,16 @@ def factors_of(back, g):
 
 # -- ternary spinal geodesic data ------------------------------------------
 
+# rooted exponent e of each power (0 1 2)^e of the full 3-cycle, e = 1, 2
+_CYCLE_EXPONENTS = {(1, 2, 0): 1, (2, 0, 1): 2}
+
+
 def is_ternary_spinal(spec):
-    """The normal-form analysis and the polynomial bound apply only here."""
-    return spec.degree == 3 and spec.meta.get("kind") == "spinal"
+    """The normal-form analysis and the polynomial bound apply only here: every
+    class-0 zero-length generator must have a rooted exponent."""
+    return (spec.degree == 3 and spec.meta.get("kind") == "spinal"
+            and all(g.root in _CYCLE_EXPONENTS
+                    for g in spec.level(0).zero_generators))
 
 
 @dataclass
@@ -239,15 +233,11 @@ class TernaryGeodesicData:
 
 
 def _rooted_exponent(spec, c, name):
-    g = spec.level(c).gen(name)
-    cyc = tuple((x + 1) % spec.degree for x in range(spec.degree))
-    p, e = cyc, 1
-    while e < spec.degree:
-        if g.root == p:
-            return e
-        p = tuple(cyc[x] for x in p)
-        e += 1
-    raise NotTernarySpinal(f"root of {name} is not a power of the full cycle")
+    e = _CYCLE_EXPONENTS.get(spec.level(c).gen(name).root)
+    if e is None:
+        raise NotTernarySpinal(
+            f"root of {name} is not a power of the full cycle")
+    return e
 
 
 def extract_ternary_data(spec, table, spec_cls, g):

@@ -74,6 +74,9 @@ def build_spec(config):
             return catalog._validated(_custom_spec(params))
     except KeyError as e:
         raise ConfigError(f"missing parameter {e} for kind {kind}")
+    except (TypeError, IndexError) as e:
+        # e.g. a string for a number or a permutation of the wrong degree
+        raise ConfigError(f"malformed parameters for kind {kind}: {e}")
     raise ConfigError(f"unknown group kind: {kind!r}")
 
 
@@ -101,13 +104,10 @@ FLAG_BITS = 16      # depths 1..16 fit the flags column (FORMATS.md)
 
 
 def flags_bitfield(report, c, g):
-    """Bit k-1 set when the element is in the depth-k set, k = 1..FLAG_BITS."""
-    bits = 0
+    """Bit k-1 set when the element is in the depth-k set, k = 1..FLAG_BITS:
+    the bits below its first-fail depth, capped at K and FLAG_BITS."""
     top = min(report.K, FLAG_BITS)
-    for k in range(1, top + 1):
-        if report.in_Ik(c, g, k):
-            bits |= 1 << (k - 1)
-    return bits
+    return (1 << min(report.first_fail[c].get(g, top + 1) - 1, top)) - 1
 
 
 def save_table(path, config, table, report=None):

@@ -5,6 +5,9 @@ stored as interned truncated portraits: (root permutation, child portrait
 ids).  Products are computed by the textbook recursion on truncated
 portraits.  Nothing here touches the package's arithmetic engine; word
 enumeration is naive breadth-first search with dedup by truncated action.
+
+`reference_filtration` is the one exception: it recomputes the depth-k
+filtration from an atlas's tables by the plain layered set loop.
 """
 
 
@@ -130,3 +133,59 @@ def oracle_spheres(spec, depth, max_radius, cls=0):
             frontier = nxt
         sizes.append(len(sphere))
     return sizes
+
+
+def reference_filtration(atlas, K):
+    """The depth-k filtration by the plain layered set loop, for comparison
+    with `incompressible.approximate_I_infty`: a fresh set per class and
+    round, and one recount of every set by radius.
+
+    Returns (counts, first_fail, final, stabilization_depth) in the layout
+    of IncompressibilityReport.  It reads the atlas's sphere tables and the
+    engine's section ids, not the truncated action above.
+    """
+    spec = atlas.spec
+    eng = atlas.engine
+    classes = [c for c in spec.classes() if c in atlas.tables]
+
+    def radial_counts(table, ids):
+        out = [0] * (table.max_radius + 1)
+        for g in ids:
+            out[table.length(g)] += 1
+        return out
+
+    counts, first_fail, cur = {}, {c: {} for c in classes}, {}
+    for c in classes:
+        table = atlas.table(c)
+        nxt = atlas.table(spec.succ_class(c))
+        cur[c] = set()
+        for sphere in table.spheres:
+            for g in sphere:
+                if sum(nxt.length(x) for x in eng.children(c, g)) \
+                        == table.length(g):
+                    cur[c].add(g)
+                else:
+                    first_fail[c][g] = 1
+        counts[c] = [table.sphere_sizes(), radial_counts(table, cur[c])]
+
+    stab = None
+    for k in range(2, K + 1):
+        nxt = {}
+        for c in classes:
+            sc = spec.succ_class(c)
+            nxt[c] = set()
+            for g in cur[c]:
+                if all(x in cur[sc] for x in eng.children(c, g)):
+                    nxt[c].add(g)
+                else:
+                    first_fail[c][g] = k
+        changed = any(len(nxt[c]) != len(cur[c]) for c in classes)
+        cur = nxt
+        for c in classes:
+            counts[c].append(radial_counts(atlas.table(c), cur[c]))
+        if not changed:
+            stab = k - 1
+            break
+    for c in classes:
+        counts[c].extend([counts[c][-1]] * (K + 1 - len(counts[c])))
+    return counts, first_fail, cur, stab

@@ -1,19 +1,25 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from treegrowth import build_atlas, catalog
 from treegrowth import incompressible as inc
 from treegrowth.engine import Engine
 
+from oracle import oracle_spheres, reference_filtration
+from test_engine import CYCLIC_FAMILIES
+
 FG_INCOMPRESSIBLE_COUNTS = [3, 18, 72, 216, 576, 1296, 2592]
 
 
-def test_additive_on_generators(fg_atlas6):
+def test_additive_on_generators(fg_atlas6, fg_report6):
     eng = fg_atlas6.engine
     for nm in ("a120", "a201", "b1", "b2"):
-        assert inc.additive(fg_atlas6, 0, eng.gen_id(0, nm))
+        g = eng.gen_id(0, nm)
+        assert fg_report6.in_Ik(0, g, 1)
+        assert g not in fg_report6.first_fail[0]
 
 
-def test_witness_word_is_compressible(fg_atlas6):
+def test_witness_word_is_compressible(fg_atlas6, fg_report6):
     # b * (a b a^-1) * b has pseudolength 3 but child lengths summing to 2
     eng = fg_atlas6.engine
     g = eng.element_from_word(0, ["b1", "a120", "b1", "a201", "b1"])
@@ -21,7 +27,64 @@ def test_witness_word_is_compressible(fg_atlas6):
     assert table.length(g) == 3
     child_sum = sum(table.length(x) for x in eng.children(0, g))
     assert child_sum == 2
-    assert not inc.additive(fg_atlas6, 0, g)
+    assert not fg_report6.in_Ik(0, g, 1)
+    assert fg_report6.first_fail[0][g] == 1
+
+
+def _assert_matches_reference(atlas):
+    for K in (1, 2, 6):
+        report = inc.approximate_I_infty(atlas, K)
+        counts, first_fail, final, stab = reference_filtration(atlas, K)
+        assert report.counts == counts
+        assert report.first_fail == first_fail
+        assert report.final == final
+        assert report.stabilization_depth == stab
+
+
+@pytest.mark.parametrize("name", CYCLIC_FAMILIES)
+def test_filtration_matches_reference_on_cyclic_families(name):
+    make_spec, radius = CYCLIC_FAMILIES[name]
+    _assert_matches_reference(build_atlas(make_spec(), radius))
+
+
+def test_filtration_matches_reference_on_catalog(fg_atlas6, grig_atlas8):
+    _assert_matches_reference(fg_atlas6)
+    _assert_matches_reference(grig_atlas8)
+
+
+CYCLE3_POWERS = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
+# the three nonzero homomorphisms (Z/2)^2 -> Sym(2); a zero one only ever
+# enlarges the joint kernel, which catalog.spinal then rejects
+NONZERO_Z2_HOMS = [((1, 0), (0, 1)), ((0, 1), (1, 0)), ((1, 0), (1, 0))]
+
+
+@st.composite
+def spinal_data(draw):
+    """Degree 3 over B = Z/3 with images powers of the 3-cycle, or degree 2
+    over B = (Z/2)^2 with nonzero homomorphisms; up to one preperiod and one
+    to three period entries."""
+    if draw(st.booleans()):
+        hom = st.tuples(st.sampled_from(CYCLE3_POWERS))
+        degree, orders, a, entry = 3, (3,), (1, 2, 0), st.tuples(hom, hom)
+    else:
+        hom = st.sampled_from(NONZERO_Z2_HOMS)
+        degree, orders, a, entry = 2, (2, 2), (1, 0), st.tuples(hom)
+    pre = draw(st.lists(entry, max_size=1))
+    per = draw(st.lists(entry, min_size=1, max_size=3))
+    return catalog.SpinalData(degree, orders, (a,), tuple(pre), tuple(per))
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(spinal_data())
+def test_filtration_matches_reference_on_generated_families(data):
+    try:
+        spec = catalog.spinal(data)
+    except catalog.CatalogError:
+        assume(False)
+    radius = 4 if data.degree == 3 else 6
+    atlas = build_atlas(spec, radius)
+    assert atlas.table(0).sphere_sizes() == oracle_spheres(spec, 8, radius)
+    _assert_matches_reference(atlas)
 
 
 def test_report_counts_frozen(fg_report6):

@@ -157,6 +157,37 @@ def test_cli_rejects_expanding_custom_family(tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+def _gen(name, length, inverse, root, children):
+    return {"name": name, "pseudolength": length, "inverse": inverse,
+            "root": root, "children": children}
+
+
+FG_SPINAL = {"degree": 3, "orders": [3], "a_perms": [[1, 2, 0]],
+             "omega_per": [[[[1, 2, 0]], [[0, 1, 2]]]]}
+
+
+@pytest.mark.parametrize("config", [
+    {"kind": "ggs", "parameters": {"d": "3", "epsilon": [1, 0]}},
+    {"kind": "ggs", "parameters": {"d": 3, "epsilon": 5}},
+    {"kind": "custom", "parameters": {
+        "degree": 2, "preperiod": [],
+        "period": [[_gen("a", 0, "a", 5, [[], []])]]}},
+    {"kind": "custom", "parameters": {
+        "degree": 2, "preperiod": [], "period": [7]}},
+    {"kind": "spinal", "parameters": dict(
+        FG_SPINAL, omega_per=[[[[1, 2, 0]], [[0, 1]]]])},
+], ids=["ggs-d-string", "ggs-epsilon-int", "custom-root-int",
+        "custom-period-entry-int", "spinal-image-degree-2"])
+def test_cli_define_malformed_parameters_exit_2(tmp_path, capsys, config):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    assert main(["define", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(
+        f"error: malformed parameters for kind {config['kind']}:")
+
+
 @pytest.mark.parametrize("argv", [
     ["define", "--max-radius", "3"],
     ["define", "--budget", "5"],
@@ -276,3 +307,39 @@ def test_cli_report(tmp_path, fg_config_path):
                  "--max-radius", "4", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["spheres"]["0"] == [3, 18, 72, 288, 1152]
+
+
+def test_cli_criterion_fails_on_elements_without_factorization(tmp_path):
+    # b = (a, 1) has length 1 and sections of total length 0, so it leaves
+    # the depth-1 set, and no ball element beyond radius 0 factors additively
+    # into depth-K elements
+    path = tmp_path / "custom.json"
+    path.write_text(json.dumps({"kind": "custom", "parameters": {
+        "degree": 2, "preperiod": [],
+        "period": [[_gen("a", 0, "a", [1, 0], [[], []]),
+                    _gen("b", 1, "b", [0, 1], [["a"], []])]]}}))
+    assert main(["define", "--config", str(path)]) == 0
+    out = tmp_path / "crit.json"
+    assert main(["criterion", "--config", str(path), "--max-radius", "4",
+                 "--out", str(out)]) == 1
+    payload = json.loads(out.read_text())
+    assert payload["verdict"] == "fail"
+    assert ("no additive factorization into depth-6 elements for 4 "
+            "elements at n=1") in payload["failures"]
+
+
+def test_cli_incompressible_sym3_root_group_not_applicable(tmp_path):
+    # a ternary spinal group whose level-0 root group is Sym(3): the rooted
+    # transposition a021 has no exponent along the full 3-cycle
+    path = tmp_path / "sym3.json"
+    path.write_text(json.dumps({"kind": "spinal", "parameters": dict(
+        FG_SPINAL, a_perms=[[1, 2, 0], [1, 0, 2]])}))
+    spec = store.build_spec(json.loads(path.read_text()))
+    assert spec.meta["kind"] == "spinal" and spec.degree == 3
+    assert not inc.is_ternary_spinal(spec)
+    out = tmp_path / "inc"
+    assert main(["incompressible", "--config", str(path),
+                 "--max-radius", "3", "--out", str(out)]) == 0
+    payload = json.loads((tmp_path / "inc.json").read_text())
+    assert payload["polynomial_bound"] == "not applicable"
+    assert payload["derivative_audit"] == {"applicable": False}
