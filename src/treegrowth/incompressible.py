@@ -33,8 +33,7 @@ class IncompressibilityReport:
     def in_Ik(self, c, g, k):
         if k > self.K and not self.exact:
             raise ValueError(f"membership only known up to depth {self.K}")
-        ff = self.first_fail[c].get(g)
-        return ff is None or ff > k
+        return self.first_fail[c].get(g, k + 1) > k
 
 
 def approximate_I_infty(atlas, K):
@@ -63,7 +62,8 @@ def approximate_I_infty(atlas, K):
         next_lengths = atlas.table(succ[c]).lengths
         first_fail[c] = {g: 1 for g, n in lengths.items()
                          if sum(next_lengths[x] for x in ch[g]) != n}
-        alive[c] = lengths.keys() - first_fail[c]
+        # a set sized to its members: it outlives the call as `final`
+        alive[c] = {g for g in lengths if g not in first_fail[c]}
 
     stab = None
     for k in range(2, K + 1):
