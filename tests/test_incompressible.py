@@ -53,8 +53,8 @@ def test_filtration_matches_reference_on_catalog(fg_atlas6, grig_atlas8):
 
 
 CYCLE3_POWERS = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
-# the three nonzero homomorphisms (Z/2)^2 -> Sym(2); a zero one only ever
-# enlarges the joint kernel, which catalog.spinal then rejects
+# the three nonzero homomorphisms (Z/2)^2 -> Sym(2); the zero one enlarges
+# the joint kernel, so catalog.spinal rejects most draws containing it
 NONZERO_Z2_HOMS = [((1, 0), (0, 1)), ((0, 1), (1, 0)), ((1, 0), (1, 0))]
 
 
