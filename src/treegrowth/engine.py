@@ -26,7 +26,16 @@ from . import perms
 
 
 class BudgetExceeded(RuntimeError):
-    """The configured state-space budget was hit; raise it and retry."""
+    """The configured state-space budget was hit; raise it and retry.
+
+    From enumerate_spheres it carries the level class `cls` and the `radius`
+    being expanded, and the `elements` enumerated; from the engine alone
+    they are None.
+    """
+
+    def __init__(self, message, cls=None, radius=None, elements=None):
+        super().__init__(message)
+        self.cls, self.radius, self.elements = cls, radius, elements
 
 
 class _ClassTable:

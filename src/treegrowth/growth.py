@@ -127,7 +127,8 @@ def enumerate_spheres(atlas, c, max_radius):
             spheres.append(sphere)
     except BudgetExceeded as e:
         raise BudgetExceeded(f"{e}; stopped at level class {c} expanding "
-                             f"radius {n}, {len(lengths)} elements") from e
+                             f"radius {n}, {len(lengths)} elements",
+                             c, n, len(lengths)) from e
 
     table = SphereTable(c, spheres, lengths, parents)
     atlas.tables[c] = table

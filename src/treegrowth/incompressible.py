@@ -10,6 +10,7 @@ ball elements stay inside the next ball.
 """
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 
 class NotTernarySpinal(ValueError):
@@ -136,18 +137,32 @@ def incompressible_by_length(atlas, report, c, max_len):
     return out
 
 
-def left_edges(atlas, c, radius):
-    """Per generator name, a list whose slot u holds gen*u for each ball
-    element u with |gen| + |u| <= radius, and -1 elsewhere."""
+def right_edges(atlas, c, radius):
+    """Per generator name, a list whose slot u holds u*gen for each ball
+    element u with |u| + |gen| <= radius, and -1 elsewhere.
+
+    Each parent link (u, gen) of a radius-ball element w is the edge
+    u*gen = w; the engine makes only the products no link records.
+    """
     eng = atlas.engine
-    edges = {}
-    for gen in atlas.spec.level(c).generators:
+    table = atlas.table(c)
+    gens = atlas.spec.level(c).generators
+    balls, edges = {}, {}
+    for gen in gens:
+        inner = table.spheres[:radius - gen.pseudolength + 1]
+        balls[gen.name] = [u for sphere in inner for u in sphere]
+        edges[gen.name] = [-1] * (1 + max(balls[gen.name], default=-1))
+    for sphere in table.spheres[:radius + 1]:
+        for w in sphere:
+            if w != 0:
+                u, name = table.parents[w]
+                edges[name][u] = w
+    for gen in gens:
         g = eng.gen_id(c, gen.name)
-        inner = atlas.table(c).spheres[:radius - gen.pseudolength + 1]
-        ball = [u for sphere in inner for u in sphere]
-        row = edges[gen.name] = [-1] * (1 + max(ball, default=-1))
-        for u in ball:
-            row[u] = eng.mul(c, g, u, store=False)
+        row = edges[gen.name]
+        for u in balls[gen.name]:
+            if row[u] == -1:
+                row[u] = eng.mul(c, u, g, store=False)
     return edges
 
 
@@ -159,15 +174,44 @@ def factorization_dp(atlas, report, c, max_n):
     additive factorization has additive prefixes, so extending shorter
     factorizations by single factors reaches each element at its true count.
     Only p*h with |p| + |h| <= R = min(max_n, table radius) can be additive
-    in the ball.  It is h left-multiplied by the letters of p's geodesic,
-    last letter first, through left_edges: each partial product has length
-    at most |p| + |h| <= R, so the walk never leaves the edge lists.
+    in the ball.
+
+    The products p*h come from right_edges over a prefix tree: its nodes are
+    the depth-K elements of length at most R and their parent-link
+    ancestors, ordered by (length, number of letters) so that every node
+    follows its parent.  For each p the tree is walked once, node x = u*gen
+    giving p*x = (p*u)*gen, over the nodes with |x| <= R - |p|; then
+    |p*u| <= |p| + |u| = |p| + |x| - |gen| <= R - |gen|, so every step
+    stays inside gen's edge list.
     """
     table = atlas.table(c)
-    lengths = table.lengths
+    lengths, parents = table.lengths, table.parents
     R = min(max_n, table.max_radius)
     by_len = incompressible_by_length(atlas, report, c, R)
-    edges = left_edges(atlas, c, R)
+    edges = right_edges(atlas, c, R)
+
+    letters = {0: 0}
+    for bucket in by_len:
+        for h in bucket:
+            path = []
+            while h not in letters:
+                path.append(h)
+                h = parents[h][0]
+            n = letters[h]
+            for x in reversed(path):
+                n += 1
+                letters[x] = n
+    nodes = sorted(letters, key=lambda x: (lengths[x], letters[x]))
+    index = {x: i for i, x in enumerate(nodes)}
+    # per (length, letters) level: its length and (edge list, parent index)
+    # of each node, in node order after the identity
+    levels = []
+    for (n, _), level in groupby(nodes[1:],
+                                 key=lambda x: (lengths[x], letters[x])):
+        steps = [(edges[parents[x][1]], index[parents[x][0]]) for x in level]
+        levels.append((n, steps))
+    slots = [[index[h] for h in bucket] for bucket in by_len]
+
     N = {0: 0}
     back = {0: None}
     frontier = [0]
@@ -177,16 +221,20 @@ def factorization_dp(atlas, report, c, max_n):
         nxt = []
         for p in frontier:
             lp = lengths[p]
-            walk = [edges[name] for name in reversed(table.geodesic(p))]
+            vals = [p]
+            for n, steps in levels:
+                if n > R - lp:
+                    break
+                vals += [row[vals[i]] for row, i in steps]
             for lh in range(0, R - lp + 1):
-                hs = qs = by_len[lh]
-                for row in walk:
-                    qs = [row[x] for x in qs]
-                for q, h in zip(qs, hs):
-                    if q not in N and lengths[q] == lp + lh:
-                        N[q] = j
-                        back[q] = (p, h)
-                        nxt.append(q)
+                # an id is one automorphism, so p*h is injective in h and
+                # the new elements of one bucket need no second check
+                new = [(q, h) for i, h in zip(slots[lh], by_len[lh])
+                       if (q := vals[i]) not in N and lengths[q] == lp + lh]
+                for q, h in new:
+                    N[q] = j
+                    back[q] = (p, h)
+                    nxt.append(q)
         frontier = nxt
     return N, back
 

@@ -43,11 +43,42 @@ def _custom_spec(params):
                       name=params.get("name", "custom"))
 
 
+# the integer parameters of each kind, with the number of lists the
+# integers sit in (0 for a bare integer)
+INTEGER_PARAMETERS = {
+    "spinal": {"degree": 0, "orders": 1, "a_perms": 2, "omega_pre": 4,
+               "omega_per": 4},
+    "grigorchuk_p": {"p": 0, "pre": 1, "per": 1},
+    "sunic": {"p": 0, "m": 0, "a_coeffs": 1},
+    "ggs": {"d": 0, "epsilon": 1},
+    "nekrashevych_D": {"pre": 1, "per": 1},
+    "custom": {"degree": 0},
+}
+
+
+def _is_integers(value, depth):
+    if depth == 0:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, list) and all(_is_integers(x, depth - 1)
+                                           for x in value)
+
+
+def _check_integers(kind, params):
+    for key, depth in INTEGER_PARAMETERS.get(kind, {}).items():
+        if key in params and not _is_integers(params[key], depth):
+            shape = ("an integer" if depth == 0 else
+                     "a list of " + "lists of " * (depth - 1) + "integers")
+            raise ConfigError(
+                f"malformed parameters for kind {kind}: {key} must be "
+                f"{shape}, got {json.dumps(params[key])}")
+
+
 def build_spec(config):
     """FamilySpec from a parsed config mapping."""
     kind = config.get("kind")
     params = config.get("parameters", {})
     try:
+        _check_integers(kind, params)
         if kind == "spinal":
             data = catalog.SpinalData(
                 degree=params["degree"],

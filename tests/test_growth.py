@@ -1,6 +1,7 @@
 import pytest
 
 from treegrowth import catalog, growth, shift
+from treegrowth.engine import BudgetExceeded, Engine
 from treegrowth.growth import (Atlas, TableExhausted, build_atlas,
                                check_submultiplicative,
                                check_wreath_inequality, convolve,
@@ -36,6 +37,16 @@ def test_families_with_preperiod_match_oracle(spec, radius):
     for c in spec.classes():
         assert atlas.table(c).sphere_sizes() == \
             oracle_spheres(spec, 8, radius, cls=c), c
+
+
+def test_budget_exceeded_names_class_radius_and_elements():
+    spec = catalog.fabrykowski_gupta()
+    with pytest.raises(BudgetExceeded) as exc:
+        build_atlas(spec, 8, engine=Engine(spec, budget=2000))
+    e = exc.value
+    assert (e.cls, e.radius, e.elements) == (0, 5, 1670)
+    assert str(e).endswith(
+        "; stopped at level class 0 expanding radius 5, 1670 elements")
 
 
 def test_shift_into_preperiod():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -176,23 +178,39 @@ def _reference_dp(atlas, report, c, max_n):
     return N, back
 
 
-# (id, family, radius, max_n, classes or None for every class); the last
-# case asks for a larger radius than the table has
+def _without_length_one(atlas, report):
+    """The report with the length-1 elements left out of the class-0 depth-K
+    set, so that the set is not closed under parent-link prefixes."""
+    lengths = atlas.table(0).lengths
+    final = dict(report.final)
+    final[0] = {g for g in final[0] if lengths[g] != 1}
+    return replace(report, final=final)
+
+
+# (id, family, radius, max_n, classes or None for every class, edit of the
+# report or None); "fg-beyond" asks for a larger radius than the table has
 DP_CASES = [
-    ("fg", catalog.fabrykowski_gupta, 6, 6, [0]),
-    ("grigorchuk", catalog.first_grigorchuk, 8, 8, None),
-    ("sunic320", lambda: catalog.sunic(3, 2, (0,)), 3, 3, [0]),
-    ("fg-beyond", catalog.fabrykowski_gupta, 5, 7, [0]),
+    ("fg", catalog.fabrykowski_gupta, 6, 6, [0], None),
+    ("grigorchuk", catalog.first_grigorchuk, 8, 8, None, None),
+    ("sunic320", lambda: catalog.sunic(3, 2, (0,)), 3, 3, [0], None),
+    ("fg-beyond", catalog.fabrykowski_gupta, 5, 7, [0], None),
+    ("fg-not-prefix-closed", catalog.fabrykowski_gupta, 6, 6, [0],
+     _without_length_one),
+    *((name, make, radius, radius, None, None)
+      for name, (make, radius) in CYCLIC_FAMILIES.items()),
 ]
 
 
-@pytest.mark.parametrize("make,radius,max_n,classes",
+@pytest.mark.parametrize("make,radius,max_n,classes,edit",
                          [case[1:] for case in DP_CASES],
                          ids=[case[0] for case in DP_CASES])
-def test_factorization_dp_matches_reference(make, radius, max_n, classes):
+def test_factorization_dp_matches_reference(make, radius, max_n, classes,
+                                            edit):
     # fresh atlases: the reference interns products outside the ball
     atlas = build_atlas(make(), radius)
     report = inc.approximate_I_infty(atlas, 6)
+    if edit is not None:
+        report = edit(atlas, report)
     for c in classes or sorted(atlas.tables):
         N, back = inc.factorization_dp(atlas, report, c, max_n)
         ref_N, ref_back = _reference_dp(atlas, report, c, max_n)
@@ -206,6 +224,8 @@ def test_factorization_dp_uses_only_edge_products(fg_atlas6, fg_report6,
     table = fg_atlas6.table(0)
     gens = fg_atlas6.spec.level(0).generators
     slots = sum(table.gamma(6 - gen.pseudolength) for gen in gens)
+    # the table's radius is 6, so every parent link is an edge in a domain
+    links = sum(link is not None for link in table.parents.values())
     calls = [0]
     mul = Engine.mul
 
@@ -217,8 +237,9 @@ def test_factorization_dp_uses_only_edge_products(fg_atlas6, fg_report6,
     inc.factorization_dp(fg_atlas6, fg_report6, 0, 6)
     monkeypatch.undo()
     assert 0 < calls[0] <= slots
+    assert calls[0] == slots - links
 
-    edges = inc.left_edges(fg_atlas6, 0, 6)
+    edges = inc.right_edges(fg_atlas6, 0, 6)
     assert sorted(edges) == sorted(gen.name for gen in gens)
     for gen in gens:
         g = eng.gen_id(0, gen.name)
@@ -227,7 +248,7 @@ def test_factorization_dp_uses_only_edge_products(fg_atlas6, fg_report6,
         row = edges[gen.name]
         assert {u for u, v in enumerate(row) if v != -1} == inner
         for u in inner:
-            assert row[u] == eng.mul(0, g, u)
+            assert row[u] == eng.mul(0, u, g, store=False)
 
 
 def test_witness_minimal_count(fg_atlas6, fg_report6):

@@ -188,6 +188,21 @@ def test_cli_define_malformed_parameters_exit_2(tmp_path, capsys, config):
         f"error: malformed parameters for kind {config['kind']}:")
 
 
+@pytest.mark.parametrize("config,message", [
+    ({"kind": "sunic", "parameters": {"p": 3, "m": 2, "a_coeffs": ["x"]}},
+     'a_coeffs must be a list of integers, got ["x"]'),
+    ({"kind": "grigorchuk_p", "parameters": {"p": 2, "per": [0, 1, 2.5]}},
+     "per must be a list of integers, got [0, 1, 2.5]"),
+], ids=["sunic-coefficient-string", "grigorchuk_p-index-float"])
+def test_cli_define_names_the_non_integer_parameter(tmp_path, capsys, config,
+                                                     message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    assert main(["define", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: malformed parameters for kind {config['kind']}: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["define", "--max-radius", "3"],
     ["define", "--budget", "5"],
