@@ -35,9 +35,15 @@ def grig_spec():
     return first_grigorchuk()
 
 
+def audited(atlas):
+    """The atlas, after its engine's invariants are asserted."""
+    atlas.engine.audit()
+    return atlas
+
+
 @pytest.fixture(scope="session")
 def fg_atlas6(fg_spec):
-    return build_atlas(fg_spec, 6)
+    return audited(build_atlas(fg_spec, 6))
 
 
 @pytest.fixture(scope="session")
@@ -47,14 +53,14 @@ def fg_report6(fg_atlas6):
 
 @pytest.fixture(scope="session")
 def grig_atlas8(grig_spec):
-    return build_atlas(grig_spec, 8)
+    return audited(build_atlas(grig_spec, 8))
 
 
 # The deep table drives the whole-ball checks; building it once takes about
 # a minute and a bit over 1 GB, so it is shared across the session.
 @pytest.fixture(scope="session")
 def fg_atlas10(fg_spec):
-    return build_atlas(fg_spec, 10)
+    return audited(build_atlas(fg_spec, 10))
 
 
 @pytest.fixture(scope="session")

@@ -20,6 +20,7 @@ from treegrowth import incompressible as inc
 from treegrowth.catalog import CatalogError
 from treegrowth.growth import check_wreath_inequality
 
+from conftest import audited
 from oracle import oracle_spheres
 
 FG_CONFIG = {"kind": "ggs", "parameters": {"d": 3, "epsilon": [1, 0]}}
@@ -36,7 +37,7 @@ def sunic_data():
     out = {}
     for a1 in (0, 1, 2):
         spec = catalog.sunic(3, 2, (a1,))
-        atlas = build_atlas(spec, 4)
+        atlas = audited(build_atlas(spec, 4))
         out[a1] = (spec, atlas, inc.approximate_I_infty(atlas, 6))
     return out
 
@@ -48,7 +49,7 @@ def small_groups():
     for mk in (catalog.gupta_sidki, lambda: catalog.nekrashevych_D((), (0, 1)),
                catalog.neumann6):
         spec = mk()
-        atlas = build_atlas(spec, 2)
+        atlas = audited(build_atlas(spec, 2))
         out[spec.name] = (spec, atlas, inc.approximate_I_infty(atlas, 6))
     return out
 
@@ -58,7 +59,7 @@ def test_criterion_01_oracle_equivalence():
     for mk in (catalog.first_grigorchuk, catalog.fabrykowski_gupta,
                catalog.gupta_sidki, lambda: catalog.nekrashevych_D((), (0, 1))):
         spec = mk()
-        atlas = build_atlas(spec, 6, levels=1)
+        atlas = audited(build_atlas(spec, 6, levels=1))
         sizes = atlas.table(0).sphere_sizes()
         ok = ok and sizes == oracle_spheres(spec, 8, 6)
         ok = ok and sizes == oracle_spheres(spec, 10, 6)

@@ -379,6 +379,48 @@ def test_ids_on_cycles_are_listed_by_root(name):
         assert i in t.cyclic[t.roots[i]]
 
 
+@pytest.mark.parametrize("name", CYCLIC_FAMILIES)
+def test_audit_passes_on_cyclic_families(name):
+    make_spec, radius = CYCLIC_FAMILIES[name]
+    build_atlas(make_spec(), radius).engine.audit()
+
+
+def _two_cycles_engine():
+    eng = build_atlas(_two_cycles(), 3).engine
+    eng.audit()
+    return eng, eng.tables[0], eng.gen_id(0, "w")
+
+
+def test_audit_finds_bisimilar_ids():
+    eng, t, w = _two_cycles_engine()
+    # a second w = (w, w)·swap, whose sections are the copy itself
+    i = len(t.roots)
+    root, ch = t.roots[w], (i, i)
+    t.roots.append(root)
+    t.children.append(ch)
+    t.intern[(root, ch)] = i
+    t.cyclic[root].append(i)
+    with pytest.raises(AssertionError,
+                       match=rf"bisimilar ids \[\(0, {w}\), \(0, {i}\)\]"):
+        eng.audit()
+
+
+def test_audit_finds_intern_disagreement():
+    eng, t, w = _two_cycles_engine()
+    t.intern[(t.roots[w], t.children[w])] = 0
+    with pytest.raises(AssertionError,
+                       match=f"intern disagrees with the tables at id {w}"):
+        eng.audit()
+
+
+def test_audit_finds_unlisted_cycle():
+    eng, t, w = _two_cycles_engine()
+    t.cyclic[t.roots[w]].remove(w)
+    with pytest.raises(AssertionError,
+                       match=f"id {w} is on a reference cycle"):
+        eng.audit()
+
+
 @pytest.mark.parametrize("make_spec, radius", [
     (catalog.fabrykowski_gupta, 5),
     (catalog.neumann6, 1),
