@@ -54,6 +54,8 @@ INTEGER_PARAMETERS = {
     "nekrashevych_D": {"pre": 1, "per": 1},
     "custom": {"degree": 0},
 }
+# the integer fields of each generator object in a custom level's list
+GENERATOR_INTEGER_FIELDS = {"pseudolength": 0, "root": 1}
 
 
 def _is_integers(value, depth):
@@ -64,13 +66,28 @@ def _is_integers(value, depth):
 
 
 def _check_integers(kind, params):
-    for key, depth in INTEGER_PARAMETERS.get(kind, {}).items():
-        if key in params and not _is_integers(params[key], depth):
+    fields = [(key, params[key], depth)
+              for key, depth in INTEGER_PARAMETERS.get(kind, {}).items()
+              if key in params]
+    if kind == "custom":
+        # a level or generator of the wrong shape is left to build_spec
+        for key in ("preperiod", "period"):
+            levels = params.get(key)
+            for lv in levels if isinstance(levels, list) else ():
+                for g in lv if isinstance(lv, list) else ():
+                    if isinstance(g, dict):
+                        fields += [(f"{name} of generator {g.get('name')}",
+                                    g[name], depth)
+                                   for name, depth
+                                   in GENERATOR_INTEGER_FIELDS.items()
+                                   if name in g]
+    for key, value, depth in fields:
+        if not _is_integers(value, depth):
             shape = ("an integer" if depth == 0 else
                      "a list of " + "lists of " * (depth - 1) + "integers")
             raise ConfigError(
                 f"malformed parameters for kind {kind}: {key} must be "
-                f"{shape}, got {json.dumps(params[key])}")
+                f"{shape}, got {json.dumps(value)}")
 
 
 def build_spec(config):

@@ -193,7 +193,16 @@ def test_cli_define_malformed_parameters_exit_2(tmp_path, capsys, config):
      'a_coeffs must be a list of integers, got ["x"]'),
     ({"kind": "grigorchuk_p", "parameters": {"p": 2, "per": [0, 1, 2.5]}},
      "per must be a list of integers, got [0, 1, 2.5]"),
-], ids=["sunic-coefficient-string", "grigorchuk_p-index-float"])
+    ({"kind": "custom", "parameters": {
+        "degree": 2, "preperiod": [],
+        "period": [[_gen("a", 1.0, "a", [1, 0], [[], []])]]}},
+     "pseudolength of generator a must be an integer, got 1.0"),
+    ({"kind": "custom", "parameters": {
+        "degree": 2, "preperiod": [],
+        "period": [[_gen("a", 0, "a", [1.0, 0], [[], []])]]}},
+     "root of generator a must be a list of integers, got [1.0, 0]"),
+], ids=["sunic-coefficient-string", "grigorchuk_p-index-float",
+        "custom-pseudolength-float", "custom-root-float"])
 def test_cli_define_names_the_non_integer_parameter(tmp_path, capsys, config,
                                                      message):
     path = tmp_path / "bad.json"
