@@ -89,7 +89,7 @@ def cmd_spheres(args):
         est = growth.kappa_estimates(table)
         for n in range(table.max_radius + 1):
             kp = est[n]
-            rows.append([c, n, len(table.spheres[n]), gamma[n],
+            rows.append([c, n, table.sizes[n], gamma[n],
                          f"{kp:.6f}" if kp is not None else ""])
     out = args.out or "spheres.csv"
     with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -127,17 +127,19 @@ def cmd_incompressible(args):
         payload["polynomial_bound"] = "not applicable"
     audit = {"applicable": False}
     if inc.is_ternary_spinal(spec):
+        # the geodesic of a1·g·a3 is a1·geodesic(g)·a3, which shifts every
+        # conjugation exponent by one constant, so the derivative and its
+        # verdict are the same on the whole orbit
         table = atlas.table(0)
-        violations = []
-        checked = 0
+        violations = checked = 0
         for n in range(1, table.max_radius + 1):
-            for g in table.spheres[n]:
+            for g, size in zip(table.spheres[n], table.orbits[n]):
                 if g in report.final[0]:
-                    checked += 1
+                    checked += size
                     if not inc.extract_ternary_data(spec, table, 0, g).two_run:
-                        violations.append(g)
+                        violations += size
         audit = {"applicable": True, "checked": checked,
-                 "violations": len(violations)}
+                 "violations": violations}
     payload["derivative_audit"] = audit
     with open(out + ".json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

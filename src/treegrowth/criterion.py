@@ -126,18 +126,19 @@ class CriterionReport:
 
 def run_criterion(atlas, report, c, n_max, epsilon):
     """Full harness for one level class: partition, counting bound, and
-    level reduction, for every radius up to n_max."""
+    level reduction, for every radius up to n_max, on every element of the
+    table's expansion."""
     if not 0 < epsilon < 0.5:
         raise ValueError("epsilon must lie strictly between 0 and 1/2")
-    table = atlas.table(c)
+    ball = atlas.table(c).expand(n_max)
     lf = inc.level_function(atlas, report, c, 6 / epsilon)
     N, back = inc.factorization_dp(atlas, report, c, n_max)
     out = CriterionReport(epsilon, list(range(1, n_max + 1)),
                           lf.value, lf.exact and not lf.lower_bound_only)
     for n in out.n_range:
-        big, small = partition(table, N, n, epsilon)
+        big, small = partition(ball, N, n, epsilon)
         out.partition_sizes[n] = (len(big), len(small))
-        unreached = len(table.sphere(n)) - len(big) - len(small)
+        unreached = len(ball.sphere(n)) - len(big) - len(small)
         if unreached:
             out.failures.append(
                 f"no additive factorization into depth-{report.K} elements "

@@ -1,15 +1,21 @@
 """Sphere and ball enumeration for the word pseudonorm, plus the finite
 counting inequalities tied to growth rates.
 
-Radius-(n+1) elements are found by multiplying radius-n elements by the
-unit-length generators and closing under the zero-length generators, so each
-element is discovered exactly at its minimal pseudolength.  Tables record a
-parent link per element, giving one geodesic word per element.
+The zero-length generators have pseudolength 0, so every sphere is a union
+of double cosets A·g·A of the finite subgroup A they generate.  A table
+keeps one interned representative per double coset, with the size of its
+orbit under A×A: radius-(n+1) representatives come from products g·a·s of
+radius-n representatives g with a in A and unit-length generators s, each
+brought to its canonical form, so each double coset is found exactly at its
+minimal pseudolength.  Every representative records the product it was
+found as, which gives one geodesic word for every ball element.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import factorial
+from operator import itemgetter
 
+from . import perms
 from .engine import BudgetExceeded, Engine
 
 
@@ -17,12 +23,116 @@ class TableExhausted(LookupError):
     """A length or membership query beyond the enumerated radius."""
 
 
+class ZeroGroup:
+    """The subgroup A generated by the zero-length generators at one level
+    class, acting on ids from both sides.
+
+    A is listed breadth first from the identity under right multiplication
+    by the zero-length generators; `links[i]` is (j, name) with
+    A[i] = A[j]·name, None for the identity.  A is rooted when every
+    zero-length generator has identity sections.  Then a1·g·a3 has root
+    α1∘π∘α3 and the sections of g permuted by α3, so the canonical form of
+    an element, the least (root, children) key over its A×A orbit, is found
+    without a product.  Otherwise the canonical form is the least id of the
+    orbit, which interns the whole orbit.
+    """
+
+    def __init__(self, eng, c, names):
+        self.eng, self.c = eng, c
+        gens = [eng.gen_id(c, nm) for nm in names]
+        self.ids, self.links = [0], [None]
+        index = {0: 0}
+        for u in self.ids:          # grows while it is read
+            for nm, z in zip(names, gens):
+                w = eng.mul(c, u, z, store=False)
+                if w not in index:
+                    index[w] = len(self.ids)
+                    self.ids.append(w)
+                    self.links.append((index[u], nm))
+        self.size = len(self.ids)
+        self.inverse = [index[eng.inv(c, a)] for a in self.ids]
+        t = eng.tables[c]
+        self.rooted = all(t.children[z] == (0,) * eng.d for z in gens)
+        self.perms = [t.roots[a] for a in self.ids]
+        self.getters = [itemgetter(*p) for p in self.perms]
+        self._plans = {}
+
+    def word(self, i):
+        """Zero-length generator names whose product is A[i]."""
+        out = []
+        while self.links[i] is not None:
+            i, nm = self.links[i]
+            out.append(nm)
+        out.reverse()
+        return out
+
+    def _plan(self, root):
+        # the least root over the pairs, and (getter of α3, i1, i3) for
+        # each pair that reaches it; α1 is fixed by α3 and the least root
+        plan = self._plans.get(root)
+        if plan is None:
+            pairs = [(perms.compose(a1, perms.compose(root, a3)), i1, i3)
+                     for i3, a3 in enumerate(self.perms)
+                     for i1, a1 in enumerate(self.perms)]
+            least = min(r for r, _, _ in pairs)
+            plan = self._plans[root] = (least, [
+                (self.getters[i3], i1, i3) for r, i1, i3 in pairs
+                if r == least])
+        return plan
+
+    def canon(self, root, children):
+        """Canonical key of a rooted-A orbit from one member's key:
+        (root, children, pairs, i1, i3), where A[i1]·g·A[i3] has the least
+        key and `pairs` of the |A|² pairs reach it."""
+        least, cands = self._plan(root)
+        if len(cands) == 1:
+            get, i1, i3 = cands[0]
+            return least, get(children), 1, i1, i3
+        best = None
+        for get, j1, j3 in cands:
+            ch = get(children)
+            if best is None or ch < best:
+                best, pairs, i1, i3 = ch, 1, j1, j3
+            elif ch == best:
+                pairs += 1
+        return least, best, pairs, i1, i3
+
+    def canon_id(self, g):
+        """(least id, pairs, i1, i3) over the orbit of the id g, interning
+        every member: the canonical form when A is not rooted."""
+        mul, c = self.eng.mul, self.c
+        best = None
+        for i1, a1 in enumerate(self.ids):
+            left = mul(c, a1, g, store=False)
+            for i3, a3 in enumerate(self.ids):
+                w = mul(c, left, a3, store=False)
+                if best is None or w < best:
+                    best, pairs, j1, j3 = w, 1, i1, i3
+                elif w == best:
+                    pairs += 1
+        return best, pairs, j1, j3
+
+    def act(self, i1, g, i3):
+        """Interned id of A[i1]·g·A[i3]."""
+        eng, c = self.eng, self.c
+        if not self.rooted:
+            left = eng.mul(c, self.ids[i1], g, store=False)
+            return eng.mul(c, left, self.ids[i3], store=False)
+        t = eng.tables[c]
+        get = self.getters[i3]
+        root = perms.compose(self.perms[i1], get(t.roots[g]))
+        return eng._intern(c, root, get(t.children[g]))
+
+
 @dataclass
-class SphereTable:
-    cls: int                       # level class index
-    spheres: list                  # per-radius lists of interned ids
-    lengths: dict                  # id -> pseudolength
-    parents: dict                  # id -> (parent id, generator name) or None
+class Ball:
+    """Every element of a table up to a radius, each sphere listed orbit by
+    orbit in the table's representative order.  `parents[x]` is (y, name)
+    with y·name = x and |y| + |name| = |x|, None for the identity; the
+    links have no cycle, so they give one geodesic per element."""
+    spheres: list
+    lengths: dict
+    parents: dict
 
     @property
     def max_radius(self):
@@ -30,37 +140,161 @@ class SphereTable:
 
     def sphere(self, n):
         if n > self.max_radius:
-            raise TableExhausted(f"radius {n} > enumerated {self.max_radius}")
+            raise TableExhausted(f"radius {n} > expanded {self.max_radius}")
         return self.spheres[n]
-
-    def sphere_sizes(self):
-        return [len(s) for s in self.spheres]
-
-    def gamma(self, n=None):
-        """Cumulative ball sizes; gamma(n) = |Ball(n)|."""
-        sizes = self.sphere_sizes()
-        out = []
-        acc = 0
-        for s in sizes:
-            acc += s
-            out.append(acc)
-        return out if n is None else out[n]
 
     def length(self, g):
         try:
             return self.lengths[g]
         except KeyError:
             raise TableExhausted(
+                f"element not within expanded radius {self.max_radius}")
+
+
+@dataclass
+class SphereTable:
+    cls: int                       # level class index
+    spheres: list                  # per-radius lists of representative ids
+    orbits: list                   # per-radius lists of their orbit sizes
+    lengths: dict                  # representative -> pseudolength
+    links: dict                    # representative -> (g, i1, ia, name, i3)
+    zero: ZeroGroup                # with rep = A[i1]·g·A[ia]·name·A[i3]
+    _located: dict = field(default_factory=dict, repr=False)
+    _ball: Ball = field(default=None, repr=False)
+
+    def __post_init__(self):
+        self.sizes = [sum(orbit) for orbit in self.orbits]
+
+    @property
+    def max_radius(self):
+        return len(self.spheres) - 1
+
+    def sphere(self, n):
+        """Representatives of the radius-n sphere."""
+        if n > self.max_radius:
+            raise TableExhausted(f"radius {n} > enumerated {self.max_radius}")
+        return self.spheres[n]
+
+    def sphere_sizes(self):
+        return list(self.sizes)
+
+    def gamma(self, n=None):
+        """Cumulative ball sizes; gamma(n) = |Ball(n)|."""
+        out = []
+        acc = 0
+        for s in self.sizes:
+            acc += s
+            out.append(acc)
+        return out if n is None else out[n]
+
+    def locate(self, g):
+        """(rep, j1, j3) with g = A[j1]·rep·A[j3] for a ball id g, None
+        for any other value.  Memoized: the ids looked up are mostly
+        sections, and they are few."""
+        if g in self.lengths:
+            return g, 0, 0
+        found = self._located.get(g, False)
+        if found is False:
+            found = self._located[g] = self._find(g)
+        return found
+
+    def _find(self, g):
+        zero = self.zero
+        t = zero.eng.tables[self.cls]
+        if not (isinstance(g, int) and 0 <= g < len(t.roots)):
+            return None
+        if zero.rooted:
+            root, ch, _, i1, i3 = zero.canon(t.roots[g], t.children[g])
+            rep = t.intern.get((root, ch))
+        else:
+            rep, _, i1, i3 = zero.canon_id(g)
+        if rep not in self.lengths:
+            return None
+        return rep, zero.inverse[i1], zero.inverse[i3]
+
+    def representative(self, g):
+        """Representative of the ball id g, None outside the ball."""
+        found = self.locate(g)
+        return None if found is None else found[0]
+
+    def length(self, g):
+        found = self.locate(g)
+        if found is None:
+            raise TableExhausted(
                 f"element not within enumerated radius {self.max_radius}")
+        return self.lengths[found[0]]
 
     def geodesic(self, g):
-        """Generator-name word for g from the recorded parent links."""
-        word = []
-        while g != 0:
-            g, name = self.parents[g]
-            word.append(name)
-        word.reverse()
-        return word
+        """Generator-name word for the ball id g: rep = A[i1]·h·A[ia]·s·A[i3]
+        unrolls to A[i1]·geodesic(h)·A[ia]·s·A[i3], down to the identity."""
+        found = self.locate(g)
+        if found is None:
+            raise TableExhausted(
+                f"element not within enumerated radius {self.max_radius}")
+        rep, j1, j3 = found
+        word = self.zero.word
+        left, right = word(j1), []
+        while rep != 0:
+            rep, i1, ia, name, i3 = self.links[rep]
+            left += word(i1)
+            right.append(word(ia) + [name] + word(i3))
+        for part in reversed(right):
+            left += part
+        return left + word(j3)
+
+    def members(self, n):
+        """(representative, every member of its orbit) for each orbit of
+        the radius-n sphere, from the expansion."""
+        ball, start = self.expand(n), 0
+        for rep, size in zip(self.spheres[n], self.orbits[n]):
+            yield rep, ball.spheres[n][start:start + size]
+            start += size
+
+    def expand(self, radius=None):
+        """Ball of every element up to `radius` (default the table's),
+        interning each orbit member's key; kept and extended on demand.
+
+        The members of the orbit of rep = A[i1]·h·A[ia]·s·A[i3] are the
+        A[j]·x0·A[k] with x0 = rep·A[i3]^-1 = y0·s and y0 = A[i1]·h·A[ia]
+        one radius lower.  A member first met at (j, 0) links to
+        (A[j]·y0, s); one met at (j, k) with A[k] = A[k']·z links to the
+        member at (j, k'), met earlier."""
+        R = self.max_radius if radius is None else min(radius,
+                                                       self.max_radius)
+        ball, zero = self._ball, self.zero
+        if ball is None:
+            links = zero.links
+            ball = self._ball = Ball(
+                [list(zero.ids)], dict.fromkeys(zero.ids, 0),
+                {a: None if link is None else (zero.ids[link[0]], link[1])
+                 for a, link in zip(zero.ids, links)})
+        act, inverse, lengths, parents = (zero.act, zero.inverse,
+                                          ball.lengths, ball.parents)
+        try:
+            for n in range(ball.max_radius + 1, R + 1):
+                sphere = []
+                for rep in self.spheres[n]:
+                    h, i1, ia, name, i3 = self.links[rep]
+                    y0 = act(i1, h, ia)
+                    x0 = act(0, rep, inverse[i3])
+                    for j in range(zero.size):
+                        row = []
+                        for k, link in enumerate(zero.links):
+                            x = act(j, x0, k)
+                            row.append(x)
+                            if x in lengths:
+                                continue
+                            lengths[x] = n
+                            parents[x] = ((act(j, y0, 0), name)
+                                          if link is None
+                                          else (row[link[0]], link[1]))
+                            sphere.append(x)
+                ball.spheres.append(sphere)
+        except BudgetExceeded:
+            # a partial sphere would hide its members from a retry
+            self._ball = None
+            raise
+        return ball
 
 
 class Atlas:
@@ -79,58 +313,89 @@ class Atlas:
 
 
 def enumerate_spheres(atlas, c, max_radius):
-    """Fill the atlas table for class c up to max_radius.
+    """Fill the atlas table for class c up to max_radius, one representative
+    per A×A double coset.
 
-    Deterministic: expansion follows stored sphere order, generator order of
-    the spec, and breadth-first saturation by zero-length generators.  The
-    radius-0 sphere is the subgroup generated by the zero-length generators,
-    in that breadth-first order from the identity.  The engine's budget is
-    the only limit: BudgetExceeded names the class, the radius being
-    expanded and the elements enumerated when it stops the run.
+    Each representative g of the radius-n sphere is multiplied by every
+    h = a·s (a in A, s a unit-length generator) in one wreath step: only the
+    section products at the successor class go through the engine, and they
+    are memoized, being few.  The product is brought to its canonical form
+    (ZeroGroup), and a canonical form not yet in the ball is interned as a
+    new radius-(n+1) representative whose orbit has |A|² / pairs members.
+    Radius 0 is the one double coset A, with the identity as representative.
+
+    Deterministic: expansion follows stored sphere order, A's breadth-first
+    order and the spec's generator order.  The engine's budget is the only
+    limit: BudgetExceeded names the class, the radius being expanded and the
+    elements enumerated (summed orbit sizes) when it stops the run.
     """
-    eng = atlas.engine
-    spec = atlas.spec
-    level = spec.level(c)
-    unit = [g.name for g in level.unit_generators]
-    zero = [g.name for g in level.zero_generators]
-    unit_ids = [eng.gen_id(c, nm) for nm in unit]
-    zero_ids = [eng.gen_id(c, nm) for nm in zero]
-
     existing = atlas.tables.get(c)
     if existing is not None and existing.max_radius >= max_radius:
         return existing
-
-    lengths = {0: 0}
-    parents = {0: None}
-
-    def extend(sphere, sources, names, ids, n):
-        # append to the sphere, at radius n, every product of a source with
-        # a generator that is not yet enumerated; with the sphere as its own
-        # sources the loop reaches the appended elements too, which closes
-        # it under zero-length generators breadth first
-        for u in sources:
-            for nm, s in zip(names, ids):
-                w = eng.mul(c, u, s, store=False)
-                if w not in lengths:
-                    lengths[w] = n
-                    parents[w] = (u, nm)
-                    sphere.append(w)
-
-    spheres = [[0]]
+    eng = atlas.engine
+    level = atlas.spec.level(c)
+    zero = ZeroGroup(eng, c, [g.name for g in level.zero_generators])
+    t, sc, memo, mul = eng.tables[c], eng.succ[c], eng.mul_memo, eng.mul
+    steps = []
+    for ia, a in enumerate(zero.ids):
+        for g in level.unit_generators:
+            h = eng.mul(c, a, eng.gen_id(c, g.name), store=False)
+            steps.append((ia, g.name, itemgetter(*t.roots[h]),
+                          t.children[h]))
+    pairs_total, trivial = zero.size ** 2, zero.size == 1
+    lengths, links = {0: 0}, {0: None}
+    spheres, orbits = [[0]], [[zero.size]]
+    elements = zero.size
     n = 0
     try:
-        extend(spheres[0], spheres[0], zero, zero_ids, 0)
         for n in range(1, max_radius + 1):
-            sphere = []
-            extend(sphere, spheres[n - 1], unit, unit_ids, n)
-            extend(sphere, sphere, zero, zero_ids, n)
+            sphere, orbit = [], []
+            for g in spheres[n - 1]:
+                pg, cg = t.roots[g], t.children[g]
+                for ia, name, get, chh in steps:
+                    # g·h in one wreath step: root pg∘ph, section x is
+                    # cg[ph[x]]·chh[x]
+                    ch = []
+                    for u, v in zip(get(cg), chh):
+                        if u == 0:
+                            ch.append(v)
+                        elif v == 0:
+                            ch.append(u)
+                        else:
+                            r = memo.get((sc, u, v))
+                            ch.append(mul(sc, u, v) if r is None else r)
+                    if trivial:
+                        i = eng._intern(c, get(pg), tuple(ch))
+                        if i in lengths:
+                            continue
+                        pairs = 1
+                        i1 = i3 = 0
+                    elif zero.rooted:
+                        root, key, pairs, i1, i3 = zero.canon(get(pg), ch)
+                        i = t.intern.get((root, key))
+                        if i is None:
+                            i = eng._intern(c, root, key)
+                        elif i in lengths:
+                            continue
+                    else:
+                        i, pairs, i1, i3 = zero.canon_id(
+                            eng._intern(c, get(pg), tuple(ch)))
+                        if i in lengths:
+                            continue
+                    lengths[i] = n
+                    links[i] = (g, i1, ia, name, i3)
+                    sphere.append(i)
+                    orbit.append(pairs_total // pairs)
             spheres.append(sphere)
+            orbits.append(orbit)
+            elements += sum(orbit)
     except BudgetExceeded as e:
+        elements += sum(orbit)
         raise BudgetExceeded(f"{e}; stopped at level class {c} expanding "
-                             f"radius {n}, {len(lengths)} elements",
-                             c, n, len(lengths)) from e
+                             f"radius {n}, {elements} elements",
+                             c, n, elements) from e
 
-    table = SphereTable(c, spheres, lengths, parents)
+    table = SphereTable(c, spheres, orbits, lengths, links, zero)
     atlas.tables[c] = table
     return table
 

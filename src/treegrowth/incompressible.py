@@ -21,9 +21,10 @@ class NotTernarySpinal(ValueError):
 class IncompressibilityReport:
     K: int
     counts: dict                 # class -> list over k of per-radius counts
-    first_fail: dict             # class -> {id: least k with id outside I_k}
-    final: dict                  # class -> set of ids still in I_K
+    first_fail: dict             # class -> {rep: least k with rep outside I_k}
+    final: dict                  # class -> set of reps still in I_K
     stabilization_depth: int = None   # least k with I_k = I_{k+1} on all balls
+    tables: dict = None          # class -> SphereTable the reps belong to
 
     @property
     def exact(self):
@@ -31,21 +32,36 @@ class IncompressibilityReport:
         enumerated balls."""
         return self.stabilization_depth is not None
 
+    def fail_depth(self, c, g):
+        """first_fail of any id, read through its representative; None when
+        the id is in every depth-k set computed or outside the ball."""
+        return self.first_fail[c].get(self.tables[c].representative(g))
+
     def in_Ik(self, c, g, k):
         if k > self.K and not self.exact:
             raise ValueError(f"membership only known up to depth {self.K}")
-        return self.first_fail[c].get(g, k + 1) > k
+        depth = self.fail_depth(c, g)
+        return depth is None or depth > k
 
 
 def approximate_I_infty(atlas, K):
     """The depth-k filtration of every enumerated table, k = 1..K, held as
-    first_fail[c]: id -> least k with the id outside the depth-k set.
+    first_fail[c]: representative -> least k with it outside the depth-k
+    set.
 
-    Round 1 drops the elements whose section lengths do not add up.  Round
-    k drops the elements still alive with a section no longer alive, and
-    the first round that drops nothing gives stabilization_depth = k-1.
-    counts[c][k][n] is the radius-n sphere size less the radius-n elements
-    with first_fail at most k; final[c] is the set still alive.
+    It runs on representatives.  With A rooted the sections of a1·g·a3 are
+    those of g permuted, and in general they are b·g_x·b' with b, b' in the
+    successor class's A, because zero-length generators have zero-length
+    sections.  So section lengths, and by induction on k membership in
+    every depth-k set, are the same on the whole orbit, and a section's
+    depth is read through its own representative.
+
+    Round 1 drops the representatives whose section lengths do not add up.
+    Round k drops those still alive with a section no longer alive, and the
+    first round that drops nothing gives stabilization_depth = k-1.
+    counts[c][k][n] is the radius-n sphere size less the orbit sizes of the
+    radius-n representatives with first_fail at most k; final[c] is the set
+    of representatives still alive.
     """
     if K < 1:
         raise ValueError(f"depth K must be at least 1, got {K}")
@@ -55,25 +71,33 @@ def approximate_I_infty(atlas, K):
         if succ[c] not in atlas.tables:
             raise ValueError(
                 f"class {succ[c]} needed for sections of class {c}")
-    children = {c: atlas.engine.tables[c].children for c in classes}
 
-    first_fail, alive = {}, {}
+    first_fail, sections = {}, {}
     for c in classes:
-        lengths, ch = atlas.table(c).lengths, children[c]
-        next_lengths = atlas.table(succ[c]).lengths
-        first_fail[c] = {g: 1 for g, n in lengths.items()
-                         if sum(next_lengths[x] for x in ch[g]) != n}
-        # a set sized to its members: it outlives the call as `final`
-        alive[c] = {g for g in lengths if g not in first_fail[c]}
+        table, nxt = atlas.table(c), atlas.table(succ[c])
+        rep, next_lengths = nxt.representative, nxt.lengths
+        is_rep = next_lengths.__contains__
+        children = atlas.engine.tables[c].children
+        first_fail[c], sections[c] = {}, {}
+        for g, n in table.lengths.items():
+            xs = children[g]
+            if not all(map(is_rep, xs)):
+                xs = tuple(map(rep, xs))
+            if sum(map(next_lengths.__getitem__, xs)) == n:
+                sections[c][g] = xs
+            else:
+                first_fail[c][g] = 1
+    # a set sized to its members: it outlives the call as `final`
+    alive = {c: set(sections[c]) for c in classes}
 
     stab = None
     for k in range(2, K + 1):
         # every class is checked against the round k-1 sets before any drop
         dropped = {}
         for c in classes:
-            ch, live_next = children[c], alive[succ[c]]
+            secs, live_next = sections[c], alive[succ[c]]
             dropped[c] = [g for g in alive[c]
-                          if not all(x in live_next for x in ch[g])]
+                          if not all(map(live_next.__contains__, secs[g]))]
         if not any(dropped.values()):
             stab = k - 1
             break
@@ -83,14 +107,18 @@ def approximate_I_infty(atlas, K):
 
     counts = {}
     for c in classes:
-        table = atlas.table(c)
+        table, ff = atlas.table(c), first_fail[c]
         drops = [[0] * len(table.spheres) for _ in range(K + 1)]
-        for g, k in first_fail[c].items():
-            drops[k][table.lengths[g]] += 1
+        for n, (sphere, orbit) in enumerate(zip(table.spheres, table.orbits)):
+            for g, size in zip(sphere, orbit):
+                k = ff.get(g)
+                if k is not None:
+                    drops[k][n] += size
         counts[c] = [table.sphere_sizes()]
         for k in range(1, K + 1):
             counts[c].append([m - d for m, d in zip(counts[c][-1], drops[k])])
-    return IncompressibilityReport(K, counts, first_fail, alive, stab)
+    return IncompressibilityReport(K, counts, first_fail, alive, stab,
+                                   {c: atlas.table(c) for c in classes})
 
 
 @dataclass
@@ -123,17 +151,15 @@ def level_function(atlas, report, c, r):
 
 
 def incompressible_by_length(atlas, report, c, max_len):
-    """Nonidentity depth-K elements grouped by pseudolength."""
+    """Nonidentity depth-K elements grouped by pseudolength: every member of
+    each depth-K orbit, from the table's expansion."""
     table = atlas.table(c)
     out = [[] for _ in range(max_len + 1)]
-    for g in report.final[c]:
-        if g == 0:
-            continue
-        n = table.length(g)
-        if n <= max_len:
-            out[n].append(g)
-    for bucket in out:
-        bucket.sort()
+    for n in range(min(max_len, table.max_radius) + 1):
+        for g, orbit in table.members(n):
+            if g in report.final[c]:
+                out[n] += orbit
+        out[n] = sorted(x for x in out[n] if x != 0)
     return out
 
 
@@ -141,21 +167,22 @@ def right_edges(atlas, c, radius):
     """Per generator name, a list whose slot u holds u*gen for each ball
     element u with |u| + |gen| <= radius, and -1 elsewhere.
 
-    Each parent link (u, gen) of a radius-ball element w is the edge
-    u*gen = w; the engine makes only the products no link records.
+    Each parent link (u, gen) of an element w of the expanded radius-ball
+    is the edge u*gen = w; the engine makes only the products no link
+    records.
     """
     eng = atlas.engine
-    table = atlas.table(c)
+    ball = atlas.table(c).expand(radius)
     gens = atlas.spec.level(c).generators
     balls, edges = {}, {}
     for gen in gens:
-        inner = table.spheres[:radius - gen.pseudolength + 1]
+        inner = ball.spheres[:radius - gen.pseudolength + 1]
         balls[gen.name] = [u for sphere in inner for u in sphere]
         edges[gen.name] = [-1] * (1 + max(balls[gen.name], default=-1))
-    for sphere in table.spheres[:radius + 1]:
+    for sphere in ball.spheres[:radius + 1]:
         for w in sphere:
             if w != 0:
-                u, name = table.parents[w]
+                u, name = ball.parents[w]
                 edges[name][u] = w
     for gen in gens:
         g = eng.gen_id(c, gen.name)
@@ -174,7 +201,7 @@ def factorization_dp(atlas, report, c, max_n):
     additive factorization has additive prefixes, so extending shorter
     factorizations by single factors reaches each element at its true count.
     Only p*h with |p| + |h| <= R = min(max_n, table radius) can be additive
-    in the ball.
+    in the ball, which the table expands element by element.
 
     The products p*h come from right_edges over a prefix tree: its nodes are
     the depth-K elements of length at most R and their parent-link
@@ -185,8 +212,9 @@ def factorization_dp(atlas, report, c, max_n):
     stays inside gen's edge list.
     """
     table = atlas.table(c)
-    lengths, parents = table.lengths, table.parents
     R = min(max_n, table.max_radius)
+    ball = table.expand(R)
+    lengths, parents = ball.lengths, ball.parents
     by_len = incompressible_by_length(atlas, report, c, R)
     edges = right_edges(atlas, c, R)
 

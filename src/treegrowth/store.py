@@ -155,10 +155,13 @@ def flags_bitfield(report, c, g):
     """Bit k-1 set when the element is in the depth-k set, k = 1..FLAG_BITS:
     the bits below its first-fail depth, capped at K and FLAG_BITS."""
     top = min(report.K, FLAG_BITS)
-    return (1 << min(report.first_fail[c].get(g, top + 1) - 1, top)) - 1
+    depth = report.fail_depth(c, g) or top + 1
+    return (1 << min(depth - 1, top)) - 1
 
 
 def save_table(path, config, table, report=None):
+    """Write every element of the table, orbit by orbit: its id in the
+    table's expansion, radius, parent link and the flags of its orbit."""
     header = {
         "format_version": FORMAT_VERSION,
         "group_hash": group_hash(config),
@@ -166,16 +169,17 @@ def save_table(path, config, table, report=None):
         "max_radius": table.max_radius,
         "truncated": False,     # v1 key; tables are exact to max_radius
     }
+    parents = table.expand().parents
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("#" + json.dumps(header, sort_keys=True) + "\n")
         w = csv.writer(fh)
         w.writerow(TABLE_COLUMNS)
-        for n, sphere in enumerate(table.spheres):
-            for g in sphere:
-                parent = table.parents[g]
-                pid, name = parent if parent is not None else ("", "")
-                flags = flags_bitfield(report, table.cls, g) if report else 0
-                w.writerow([g, n, pid, name, flags])
+        for n in range(table.max_radius + 1):
+            for rep, orbit in table.members(n):
+                flags = flags_bitfield(report, table.cls, rep) if report else 0
+                for g in orbit:
+                    pid, name = parents[g] or ("", "")
+                    w.writerow([g, n, pid, name, flags])
     return header
 
 

@@ -6,8 +6,10 @@ ids).  Products are computed by the textbook recursion on truncated
 portraits.  Nothing here touches the package's arithmetic engine; word
 enumeration is naive breadth-first search with dedup by truncated action.
 
-`reference_filtration` is the one exception: it recomputes the depth-k
-filtration from an atlas's tables by the plain layered set loop.
+`reference_atlas` and `reference_filtration` are the exceptions: the first
+enumerates every ball element with the package's engine by the plain
+per-element loop, and the second recomputes the depth-k filtration from such
+tables by the plain layered set loop.
 """
 
 
@@ -135,14 +137,78 @@ def oracle_spheres(spec, depth, max_radius, cls=0):
     return sizes
 
 
+class ReferenceTable:
+    """Every element of one class's ball: per-radius lists of ids, with the
+    length and one parent link (u, generator name) of each."""
+
+    def __init__(self, spheres, lengths, parents):
+        self.spheres, self.lengths, self.parents = spheres, lengths, parents
+
+    @property
+    def max_radius(self):
+        return len(self.spheres) - 1
+
+    def sphere_sizes(self):
+        return [len(s) for s in self.spheres]
+
+    def length(self, g):
+        return self.lengths[g]
+
+
+class ReferenceAtlas:
+    def __init__(self, spec, engine, tables):
+        self.spec, self.engine, self.tables = spec, engine, tables
+
+    def table(self, c):
+        return self.tables[c]
+
+
+def reference_atlas(spec, max_radius, engine, classes=None):
+    """Every ball element of each class (default all) up to max_radius, by
+    the per-element loop: the products of the radius-n elements with the
+    unit-length generators that are not yet enumerated, closed breadth first
+    under the zero-length generators.  Interns every element in `engine`,
+    so its ids compare with the tables of representatives built there."""
+    tables = {}
+    for c in spec.classes() if classes is None else classes:
+        level = spec.level(c)
+        unit = [(g.name, engine.gen_id(c, g.name))
+                for g in level.unit_generators]
+        zero = [(g.name, engine.gen_id(c, g.name))
+                for g in level.zero_generators]
+        lengths, parents = {0: 0}, {0: None}
+
+        def extend(sphere, sources, gens, n):
+            # with the sphere as its own sources the loop reaches the
+            # appended elements too
+            for u in sources:
+                for name, s in gens:
+                    w = engine.mul(c, u, s, store=False)
+                    if w not in lengths:
+                        lengths[w] = n
+                        parents[w] = (u, name)
+                        sphere.append(w)
+
+        spheres = [[0]]
+        extend(spheres[0], spheres[0], zero, 0)
+        for n in range(1, max_radius + 1):
+            sphere = []
+            extend(sphere, spheres[n - 1], unit, n)
+            extend(sphere, sphere, zero, n)
+            spheres.append(sphere)
+        tables[c] = ReferenceTable(spheres, lengths, parents)
+    return ReferenceAtlas(spec, engine, tables)
+
+
 def reference_filtration(atlas, K):
     """The depth-k filtration by the plain layered set loop, for comparison
     with `incompressible.approximate_I_infty`: a fresh set per class and
     round, and one recount of every set by radius.
 
     Returns (counts, first_fail, final, stabilization_depth) in the layout
-    of IncompressibilityReport.  It reads the atlas's sphere tables and the
-    engine's section ids, not the truncated action above.
+    of IncompressibilityReport, over every element.  It reads the sphere
+    tables of a `reference_atlas` and the engine's section ids, not the
+    truncated action above.
     """
     spec = atlas.spec
     eng = atlas.engine

@@ -75,7 +75,7 @@ def test_criterion_02_ball_bound(fg_atlas10, grig_atlas8, sunic_data,
               for _, atlas, _ in small_groups.values()]
     ok = True
     for atlas, radius in cases:
-        g0 = len(atlas.table(0).sphere(0))
+        g0 = atlas.table(0).sphere_sizes()[0]
         s1 = len(atlas.spec.level(0).unit_generators)
         sizes = atlas.table(0).sphere_sizes()
         gamma = atlas.table(0).gamma()
@@ -98,6 +98,8 @@ def test_criterion_03_non_expansion(fg_atlas10, grig_atlas8):
                 continue
             table = atlas.table(c)
             nxt = atlas.table(spec.succ_class(c))
+            # representatives cover every element: A is rooted here, so the
+            # sections of a1·g·a3 are those of g permuted, with the same sum
             for n in range(min(radius, table.max_radius) + 1):
                 for g in table.spheres[n]:
                     kid_sum = sum(nxt.length(x)
@@ -123,17 +125,18 @@ def test_criterion_04_filtration(fg_atlas10, fg_report10, grig_atlas8,
         ok = ok and all(per_k[k + 1][n] <= per_k[k][n]
                         for n in range(len(per_k[k])))
     # hereditary: a child may leave the filtration at most one step before
-    # its parent, for every element of the radius-10 ball
+    # its parent, for every element of the radius-10 ball.  Representatives
+    # cover every element: first-fail depths are constant on A×A orbits, and
+    # the sections of a1·g·a3 are those of g permuted (A is rooted)
     INF = 10 ** 9
-    ff = fg_report10.first_fail[0]
     eng = fg_atlas10.engine
     for sphere in fg_atlas10.table(0).spheres:
         for g in sphere:
-            fg_ = ff.get(g, INF)
+            fg_ = fg_report10.fail_depth(0, g) or INF
             if fg_ <= 1:
                 continue
             for x in eng.children(0, g):
-                ok = ok and ff.get(x, INF) >= fg_ - 1
+                ok = ok and (fg_report10.fail_depth(0, x) or INF) >= fg_ - 1
     # generators stay in the depth-6 set, on every catalog group
     cases = [(fg_atlas10, fg_report10),
              (grig_atlas8, inc.approximate_I_infty(grig_atlas8, 6))]
@@ -155,6 +158,9 @@ def test_criterion_05_two_run_law(fg_atlas10, fg_report10, sunic_data):
     audits = [(fg_atlas10.spec, fg_atlas10.table(0), fg_report10)]
     audits += [(spec, atlas.table(0), rep)
                for spec, atlas, rep in sunic_data.values()]
+    # representatives cover every element: the geodesic of a1·g·a3 is
+    # a1·geodesic(g)·a3, which shifts every conjugation exponent by one
+    # constant and leaves the derivative unchanged
     for spec, table, rep in audits:
         for g in rep.final[0]:
             if g == 0:
@@ -184,7 +190,7 @@ def test_criterion_07_partition_machinery(fg_atlas10, fg_report10):
     res = cr.run_criterion(fg_atlas10, fg_report10, 0, 8, 0.45)
     table = fg_atlas10.table(0)
     ok = res.ok and res.level_used == 2
-    ok = ok and all(sum(res.partition_sizes[n]) == len(table.sphere(n))
+    ok = ok and all(sum(res.partition_sizes[n]) == table.sphere_sizes()[n]
                     for n in res.n_range)
     for n in res.n_range:
         if n > 3 / 0.45:
@@ -221,10 +227,12 @@ def test_criterion_09_determinism_persistence(tmp_path, fg_atlas6,
     table = fg_atlas6.table(0)
     store.save_table(path, FG_CONFIG, table, report=fg_report6)
     header, rows = store.load_table(path)
-    ok = ok and sorted(r[0] for r in rows) == sorted(table.lengths)
+    ball = table.expand()
+    ok = ok and sorted(r[0] for r in rows) == sorted(ball.lengths)
+    ok = ok and len(rows) == table.gamma(6)
     for g, n, pid, name, flags in rows:
-        ok = ok and n == table.lengths[g]
-        ok = ok and (None if pid is None else (pid, name)) == table.parents[g]
+        ok = ok and n == ball.lengths[g] == table.length(g)
+        ok = ok and (None if pid is None else (pid, name)) == ball.parents[g]
         ok = ok and flags == store.flags_bitfield(fg_report6, 0, g)
     _check(9, "two fresh processes with different hash seeds give "
               "bit-identical CSV; save/load round-trip preserves every "

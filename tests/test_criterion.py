@@ -11,7 +11,7 @@ def fg_dp(fg_atlas6, fg_report6):
 
 def test_partition_covers_sphere(fg_atlas6, fg_dp):
     N, _ = fg_dp
-    table = fg_atlas6.table(0)
+    table = fg_atlas6.table(0).expand()
     for n in range(1, 7):
         big, small = cr.partition(table, N, n, 0.45)
         assert len(big) + len(small) == len(table.sphere(n))
@@ -20,7 +20,7 @@ def test_partition_covers_sphere(fg_atlas6, fg_dp):
 
 def test_pair_factors(fg_atlas6, fg_report6, fg_dp):
     N, back = fg_dp
-    table = fg_atlas6.table(0)
+    table = fg_atlas6.table(0).expand()
     for g in table.spheres[6][:200]:
         factors = inc.factors_of(back, g)
         data = cr.pair_factors(fg_atlas6, fg_report6, 0, factors, 0.45)
@@ -36,7 +36,7 @@ def test_pair_factors(fg_atlas6, fg_report6, fg_dp):
 
 def test_small_factor_bound_below_threshold(fg_atlas6, fg_report6, fg_dp):
     N, back = fg_dp
-    table = fg_atlas6.table(0)
+    table = fg_atlas6.table(0).expand()
     big, _ = cr.partition(table, N, 3, 0.45)
     # n = 3 <= 3/epsilon: the bound is not asserted there
     assert cr.check_small_factor_lower_bound(
@@ -69,7 +69,7 @@ def test_sections_at_depth(fg_atlas6):
 
 def test_level_reduction_monotone(fg_atlas6, fg_report6, fg_dp):
     N, _ = fg_dp
-    table = fg_atlas6.table(0)
+    table = fg_atlas6.table(0).expand()
     for n in (5, 6):
         big, _ = cr.partition(table, N, n, 0.45)
         for level in (2, 3):
@@ -83,7 +83,7 @@ def test_run_criterion_fg(fg_atlas6, fg_report6):
     res = cr.run_criterion(fg_atlas6, fg_report6, 0, 6, 0.45)
     table = fg_atlas6.table(0)
     assert res.ok
-    assert all(sum(res.partition_sizes[n]) == len(table.sphere(n))
+    assert all(sum(res.partition_sizes[n]) == table.sphere_sizes()[n]
                for n in res.n_range)
     assert res.level_used == 2
     # the 6/epsilon radius exceeds the table, so the level is a lower bound;

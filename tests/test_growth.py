@@ -8,6 +8,7 @@ from treegrowth.growth import (Atlas, TableExhausted, build_atlas,
                                enumerate_spheres, kappa_estimates)
 
 from oracle import oracle_spheres
+from test_engine import _two_cycles
 
 FG_SPHERES = [3, 18, 72, 288, 1152, 4296]
 GRIG_SPHERES = [2, 12, 34, 80, 190, 432, 976]
@@ -44,9 +45,66 @@ def test_budget_exceeded_names_class_radius_and_elements():
     with pytest.raises(BudgetExceeded) as exc:
         build_atlas(spec, 8, engine=Engine(spec, budget=2000))
     e = exc.value
-    assert (e.cls, e.radius, e.elements) == (0, 5, 1670)
+    assert (e.cls, e.radius, e.elements) == (0, 6, 13200)
     assert str(e).endswith(
-        "; stopped at level class 0 expanding radius 5, 1670 elements")
+        "; stopped at level class 0 expanding radius 6, 13200 elements")
+
+
+@pytest.mark.parametrize("make_spec, radius", [
+    (catalog.fabrykowski_gupta, 5),
+    (catalog.first_grigorchuk, 6),
+    (lambda: catalog.sunic(3, 2, (0,)), 2),
+    (catalog.neumann6, 1),
+    (_two_cycles, 5),
+], ids=["fg", "grigorchuk", "sunic320", "neumann6", "two_cycles"])
+def test_expansion_links_and_geodesics_multiply_back(make_spec, radius):
+    # every element of the expansion: one parent link y*gen = x with
+    # |y| + |gen| = |x| and no cycle, and a geodesic that evaluates to it
+    atlas = build_atlas(make_spec(), radius)
+    eng = atlas.engine
+    for c, table in atlas.tables.items():
+        ball = table.expand()
+        assert [len(s) for s in ball.spheres] == table.sphere_sizes()
+        level = atlas.spec.level(c)
+        lens = {g.name: g.pseudolength for g in level.generators}
+        for x, n in ball.lengths.items():
+            assert table.length(x) == n
+            word = table.geodesic(x)
+            assert sum(lens[nm] for nm in word) == n
+            assert eng.element_from_word(c, word) == x
+            steps = 0
+            while ball.parents[x] is not None:
+                y, name = ball.parents[x]
+                assert eng.mul(c, y, eng.gen_id(c, name), store=False) == x
+                assert ball.lengths[y] + lens[name] == ball.lengths[x]
+                x, steps = y, steps + 1
+                assert steps <= len(ball.lengths)
+            assert x == 0
+    atlas.engine.audit()
+
+
+def test_expansion_retried_after_budget_is_whole():
+    spec = catalog.fabrykowski_gupta()
+    eng = Engine(spec, budget=1200)
+    table = build_atlas(spec, 4, engine=eng).table(0)
+    with pytest.raises(BudgetExceeded):
+        table.expand()
+    eng.budget = 10_000_000
+    ball = table.expand()
+    assert [len(s) for s in ball.spheres] == table.sphere_sizes()
+    eng.audit()
+
+
+def test_ids_outside_the_ball():
+    atlas = build_atlas(catalog.fabrykowski_gupta(), 2)
+    table = atlas.table(0)
+    g = atlas.engine.element_from_word(0, ["b1", "a120"] * 3)
+    assert table.representative(g) is None
+    with pytest.raises(TableExhausted):
+        table.length(g)
+    with pytest.raises(TableExhausted):
+        table.geodesic(g)
+    assert table.representative(-1) is None
 
 
 def test_shift_into_preperiod():

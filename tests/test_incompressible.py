@@ -7,7 +7,7 @@ from treegrowth import build_atlas, catalog
 from treegrowth import incompressible as inc
 from treegrowth.engine import Engine
 
-from oracle import oracle_spheres, reference_filtration
+from oracle import oracle_spheres, reference_atlas, reference_filtration
 from test_engine import CYCLIC_FAMILIES
 
 FG_INCOMPRESSIBLE_COUNTS = [3, 18, 72, 216, 576, 1296, 2592]
@@ -18,7 +18,7 @@ def test_additive_on_generators(fg_atlas6, fg_report6):
     for nm in ("a120", "a201", "b1", "b2"):
         g = eng.gen_id(0, nm)
         assert fg_report6.in_Ik(0, g, 1)
-        assert g not in fg_report6.first_fail[0]
+        assert fg_report6.fail_depth(0, g) is None
 
 
 def test_witness_word_is_compressible(fg_atlas6, fg_report6):
@@ -30,28 +30,57 @@ def test_witness_word_is_compressible(fg_atlas6, fg_report6):
     child_sum = sum(table.length(x) for x in eng.children(0, g))
     assert child_sum == 2
     assert not fg_report6.in_Ik(0, g, 1)
-    assert fg_report6.first_fail[0][g] == 1
+    assert fg_report6.fail_depth(0, g) == 1
 
 
-def _assert_matches_reference(atlas):
+def _assert_matches_reference(spec, radius):
+    """Tables of representatives against the per-element reference
+    enumeration on the same engine: sphere sizes, the expansion's elements,
+    and per class the filtration counts, the stabilization depth and the
+    first-fail depth and depth-K membership of every orbit member."""
+    atlas = build_atlas(spec, radius)
+    atlas.engine.audit()
+    ref = reference_atlas(spec, radius, atlas.engine)
+    atlas.engine.audit()
+    for c, table in atlas.tables.items():
+        assert table.sphere_sizes() == ref.table(c).sphere_sizes()
+        ball = table.expand()
+        assert [sorted(s) for s in ball.spheres] == \
+            [sorted(s) for s in ref.table(c).spheres]
     for K in (1, 2, 6):
         report = inc.approximate_I_infty(atlas, K)
-        counts, first_fail, final, stab = reference_filtration(atlas, K)
+        counts, first_fail, final, stab = reference_filtration(ref, K)
         assert report.counts == counts
-        assert report.first_fail == first_fail
-        assert report.final == final
         assert report.stabilization_depth == stab
+        for c, table in ref.tables.items():
+            for g in table.lengths:
+                assert report.fail_depth(c, g) == first_fail[c].get(g)
+                assert report.in_Ik(c, g, K) == (g in final[c])
 
 
 @pytest.mark.parametrize("name", CYCLIC_FAMILIES)
 def test_filtration_matches_reference_on_cyclic_families(name):
     make_spec, radius = CYCLIC_FAMILIES[name]
-    _assert_matches_reference(build_atlas(make_spec(), radius))
+    _assert_matches_reference(make_spec(), radius)
 
 
-def test_filtration_matches_reference_on_catalog(fg_atlas6, grig_atlas8):
-    _assert_matches_reference(fg_atlas6)
-    _assert_matches_reference(grig_atlas8)
+# (family, radius) of the catalog, each class enumerated
+CATALOG = [
+    (catalog.fabrykowski_gupta(), 6),
+    (catalog.first_grigorchuk(), 8),
+    (catalog.sunic(3, 2, (0,)), 3),
+    (catalog.gupta_sidki(), 5),
+    (catalog.ggs(5, (1, 2, 0, 0)), 3),
+    (catalog.grigorchuk_p(2, (0,), (0, 1, 2)), 6),
+    (catalog.grigorchuk_p(3, (0,), (1, 2, 3)), 3),
+    (catalog.nekrashevych_D((), (0, 1)), 6),
+    (catalog.neumann6(), 1),
+]
+
+
+def test_filtration_matches_reference_on_catalog():
+    for spec, radius in CATALOG:
+        _assert_matches_reference(spec, radius)
 
 
 CYCLE3_POWERS = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
@@ -84,9 +113,9 @@ def test_filtration_matches_reference_on_generated_families(data):
     except catalog.CatalogError:
         assume(False)
     radius = 4 if data.degree == 3 else 6
-    atlas = build_atlas(spec, radius)
-    assert atlas.table(0).sphere_sizes() == oracle_spheres(spec, 8, radius)
-    _assert_matches_reference(atlas)
+    assert build_atlas(spec, radius, levels=1).table(0).sphere_sizes() == \
+        oracle_spheres(spec, 8, radius)
+    _assert_matches_reference(spec, radius)
 
 
 def test_report_counts_frozen(fg_report6):
@@ -109,7 +138,7 @@ def test_membership_and_first_fail(fg_atlas6, fg_report6):
     eng = fg_atlas6.engine
     g = eng.element_from_word(0, ["b1", "a120", "b1", "a201", "b1"])
     assert not fg_report6.in_Ik(0, g, 1)
-    assert fg_report6.first_fail[0][g] == 1
+    assert fg_report6.fail_depth(0, g) == 1
     b = eng.gen_id(0, "b1")
     assert fg_report6.in_Ik(0, b, 6)
 
@@ -143,18 +172,26 @@ def test_factorization_dp_histogram(fg_atlas6, fg_report6):
         hist[j] = hist.get(j, 0) + 1
     assert hist == {0: 1, 1: 4772, 2: 13296, 3: 2736}
     # factorizations are additive and their factors are incompressible
-    for g in table.spheres[5][:100]:
+    for g in table.expand().spheres[5][:100]:
         factors = inc.factors_of(back, g)
         assert len(factors) == N[g]
         assert sum(table.length(h) for h in factors) == 5
-        assert all(h in fg_report6.final[0] for h in factors)
+        assert all(fg_report6.in_Ik(0, h, 6) for h in factors)
 
 
 def _reference_dp(atlas, report, c, max_n):
-    """The factorization DP with one wreath product per (p, h) pair."""
+    """The factorization DP with one wreath product per (p, h) pair, over
+    the per-element reference enumeration of the ball."""
     eng = atlas.engine
     table = atlas.table(c)
-    by_len = inc.incompressible_by_length(atlas, report, c, max_n)
+    ref = reference_atlas(atlas.spec, table.max_radius, eng, [c]).table(c)
+    by_len = [[] for _ in range(max_n + 1)]
+    for h, n in ref.lengths.items():
+        if h != 0 and n <= max_n and \
+                table.representative(h) in report.final[c]:
+            by_len[n].append(h)
+    for bucket in by_len:
+        bucket.sort()
     N = {0: 0}
     back = {0: None}
     frontier = [0]
@@ -163,13 +200,13 @@ def _reference_dp(atlas, report, c, max_n):
         j += 1
         nxt = []
         for p in frontier:
-            lp = table.length(p)
+            lp = ref.length(p)
             for lh in range(0, max_n - lp + 1):
                 for h in by_len[lh]:
                     q = eng.mul(c, p, h, store=False)
                     if q in N:
                         continue
-                    lq = table.lengths.get(q)
+                    lq = ref.lengths.get(q)
                     if lq is not None and lq == lp + lh:
                         N[q] = j
                         back[q] = (p, h)
@@ -222,10 +259,11 @@ def test_factorization_dp_uses_only_edge_products(fg_atlas6, fg_report6,
                                                   monkeypatch):
     eng = fg_atlas6.engine
     table = fg_atlas6.table(0)
+    ball = table.expand()
     gens = fg_atlas6.spec.level(0).generators
     slots = sum(table.gamma(6 - gen.pseudolength) for gen in gens)
     # the table's radius is 6, so every parent link is an edge in a domain
-    links = sum(link is not None for link in table.parents.values())
+    links = sum(link is not None for link in ball.parents.values())
     calls = [0]
     mul = Engine.mul
 
@@ -244,7 +282,7 @@ def test_factorization_dp_uses_only_edge_products(fg_atlas6, fg_report6,
     for gen in gens:
         g = eng.gen_id(0, gen.name)
         inner = {u for n in range(7 - gen.pseudolength)
-                 for u in table.sphere(n)}
+                 for u in ball.sphere(n)}
         row = edges[gen.name]
         assert {u for u, v in enumerate(row) if v != -1} == inner
         for u in inner:
@@ -288,6 +326,8 @@ def test_ternary_parse_exponents(fg_atlas6):
 def test_two_run_law_on_incompressibles(fg_atlas6, fg_report6):
     spec = fg_atlas6.spec
     table = fg_atlas6.table(0)
+    # representatives cover every element: the geodesic of a1·g·a3 is
+    # a1·geodesic(g)·a3, which leaves the derivative unchanged
     for g in fg_report6.final[0]:
         if g == 0:
             continue

@@ -89,14 +89,17 @@ def test_save_load_roundtrip(tmp_path, fg_atlas6, fg_report6):
     got_header, rows = store.load_table(path)
     assert got_header == header
     assert got_header["group_hash"] == store.group_hash(FG_CONFIG)
-    # every row's radius and parent link match the table, every id once
-    assert sorted(r[0] for r in rows) == sorted(table.lengths)
+    # every row's radius and parent link match the table's expansion, every
+    # ball element once
+    ball = table.expand()
+    assert len(rows) == table.gamma(6)
+    assert sorted(r[0] for r in rows) == sorted(ball.lengths)
     for g, n, pid, name, _ in rows:
-        assert n == table.lengths[g]
-        assert (None if pid is None else (pid, name)) == table.parents[g]
+        assert n == ball.lengths[g] == table.length(g)
+        assert (None if pid is None else (pid, name)) == ball.parents[g]
     # flags preserved: bit k-1 set iff the element is in the depth-k set
     by_id = {r[0]: r for r in rows}
-    for g in table.spheres[3]:
+    for g in ball.spheres[3]:
         assert by_id[g][4] == store.flags_bitfield(fg_report6, 0, g)
     b = fg_atlas6.engine.gen_id(0, "b1")
     assert by_id[b][4] == 0b111111
@@ -279,7 +282,7 @@ def test_cli_spheres_budget_exit(tmp_path, fg_config_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "budget of 2000 exceeded" in err
-    assert "stopped at level class 0 expanding radius 5, 1670 elements" in err
+    assert "stopped at level class 0 expanding radius 6, 13200 elements" in err
     # the budget bounds ids plus cached products, session memo writes included
     ids, products = re.search(
         r"\((\d+) elements, (\d+) cached products\)", err).groups()
