@@ -252,7 +252,10 @@ class Engine:
         for members in blocks:
             assert len(members) == 1, \
                 f"bisimilar ids {sorted(where[q] for q in members)}"
-        for comp in _cycles(delta):
+        out = [[targets[q] for targets in delta] for q in range(n)]
+        for comp in _components(out):
+            if len(comp) == 1 and comp[0] not in out[comp[0]]:
+                continue    # on no cycle
             for q in comp:
                 c, i = where[q]
                 t = self.tables[c]
@@ -315,16 +318,15 @@ def _coarsest_bisimulation(labels, delta):
     return members
 
 
-def _cycles(delta):
-    """Strongly connected components of the graph q -> delta[x][q] that
-    contain a cycle: more than one state, or a self-loop (Tarjan 1972,
-    iterative)."""
-    n = len(delta[0]) if delta else 0
-    out = [[targets[q] for targets in delta] for q in range(n)]
+def _components(out):
+    """Strongly connected components of the graph q -> out[q] over states
+    0..len(out)-1, yielded sinks first (Tarjan 1972, iterative)."""
+    n = len(out)
     index = [None] * n
     low = [0] * n
     onstack = [False] * n
-    stack, comps, counter = [], [], 0
+    stack = []
+    counter = 0
     for root in range(n):
         if index[root] is not None:
             continue
@@ -355,12 +357,10 @@ def _cycles(delta):
                         comp.append(w)
                         if w == v:
                             break
-                    if len(comp) > 1 or v in out[v]:
-                        comps.append(comp)
+                    yield comp
                 if work:
                     u = work[-1][0]
                     low[u] = min(low[u], low[v])
-    return comps
 
 
 class _Session:
@@ -436,7 +436,11 @@ class _Session:
         while i < len(self.nodes):
             self._ensure(self.nodes[i])
             i += 1
-        for comp in self._tarjan():
+        # the reference graph over session nodes; ids are not followed
+        out = [[r.seq for r in n.children if isinstance(r, _Node)]
+               for n in self.nodes]
+        for seqs in _components(out):
+            comp = [self.nodes[q] for q in seqs]
             # children outside the component were settled by earlier ones
             for n in comp:
                 n.children = [r.id if isinstance(r, _Node) and r.id is not None
@@ -481,52 +485,6 @@ class _Session:
                           for x in range(d)]
 
     # -- cyclic dependency sets -------------------------------------------
-
-    def _tarjan(self):
-        """Strongly connected components of the reference graph over all
-        session nodes, yielded sinks first (Tarjan 1972)."""
-        size = len(self.nodes)
-        index = [None] * size
-        low = [0] * size
-        onstack = [False] * size
-        stack = []
-        counter = 0
-        for start in self.nodes:
-            if index[start.seq] is not None:
-                continue
-            index[start.seq] = low[start.seq] = counter
-            counter += 1
-            stack.append(start)
-            onstack[start.seq] = True
-            work = [(start, iter(start.children))]
-            while work:
-                v, it = work[-1]
-                for w in it:
-                    if not isinstance(w, _Node):
-                        continue
-                    if index[w.seq] is None:
-                        index[w.seq] = low[w.seq] = counter
-                        counter += 1
-                        stack.append(w)
-                        onstack[w.seq] = True
-                        work.append((w, iter(w.children)))
-                        break
-                    if onstack[w.seq]:
-                        low[v.seq] = min(low[v.seq], index[w.seq])
-                else:
-                    work.pop()
-                    if low[v.seq] == index[v.seq]:
-                        comp = []
-                        while True:
-                            w = stack.pop()
-                            onstack[w.seq] = False
-                            comp.append(w)
-                            if w is v:
-                                break
-                        yield comp
-                    if work:
-                        u = work[-1][0]
-                        low[u.seq] = min(low[u.seq], low[v.seq])
 
     def _settle_component(self, comp):
         eng = self.eng

@@ -85,9 +85,6 @@ class ZeroGroup:
         (root, children, pairs, i1, i3), where A[i1]·g·A[i3] has the least
         key and `pairs` of the |A|² pairs reach it."""
         least, cands = self._plan(root)
-        if len(cands) == 1:
-            get, i1, i3 = cands[0]
-            return least, get(children), 1, i1, i3
         best = None
         for get, j1, j3 in cands:
             ch = get(children)
@@ -143,13 +140,6 @@ class Ball:
             raise TableExhausted(f"radius {n} > expanded {self.max_radius}")
         return self.spheres[n]
 
-    def length(self, g):
-        try:
-            return self.lengths[g]
-        except KeyError:
-            raise TableExhausted(
-                f"element not within expanded radius {self.max_radius}")
-
 
 @dataclass
 class SphereTable:
@@ -193,24 +183,20 @@ class SphereTable:
         sections, and they are few."""
         if g in self.lengths:
             return g, 0, 0
-        found = self._located.get(g, False)
-        if found is False:
-            found = self._located[g] = self._find(g)
-        return found
-
-    def _find(self, g):
-        zero = self.zero
+        if g in self._located:
+            return self._located[g]
+        zero, found = self.zero, None
         t = zero.eng.tables[self.cls]
-        if not (isinstance(g, int) and 0 <= g < len(t.roots)):
-            return None
-        if zero.rooted:
-            root, ch, _, i1, i3 = zero.canon(t.roots[g], t.children[g])
-            rep = t.intern.get((root, ch))
-        else:
-            rep, _, i1, i3 = zero.canon_id(g)
-        if rep not in self.lengths:
-            return None
-        return rep, zero.inverse[i1], zero.inverse[i3]
+        if isinstance(g, int) and 0 <= g < len(t.roots):
+            if zero.rooted:
+                root, ch, _, i1, i3 = zero.canon(t.roots[g], t.children[g])
+                rep = t.intern.get((root, ch))
+            else:
+                rep, _, i1, i3 = zero.canon_id(g)
+            if rep in self.lengths:
+                found = rep, zero.inverse[i1], zero.inverse[i3]
+        self._located[g] = found
+        return found
 
     def representative(self, g):
         """Representative of the ball id g, None outside the ball."""
