@@ -12,6 +12,7 @@ found as, which gives one geodesic word for every ball element.
 """
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from math import factorial
 from operator import itemgetter
 
@@ -97,17 +98,10 @@ class ZeroGroup:
     def canon_id(self, g):
         """(least id, pairs, i1, i3) over the orbit of the id g, interning
         every member: the canonical form when A is not rooted."""
-        mul, c = self.eng.mul, self.c
-        best = None
-        for i1, a1 in enumerate(self.ids):
-            left = mul(c, a1, g, store=False)
-            for i3, a3 in enumerate(self.ids):
-                w = mul(c, left, a3, store=False)
-                if best is None or w < best:
-                    best, pairs, j1, j3 = w, 1, i1, i3
-                elif w == best:
-                    pairs += 1
-        return best, pairs, j1, j3
+        orbit = [(self.act(i1, g, i3), i1, i3)
+                 for i1 in range(self.size) for i3 in range(self.size)]
+        best, i1, i3 = min(orbit)
+        return best, sum(w == best for w, _, _ in orbit), i1, i3
 
     def act(self, i1, g, i3):
         """Interned id of A[i1]·g·A[i3]."""
@@ -170,11 +164,7 @@ class SphereTable:
 
     def gamma(self, n=None):
         """Cumulative ball sizes; gamma(n) = |Ball(n)|."""
-        out = []
-        acc = 0
-        for s in self.sizes:
-            acc += s
-            out.append(acc)
+        out = list(accumulate(self.sizes))
         return out if n is None else out[n]
 
     def locate(self, g):
