@@ -56,8 +56,9 @@ def grig_atlas8(grig_spec):
     return audited(build_atlas(grig_spec, 8))
 
 
-# The deep table drives the whole-ball checks; building it once takes about
-# a minute and a bit over 1 GB, so it is shared across the session.
+# The deep table drives the whole-ball checks; building and auditing it
+# takes about five seconds, most of them the audit, so it is shared across
+# the session.
 @pytest.fixture(scope="session")
 def fg_atlas10(fg_spec):
     return audited(build_atlas(fg_spec, 10))
