@@ -41,12 +41,12 @@ def _assert_matches_reference(spec, radius):
     atlas = build_atlas(spec, radius)
     atlas.engine.audit()
     ref = reference_atlas(spec, radius, atlas.engine)
-    atlas.engine.audit()
     for c, table in atlas.tables.items():
         assert table.sphere_sizes() == ref.table(c).sphere_sizes()
         ball = table.expand()
         assert [sorted(s) for s in ball.spheres] == \
             [sorted(s) for s in ref.table(c).spheres]
+    atlas.engine.audit()
     for K in (1, 2, 6):
         report = inc.approximate_I_infty(atlas, K)
         counts, first_fail, final, stab = reference_filtration(ref, K)
