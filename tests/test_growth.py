@@ -35,6 +35,7 @@ def test_same_group_three_ways():
 def test_families_with_preperiod_match_oracle(spec, radius):
     assert spec.preperiod
     atlas = build_atlas(spec, radius)
+    atlas.engine.audit()
     for c in spec.classes():
         assert atlas.table(c).sphere_sizes() == \
             oracle_spheres(spec, 8, radius, cls=c), c

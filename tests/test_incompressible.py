@@ -245,6 +245,7 @@ def test_factorization_dp_matches_reference(make, radius, max_n, classes,
                                             edit):
     # fresh atlases: the reference interns products outside the ball
     atlas = build_atlas(make(), radius)
+    atlas.engine.audit()
     report = inc.approximate_I_infty(atlas, 6)
     if edit is not None:
         report = edit(atlas, report)
