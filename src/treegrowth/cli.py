@@ -211,6 +211,11 @@ def _check_flags(args):
         raise ValueError(f"depth K must be at least 1, got {args.k_depth}")
     if "epsilon" in args and not 0 < args.epsilon < 0.5:
         raise ValueError("epsilon must lie strictly between 0 and 1/2")
+    # the criterion reports the depth-K membership of every generator, and
+    # the unit-length ones lie on sphere 1
+    if args.command == "criterion" and args.max_radius < 1:
+        raise ValueError(f"criterion needs max radius at least 1, got "
+                         f"{args.max_radius}")
 
 
 def main(argv=None):

@@ -61,20 +61,19 @@ def check_small_factor_lower_bound(atlas, report, c, back, big, n, epsilon):
     """|S(g)| > (epsilon/8) n for every g in the big part, when n > 3/epsilon.
 
     Returns the verdict (None below the threshold, where nothing is
-    asserted) and the elements of the big part whose factorization pairs two
-    factors into a product still in the depth-K set, which contradicts the
-    minimality of that factorization."""
+    asserted) and every element of the big part whose factorization pairs
+    two factors into a product still in the depth-K set, which contradicts
+    the minimality of that factorization."""
     if n <= 3 / epsilon:
         return None, []
-    not_minimal = []
+    ok, not_minimal = True, []
     for g in big:
         factors = inc.factors_of(back, g)
         data = pair_factors(atlas, report, c, factors, epsilon)
         if data.pairs_in_I:
             not_minimal.append(g)
-        if not len(data.small) > (epsilon / 8) * n:
-            return False, not_minimal
-    return True, not_minimal
+        ok = ok and len(data.small) > (epsilon / 8) * n
+    return ok, not_minimal
 
 
 def sections_at_depth(atlas, c, g, depth):
@@ -127,12 +126,13 @@ class CriterionReport:
 def run_criterion(atlas, report, c, n_max, epsilon):
     """Full harness for one level class: partition, counting bound, and
     level reduction, for every radius up to n_max, on every element of the
-    table's expansion."""
+    table's expansion.  The expansion is read after the factorization DP,
+    which builds it."""
     if not 0 < epsilon < 0.5:
         raise ValueError("epsilon must lie strictly between 0 and 1/2")
-    ball = atlas.table(c).expand(n_max)
     lf = inc.level_function(atlas, report, c, 6 / epsilon)
     N, back = inc.factorization_dp(atlas, report, c, n_max)
+    ball = atlas.table(c).expand(n_max)
     out = CriterionReport(epsilon, list(range(1, n_max + 1)),
                           lf.value, lf.exact and not lf.lower_bound_only)
     for n in out.n_range:

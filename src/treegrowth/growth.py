@@ -117,13 +117,15 @@ class ZeroGroup:
 
 @dataclass
 class Ball:
-    """Every element of a table up to a radius, each sphere listed orbit by
-    orbit in the table's representative order.  `parents[x]` is (y, name)
-    with y·name = x and |y| + |name| = |x|, None for the identity; the
-    links have no cycle, so they give one geodesic per element."""
+    """Every element of a table up to a radius, each sphere in breadth-first
+    order.  `parents[x]` is (y, name) with y·name = x and |y| + |name| = |x|,
+    None for the identity; the links have no cycle, so they give one
+    geodesic per element.  `edges[name]` is a list whose slot u holds u·name
+    for each element u with |u| + |name| <= the radius, and -1 elsewhere."""
     spheres: list
     lengths: dict
     parents: dict
+    edges: dict
 
     @property
     def max_radius(self):
@@ -193,21 +195,21 @@ class SphereTable:
         found = self.locate(g)
         return None if found is None else found[0]
 
-    def length(self, g):
+    def find(self, g):
+        """locate(g), with TableExhausted for an id outside the ball."""
         found = self.locate(g)
         if found is None:
             raise TableExhausted(
                 f"element not within enumerated radius {self.max_radius}")
-        return self.lengths[found[0]]
+        return found
+
+    def length(self, g):
+        return self.lengths[self.find(g)[0]]
 
     def geodesic(self, g):
         """Generator-name word for the ball id g: rep = A[i1]·h·A[ia]·s·A[i3]
         unrolls to A[i1]·geodesic(h)·A[ia]·s·A[i3], down to the identity."""
-        found = self.locate(g)
-        if found is None:
-            raise TableExhausted(
-                f"element not within enumerated radius {self.max_radius}")
-        rep, j1, j3 = found
+        rep, j1, j3 = self.find(g)
         word = self.zero.word
         left, right = word(j1), []
         while rep != 0:
@@ -218,59 +220,55 @@ class SphereTable:
             left += part
         return left + word(j3)
 
-    def members(self, n):
-        """(representative, every member of its orbit) for each orbit of
-        the radius-n sphere, from the expansion."""
-        ball, start = self.expand(n), 0
-        for rep, size in zip(self.spheres[n], self.orbits[n]):
-            yield rep, ball.spheres[n][start:start + size]
-            start += size
+    def orbit(self, rep):
+        """Every member A[i1]·rep·A[i3] of a representative's orbit, repeats
+        removed, in (i1, i3) order."""
+        act, size = self.zero.act, self.zero.size
+        return list(dict.fromkeys(act(i1, rep, i3) for i1 in range(size)
+                                  for i3 in range(size)))
 
     def expand(self, radius=None):
-        """Ball of every element up to `radius` (default the table's),
-        interning each orbit member's key; kept and extended on demand.
-
-        The members of the orbit of rep = A[i1]·h·A[ia]·s·A[i3] are the
-        A[j]·x0·A[k] with x0 = rep·A[i3]^-1 = y0·s and y0 = A[i1]·h·A[ia]
-        one radius lower.  A member first met at (j, 0) links to
-        (A[j]·y0, s); one met at (j, k) with A[k] = A[k']·z links to the
-        member at (j, k'), met earlier."""
+        """Ball of every element up to `radius` (default the table's), by
+        one breadth-first pass: the radius-(n-1) elements times the
+        unit-length generators, the new products closed under the
+        zero-length ones.  Every product the pass makes is an edge, and the
+        first product to reach an element is its parent link.  The ball is
+        kept once complete; a larger radius builds it again."""
         R = self.max_radius if radius is None else min(radius,
                                                        self.max_radius)
-        ball, zero = self._ball, self.zero
-        if ball is None:
-            links = zero.links
-            ball = self._ball = Ball(
-                [list(zero.ids)], dict.fromkeys(zero.ids, 0),
-                {a: None if link is None else (zero.ids[link[0]], link[1])
-                 for a, link in zip(zero.ids, links)})
-        act, inverse, lengths, parents = (zero.act, zero.inverse,
-                                          ball.lengths, ball.parents)
-        try:
-            for n in range(ball.max_radius + 1, R + 1):
-                sphere = []
-                for rep in self.spheres[n]:
-                    h, i1, ia, name, i3 = self.links[rep]
-                    y0 = act(i1, h, ia)
-                    x0 = act(0, rep, inverse[i3])
-                    for j in range(zero.size):
-                        row = []
-                        for k, link in enumerate(zero.links):
-                            x = act(j, x0, k)
-                            row.append(x)
-                            if x in lengths:
-                                continue
-                            lengths[x] = n
-                            parents[x] = ((act(j, y0, 0), name)
-                                          if link is None
-                                          else (row[link[0]], link[1]))
-                            sphere.append(x)
-                ball.spheres.append(sphere)
-        except BudgetExceeded:
-            # a partial sphere would hide its members from a retry
-            self._ball = None
-            raise
-        return ball
+        if self._ball is not None and self._ball.max_radius >= R:
+            return self._ball
+        eng, c = self.zero.eng, self.cls
+        mul, level = eng.mul, eng.spec.level(c)
+        edges = {g.name: [] for g in level.generators}
+        lengths, parents = {0: 0}, {0: None}
+
+        def extend(sphere, sources, gens, n):
+            # with the sphere as its own sources the loop reaches the
+            # appended elements too
+            for u in sources:
+                for name, s, row in gens:
+                    if u >= len(row):
+                        row += [-1] * (max(sources) + 1 - len(row))
+                    w = row[u] = mul(c, u, s, store=False)
+                    if w not in lengths:
+                        lengths[w] = n
+                        parents[w] = (u, name)
+                        sphere.append(w)
+
+        unit = [(g.name, eng.gen_id(c, g.name), edges[g.name])
+                for g in level.unit_generators]
+        zero = [(g.name, eng.gen_id(c, g.name), edges[g.name])
+                for g in level.zero_generators]
+        spheres = [[0]]
+        extend(spheres[0], spheres[0], zero, 0)
+        for n in range(1, R + 1):
+            sphere = []
+            extend(sphere, spheres[n - 1], unit, n)
+            extend(sphere, sphere, zero, n)
+            spheres.append(sphere)
+        self._ball = Ball(spheres, lengths, parents, edges)
+        return self._ball
 
 
 class Atlas:

@@ -33,9 +33,10 @@ class IncompressibilityReport:
         return self.stabilization_depth is not None
 
     def fail_depth(self, c, g):
-        """first_fail of any id, read through its representative; None when
-        the id is in every depth-k set computed or outside the ball."""
-        return self.first_fail[c].get(self.tables[c].representative(g))
+        """first_fail of a ball id, read through its representative; None
+        when the id is in every depth-k set computed.  TableExhausted for
+        an id outside the table's ball, whose depth is unknown."""
+        return self.first_fail[c].get(self.tables[c].find(g)[0])
 
     def in_Ik(self, c, g, k):
         if k > self.K and not self.exact:
@@ -152,45 +153,15 @@ def level_function(atlas, report, c, r):
 
 def incompressible_by_length(atlas, report, c, max_len):
     """Nonidentity depth-K elements grouped by pseudolength: every member of
-    each depth-K orbit, from the table's expansion."""
-    table = atlas.table(c)
+    the orbit of each depth-K representative.  The ball is expanded first,
+    so that orbit members keep the ids of the expansion."""
+    table, final = atlas.table(c), report.final[c]
+    table.expand(max_len)
     out = [[] for _ in range(max_len + 1)]
-    for n in range(min(max_len, table.max_radius) + 1):
-        for g, orbit in table.members(n):
-            if g in report.final[c]:
-                out[n] += orbit
-        out[n] = sorted(x for x in out[n] if x != 0)
+    for n, sphere in enumerate(table.spheres[:max_len + 1]):
+        out[n] = sorted(x for g in sphere if g in final
+                        for x in table.orbit(g) if x != 0)
     return out
-
-
-def right_edges(atlas, c, radius):
-    """Per generator name, a list whose slot u holds u*gen for each ball
-    element u with |u| + |gen| <= radius, and -1 elsewhere.
-
-    Each parent link (u, gen) of an element w of the expanded radius-ball
-    is the edge u*gen = w; the engine makes only the products no link
-    records.
-    """
-    eng = atlas.engine
-    ball = atlas.table(c).expand(radius)
-    gens = atlas.spec.level(c).generators
-    balls, edges = {}, {}
-    for gen in gens:
-        inner = ball.spheres[:radius - gen.pseudolength + 1]
-        balls[gen.name] = [u for sphere in inner for u in sphere]
-        edges[gen.name] = [-1] * (1 + max(balls[gen.name], default=-1))
-    for sphere in ball.spheres[:radius + 1]:
-        for w in sphere:
-            if w != 0:
-                u, name = ball.parents[w]
-                edges[name][u] = w
-    for gen in gens:
-        g = eng.gen_id(c, gen.name)
-        row = edges[gen.name]
-        for u in balls[gen.name]:
-            if row[u] == -1:
-                row[u] = eng.mul(c, u, g, store=False)
-    return edges
 
 
 def factorization_dp(atlas, report, c, max_n):
@@ -201,22 +172,23 @@ def factorization_dp(atlas, report, c, max_n):
     additive factorization has additive prefixes, so extending shorter
     factorizations by single factors reaches each element at its true count.
     Only p*h with |p| + |h| <= R = min(max_n, table radius) can be additive
-    in the ball, which the table expands element by element.
+    in the ball.  The table's expansion of that ball, built here when no
+    caller has built it, makes every engine product the DP reads: the DP
+    itself makes none.
 
-    The products p*h come from right_edges over a prefix tree: its nodes are
-    the depth-K elements of length at most R and their parent-link
-    ancestors, ordered by (length, number of letters) so that every node
-    follows its parent.  For each p the tree is walked once, node x = u*gen
-    giving p*x = (p*u)*gen, over the nodes with |x| <= R - |p|; then
-    |p*u| <= |p| + |u| = |p| + |x| - |gen| <= R - |gen|, so every step
-    stays inside gen's edge list.
+    The products p*h come from the ball's edges over a prefix tree: its
+    nodes are the depth-K elements of length at most R and their
+    parent-link ancestors, ordered by (length, number of letters) so that
+    every node follows its parent.  For each p the tree is walked once,
+    node x = u*gen giving p*x = (p*u)*gen, over the nodes with
+    |x| <= R - |p|; then |p*u| <= |p| + |u| = |p| + |x| - |gen| <= R - |gen|,
+    so every step stays inside gen's edge list.
     """
     table = atlas.table(c)
     R = min(max_n, table.max_radius)
     ball = table.expand(R)
-    lengths, parents = ball.lengths, ball.parents
+    lengths, parents, edges = ball.lengths, ball.parents, ball.edges
     by_len = incompressible_by_length(atlas, report, c, R)
-    edges = right_edges(atlas, c, R)
 
     letters = {0: 0}
     for bucket in by_len:

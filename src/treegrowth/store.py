@@ -160,8 +160,8 @@ def flags_bitfield(report, c, g):
 
 
 def save_table(path, config, table, report=None):
-    """Write every element of the table, orbit by orbit: its id in the
-    table's expansion, radius, parent link and the flags of its orbit."""
+    """Write every element of the table, orbit by orbit: its id, radius,
+    parent link in the table's expansion and the flags of its orbit."""
     header = {
         "format_version": FORMAT_VERSION,
         "group_hash": group_hash(config),
@@ -174,10 +174,10 @@ def save_table(path, config, table, report=None):
         fh.write("#" + json.dumps(header, sort_keys=True) + "\n")
         w = csv.writer(fh)
         w.writerow(TABLE_COLUMNS)
-        for n in range(table.max_radius + 1):
-            for rep, orbit in table.members(n):
+        for n, sphere in enumerate(table.spheres):
+            for rep in sphere:
                 flags = flags_bitfield(report, table.cls, rep) if report else 0
-                for g in orbit:
+                for g in table.orbit(rep):
                     pid, name = parents[g] or ("", "")
                     w.writerow([g, n, pid, name, flags])
     return header

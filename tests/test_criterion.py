@@ -53,6 +53,10 @@ def test_small_factor_bound_reports_non_minimal_pair(fg_atlas6, fg_report6):
     back = {0: None, b1: (0, b1), g: (b1, b1)}
     assert cr.check_small_factor_lower_bound(
         fg_atlas6, fg_report6, 0, back, [g], 7, 0.45) == (True, [g])
+    # at n = 1000 both fail the bound, and the scan goes on past b1 to
+    # report g
+    assert cr.check_small_factor_lower_bound(
+        fg_atlas6, fg_report6, 0, back, [b1, g], 1000, 0.45) == (False, [g])
 
 
 def test_sections_at_depth(fg_atlas6):

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 from treegrowth import build_atlas, catalog
 from treegrowth import incompressible as inc
 from treegrowth.engine import Engine
+from treegrowth.growth import TableExhausted
 
 from oracle import oracle_spheres, reference_atlas, reference_filtration
 from test_engine import CYCLIC_FAMILIES
@@ -37,7 +38,11 @@ def _assert_matches_reference(spec, radius):
     """Tables of representatives against the per-element reference
     enumeration on the same engine: sphere sizes, the expansion's elements,
     and per class the filtration counts, the stabilization depth and the
-    first-fail depth and depth-K membership of every orbit member."""
+    first-fail depth and depth-K membership of every orbit member.
+
+    The expansion runs the reference's loop, so each of its spheres is also
+    checked against the orbits of the representatives, acted on by A×A
+    independently of the pass, and each orbit against its recorded size."""
     atlas = build_atlas(spec, radius)
     atlas.engine.audit()
     ref = reference_atlas(spec, radius, atlas.engine)
@@ -46,6 +51,12 @@ def _assert_matches_reference(spec, radius):
         ball = table.expand()
         assert [sorted(s) for s in ball.spheres] == \
             [sorted(s) for s in ref.table(c).spheres]
+        for n, (sphere, orbit) in enumerate(zip(table.spheres,
+                                                table.orbits)):
+            orbits = [table.orbit(rep) for rep in sphere]
+            assert [len(members) for members in orbits] == orbit
+            assert set(ball.spheres[n]) == \
+                {x for members in orbits for x in members}
     atlas.engine.audit()
     for K in (1, 2, 6):
         report = inc.approximate_I_infty(atlas, K)
@@ -141,6 +152,17 @@ def test_membership_and_first_fail(fg_atlas6, fg_report6):
     assert fg_report6.fail_depth(0, g) == 1
     b = eng.gen_id(0, "b1")
     assert fg_report6.in_Ik(0, b, 6)
+
+
+def test_membership_outside_the_ball_is_unknown():
+    atlas = build_atlas(catalog.fabrykowski_gupta(), 0)
+    report = inc.approximate_I_infty(atlas, 6)
+    b = atlas.engine.gen_id(0, "b1")
+    with pytest.raises(TableExhausted):
+        report.fail_depth(0, b)
+    with pytest.raises(TableExhausted):
+        report.in_Ik(0, b, 6)
+    assert report.in_Ik(0, atlas.engine.gen_id(0, "a120"), 6)
 
 
 def test_level_function(fg_atlas6, fg_report6):
@@ -256,15 +278,15 @@ def test_factorization_dp_matches_reference(make, radius, max_n, classes,
         assert list(back.items()) == list(ref_back.items())
 
 
-def test_factorization_dp_uses_only_edge_products(fg_atlas6, fg_report6,
-                                                  monkeypatch):
-    eng = fg_atlas6.engine
-    table = fg_atlas6.table(0)
-    ball = table.expand()
-    gens = fg_atlas6.spec.level(0).generators
+def test_factorization_dp_uses_only_edge_products(monkeypatch):
+    # a fresh atlas, so that the expansion runs here: it multiplies every
+    # element of ball(6 - |gen|) by each generator once and records the
+    # product as an edge, and the DP reads edges only
+    atlas = build_atlas(catalog.fabrykowski_gupta(), 6)
+    report = inc.approximate_I_infty(atlas, 6)
+    eng, table = atlas.engine, atlas.table(0)
+    gens = atlas.spec.level(0).generators
     slots = sum(table.gamma(6 - gen.pseudolength) for gen in gens)
-    # the table's radius is 6, so every parent link is an edge in a domain
-    links = sum(link is not None for link in ball.parents.values())
     calls = [0]
     mul = Engine.mul
 
@@ -273,18 +295,18 @@ def test_factorization_dp_uses_only_edge_products(fg_atlas6, fg_report6,
         return mul(self, *args, **kwargs)
 
     monkeypatch.setattr(Engine, "mul", counting_mul)
-    inc.factorization_dp(fg_atlas6, fg_report6, 0, 6)
+    ball = table.expand()
+    assert calls[0] == slots
+    inc.factorization_dp(atlas, report, 0, 6)
+    assert calls[0] == slots
     monkeypatch.undo()
-    assert 0 < calls[0] <= slots
-    assert calls[0] == slots - links
 
-    edges = inc.right_edges(fg_atlas6, 0, 6)
-    assert sorted(edges) == sorted(gen.name for gen in gens)
+    assert sorted(ball.edges) == sorted(gen.name for gen in gens)
     for gen in gens:
         g = eng.gen_id(0, gen.name)
         inner = {u for n in range(7 - gen.pseudolength)
                  for u in ball.sphere(n)}
-        row = edges[gen.name]
+        row = ball.edges[gen.name]
         assert {u for u, v in enumerate(row) if v != -1} == inner
         for u in inner:
             assert row[u] == eng.mul(0, u, g, store=False)

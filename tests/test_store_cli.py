@@ -328,6 +328,21 @@ def test_cli_criterion_epsilon_rejected(fg_config_path):
                  "--epsilon", "0.6"]) == 1
 
 
+def test_cli_criterion_rejects_radius_without_generators(
+        tmp_path, fg_config_path, capsys, monkeypatch):
+    # at radius 0 the ball is A alone, and the unit generators whose
+    # membership the criterion reports are not in it
+    def enumerate_nothing(*args, **kwargs):
+        raise AssertionError("tables enumerated before the flags were checked")
+    monkeypatch.setattr(growth, "build_atlas", enumerate_nothing)
+    out = tmp_path / "crit.json"
+    assert main(["criterion", "--config", fg_config_path,
+                 "--max-radius", "0", "--out", str(out)]) == 1
+    assert "criterion needs max radius at least 1, got 0" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_report(tmp_path, fg_config_path):
     out = tmp_path / "rep.json"
     assert main(["report", "--config", fg_config_path,
