@@ -99,6 +99,23 @@ def test_run_criterion_fg(fg_atlas6, fg_report6):
         assert res.level_reduction_ok[n] is not False
 
 
+# FG partition sizes (big, small) at epsilon = 0.45, n = 1..8: the golden
+# criterion file stops at r6, where every n <= 3/epsilon asserts nothing
+FG_PARTITION_R8 = {1: (18, 0), 2: (72, 0), 3: (72, 216), 4: (576, 576),
+                   5: (288, 4008), 6: (2448, 12528), 7: (1152, 50832),
+                   8: (7632, 167736)}
+
+
+def test_run_criterion_fg_asserted(fg_atlas10, fg_report10):
+    res = cr.run_criterion(fg_atlas10, fg_report10, 0, 8, 0.45)
+    assert res.partition_sizes == FG_PARTITION_R8
+    # n = 7 and 8 exceed 3/epsilon, so the small-factor bound is asserted
+    assert res.small_factor_ok[7] is True
+    assert res.small_factor_ok[8] is True
+    assert res.level_used == 2
+    assert res.failures == []
+
+
 def test_run_criterion_epsilon_range(fg_atlas6, fg_report6):
     for eps in (0.0, 0.5, 0.7, -0.1):
         with pytest.raises(ValueError):

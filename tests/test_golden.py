@@ -22,7 +22,8 @@ from treegrowth.incompressible import approximate_I_infty
 GOLDEN = Path(__file__).resolve().parent / "golden"
 UPDATE = os.environ.get("GOLDEN_UPDATE") == "1"
 
-# (group, command, radius); FG criterion beyond r6 is pinned by perfbench
+# (group, command, radius); the FG criterion at r8, where the bounds are
+# asserted, is pinned by tests/test_criterion.py and by perfbench at r7
 CLI_CASES = [
     (group, command, radius)
     for group, radius in (("fg", 6), ("grigorchuk", 8), ("sunic320", 3))
