@@ -21,8 +21,10 @@ class PairData:
 
 
 def partition(table, N, n, epsilon):
-    """Split the radius-n sphere by the factorization-count threshold; an
-    element absent from N (no additive factorization) is in neither part."""
+    """Split the radius-n representatives by the factorization-count
+    threshold; one absent from N (no additive factorization) is in neither
+    part.  N is constant on the orbit of each (n >= 1 puts it outside A),
+    so each part is a union of orbits."""
     big, small = [], []
     for g in table.sphere(n):
         j = N.get(g)
@@ -125,20 +127,31 @@ class CriterionReport:
 
 def run_criterion(atlas, report, c, n_max, epsilon):
     """Full harness for one level class: partition, counting bound, and
-    level reduction, for every radius up to n_max, on every element of the
-    table's expansion.  The expansion is read after the factorization DP,
-    which builds it."""
+    level reduction, for every radius up to n_max, on one representative
+    per A×A double coset, each count weighted by its orbit size.
+
+    One factorization per double coset asserts what one per element would.
+    If g = h1·h2⋯hm is a minimal additive factorization, then so is
+    (a1·h1)·h2⋯(hm·a3) of a1·g·a3: its factors lie in the depth-K set,
+    which is a union of double cosets, and it is no longer than the
+    minimum, which is the same on the orbit.  Its pairs are a1·(h1·h2),
+    ..., (h_{m-1}·hm)·a3, with the same lengths and depth-K membership as
+    g's, so the small-factor and not-minimal checks read the same.
+    Section sums at a fixed level are the same on the orbit too, because
+    zero-length generators have zero-length sections."""
     if not 0 < epsilon < 0.5:
         raise ValueError("epsilon must lie strictly between 0 and 1/2")
     lf = inc.level_function(atlas, report, c, 6 / epsilon)
     N, back = inc.factorization_dp(atlas, report, c, n_max)
-    ball = atlas.table(c).expand(n_max)
+    table = atlas.table(c)
     out = CriterionReport(epsilon, list(range(1, n_max + 1)),
                           lf.value, lf.exact and not lf.lower_bound_only)
     for n in out.n_range:
-        big, small = partition(ball, N, n, epsilon)
-        out.partition_sizes[n] = (len(big), len(small))
-        unreached = len(ball.sphere(n)) - len(big) - len(small)
+        big, small = partition(table, N, n, epsilon)
+        size = dict(zip(table.sphere(n), table.orbits[n]))
+        out.partition_sizes[n] = (sum(map(size.get, big)),
+                                  sum(map(size.get, small)))
+        unreached = table.sizes[n] - sum(out.partition_sizes[n])
         if unreached:
             out.failures.append(
                 f"no additive factorization into depth-{report.K} elements "
@@ -150,7 +163,8 @@ def run_criterion(atlas, report, c, n_max, epsilon):
             out.failures.append(f"small-factor bound fails at n={n}")
         if not_minimal:
             out.failures.append(
-                f"factorization not minimal at n={n}: {len(not_minimal)} "
+                f"factorization not minimal at n={n}: "
+                f"{sum(map(size.get, not_minimal))} "
                 f"elements pair two factors into the depth-{report.K} set")
         lr = check_level_reduction(atlas, big, c, n, epsilon, lf.value)
         out.level_reduction_ok[n] = lr

@@ -95,6 +95,32 @@ class ZeroGroup:
                 pairs += 1
         return least, best, pairs, i1, i3
 
+    def lookup(self, root, children):
+        """(id, i1, i3) with id the canonical form A[i1]·g·A[i3] of the
+        element g with this key, None when not interned.  For rooted A
+        nothing is interned; otherwise the orbit of an interned g is."""
+        if self.rooted:
+            root, key, _, i1, i3 = self.canon(root, children)
+            return self.eng.tables[self.c].intern.get((root, key)), i1, i3
+        g = self.eng.tables[self.c].intern.get((root, tuple(children)))
+        if g is None:
+            return None, 0, 0
+        best, _, i1, i3 = self.canon_id(g)
+        return best, i1, i3
+
+    def steps(self, factors):
+        """(ia, label, a·f, getter of its root, its children) for each a =
+        A[ia] and each (label, f) in factors: what multiplying by a·f in one
+        wreath step reads."""
+        eng, c = self.eng, self.c
+        t, out = eng.tables[c], []
+        for ia, a in enumerate(self.ids):
+            for label, f in factors:
+                h = eng.mul(c, a, f, store=False)
+                out.append((ia, label, h, itemgetter(*t.roots[h]),
+                            t.children[h]))
+        return out
+
     def canon_id(self, g):
         """(least id, pairs, i1, i3) over the orbit of the id g, interning
         every member: the canonical form when A is not rooted."""
@@ -117,24 +143,13 @@ class ZeroGroup:
 
 @dataclass
 class Ball:
-    """Every element of a table up to a radius, each sphere in breadth-first
-    order.  `parents[x]` is (y, name) with y·name = x and |y| + |name| = |x|,
-    None for the identity; the links have no cycle, so they give one
-    geodesic per element.  `edges[name]` is a list whose slot u holds u·name
-    for each element u with |u| + |name| <= the radius, and -1 elsewhere."""
+    """Every element of a table, each sphere in breadth-first order.
+    `parents[x]` is (y, name) with y·name = x and |y| + |name| = |x|, None
+    for the identity; the links have no cycle, so they give one geodesic
+    per element."""
     spheres: list
     lengths: dict
     parents: dict
-    edges: dict
-
-    @property
-    def max_radius(self):
-        return len(self.spheres) - 1
-
-    def sphere(self, n):
-        if n > self.max_radius:
-            raise TableExhausted(f"radius {n} > expanded {self.max_radius}")
-        return self.spheres[n]
 
 
 @dataclass
@@ -146,7 +161,6 @@ class SphereTable:
     links: dict                    # representative -> (g, i1, ia, name, i3)
     zero: ZeroGroup                # with rep = A[i1]·g·A[ia]·name·A[i3]
     _located: dict = field(default_factory=dict, repr=False)
-    _ball: Ball = field(default=None, repr=False)
 
     def __post_init__(self):
         self.sizes = [sum(orbit) for orbit in self.orbits]
@@ -180,11 +194,7 @@ class SphereTable:
         zero, found = self.zero, None
         t = zero.eng.tables[self.cls]
         if isinstance(g, int) and 0 <= g < len(t.roots):
-            if zero.rooted:
-                root, ch, _, i1, i3 = zero.canon(t.roots[g], t.children[g])
-                rep = t.intern.get((root, ch))
-            else:
-                rep, _, i1, i3 = zero.canon_id(g)
+            rep, i1, i3 = zero.lookup(t.roots[g], t.children[g])
             if rep in self.lengths:
                 found = rep, zero.inverse[i1], zero.inverse[i3]
         self._located[g] = found
@@ -227,48 +237,36 @@ class SphereTable:
         return list(dict.fromkeys(act(i1, rep, i3) for i1 in range(size)
                                   for i3 in range(size)))
 
-    def expand(self, radius=None):
-        """Ball of every element up to `radius` (default the table's), by
-        one breadth-first pass: the radius-(n-1) elements times the
-        unit-length generators, the new products closed under the
-        zero-length ones.  Every product the pass makes is an edge, and the
-        first product to reach an element is its parent link.  The ball is
-        kept once complete; a larger radius builds it again."""
-        R = self.max_radius if radius is None else min(radius,
-                                                       self.max_radius)
-        if self._ball is not None and self._ball.max_radius >= R:
-            return self._ball
+    def expand(self):
+        """Ball of every element of the table, by one breadth-first pass:
+        the radius-(n-1) elements times the unit-length generators, the new
+        products closed under the zero-length ones.  The first product to
+        reach an element is its parent link."""
         eng, c = self.zero.eng, self.cls
         mul, level = eng.mul, eng.spec.level(c)
-        edges = {g.name: [] for g in level.generators}
         lengths, parents = {0: 0}, {0: None}
 
         def extend(sphere, sources, gens, n):
             # with the sphere as its own sources the loop reaches the
             # appended elements too
             for u in sources:
-                for name, s, row in gens:
-                    if u >= len(row):
-                        row += [-1] * (max(sources) + 1 - len(row))
-                    w = row[u] = mul(c, u, s, store=False)
+                for name, s in gens:
+                    w = mul(c, u, s, store=False)
                     if w not in lengths:
                         lengths[w] = n
                         parents[w] = (u, name)
                         sphere.append(w)
 
-        unit = [(g.name, eng.gen_id(c, g.name), edges[g.name])
-                for g in level.unit_generators]
-        zero = [(g.name, eng.gen_id(c, g.name), edges[g.name])
-                for g in level.zero_generators]
+        unit = [(g.name, eng.gen_id(c, g.name)) for g in level.unit_generators]
+        zero = [(g.name, eng.gen_id(c, g.name)) for g in level.zero_generators]
         spheres = [[0]]
         extend(spheres[0], spheres[0], zero, 0)
-        for n in range(1, R + 1):
+        for n in range(1, self.max_radius + 1):
             sphere = []
             extend(sphere, spheres[n - 1], unit, n)
             extend(sphere, sphere, zero, n)
             spheres.append(sphere)
-        self._ball = Ball(spheres, lengths, parents, edges)
-        return self._ball
+        return Ball(spheres, lengths, parents)
 
 
 class Atlas:
@@ -310,12 +308,8 @@ def enumerate_spheres(atlas, c, max_radius):
     level = atlas.spec.level(c)
     zero = ZeroGroup(eng, c, [g.name for g in level.zero_generators])
     t, sc, memo, mul = eng.tables[c], eng.succ[c], eng.mul_memo, eng.mul
-    steps = []
-    for ia, a in enumerate(zero.ids):
-        for g in level.unit_generators:
-            h = eng.mul(c, a, eng.gen_id(c, g.name), store=False)
-            steps.append((ia, g.name, itemgetter(*t.roots[h]),
-                          t.children[h]))
+    steps = zero.steps([(g.name, eng.gen_id(c, g.name))
+                        for g in level.unit_generators])
     pairs_total, trivial = zero.size ** 2, zero.size == 1
     lengths, links = {0: 0}, {0: None}
     spheres, orbits = [[0]], [[zero.size]]
@@ -326,7 +320,7 @@ def enumerate_spheres(atlas, c, max_radius):
             sphere, orbit = [], []
             for g in spheres[n - 1]:
                 pg, cg = t.roots[g], t.children[g]
-                for ia, name, get, chh in steps:
+                for ia, name, _, get, chh in steps:
                     # g·h in one wreath step: root pg∘ph, section x is
                     # cg[ph[x]]·chh[x]
                     ch = []

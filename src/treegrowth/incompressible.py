@@ -10,7 +10,6 @@ ball elements stay inside the next ball.
 """
 
 from dataclasses import dataclass, field
-from itertools import groupby
 
 
 class NotTernarySpinal(ValueError):
@@ -151,90 +150,61 @@ def level_function(atlas, report, c, r):
                                r_eff < int(r))
 
 
-def incompressible_by_length(atlas, report, c, max_len):
-    """Nonidentity depth-K elements grouped by pseudolength: every member of
-    the orbit of each depth-K representative.  The ball is expanded first,
-    so that orbit members keep the ids of the expansion."""
-    table, final = atlas.table(c), report.final[c]
-    table.expand(max_len)
-    out = [[] for _ in range(max_len + 1)]
-    for n, sphere in enumerate(table.spheres[:max_len + 1]):
-        out[n] = sorted(x for g in sphere if g in final
-                        for x in table.orbit(g) if x != 0)
-    return out
-
-
 def factorization_dp(atlas, report, c, max_n):
-    """Minimal counts N(g) of additive factorizations into depth-K elements,
-    with one backpointer per element, for the whole radius-max_n ball.
+    """Minimal counts N of additive factorizations into depth-K elements,
+    keyed by representative, for the whole radius-max_n ball, with one
+    backpointer per representative.
 
-    Layered BFS: the j-th layer holds the elements of minimal count j; every
-    additive factorization has additive prefixes, so extending shorter
-    factorizations by single factors reaches each element at its true count.
-    Only p*h with |p| + |h| <= R = min(max_n, table radius) can be additive
-    in the ball.  The table's expansion of that ball, built here when no
-    caller has built it, makes every engine product the DP reads: the DP
-    itself makes none.
+    N is constant on every A×A double coset but A itself: if g = h1⋯hm is
+    additive, so is a1·g·a3 = (a1·h1)⋯(hm·a3), and the depth-K set is a
+    union of double cosets.  On A, N[0] = 0 stands for the identity alone.
 
-    The products p*h come from the ball's edges over a prefix tree: its
-    nodes are the depth-K elements of length at most R and their
-    parent-link ancestors, ordered by (length, number of letters) so that
-    every node follows its parent.  For each p the tree is walked once,
-    node x = u*gen giving p*x = (p*u)*gen, over the nodes with
-    |x| <= R - |p|; then |p*u| <= |p| + |u| = |p| + |x| - |gen| <= R - |gen|,
-    so every step stays inside gen's edge list.
+    Layered BFS over double cosets: the j-th layer holds those of minimal
+    count j, each by one witness element, and every additive factorization
+    has additive prefixes.  From a witness w, the products w·a·h with a in
+    A and h a depth-K representative of positive length reach the double
+    coset of x·y for every x in w's double coset and y in the depth-K set.
+    Only |w| + |h| <= R = min(max_n, table radius) can be additive in the
+    ball.  Each product takes one wreath step and is canonicalized without
+    interning; only an accepted witness is interned.  back[q] = (p, a·h)
+    with q's witness equal to p's witness times a·h.
     """
     table = atlas.table(c)
     R = min(max_n, table.max_radius)
-    ball = table.expand(R)
-    lengths, parents, edges = ball.lengths, ball.parents, ball.edges
-    by_len = incompressible_by_length(atlas, report, c, R)
-
-    letters = {0: 0}
-    for bucket in by_len:
-        for h in bucket:
-            path = []
-            while h not in letters:
-                path.append(h)
-                h = parents[h][0]
-            n = letters[h]
-            for x in reversed(path):
-                n += 1
-                letters[x] = n
-    nodes = sorted(letters, key=lambda x: (lengths[x], letters[x]))
-    index = {x: i for i, x in enumerate(nodes)}
-    # per (length, letters) level: its length and (edge list, parent index)
-    # of each node, in node order after the identity
-    levels = []
-    for (n, _), level in groupby(nodes[1:],
-                                 key=lambda x: (lengths[x], letters[x])):
-        steps = [(edges[parents[x][1]], index[parents[x][0]]) for x in level]
-        levels.append((n, steps))
-    slots = [[index[h] for h in bucket] for bucket in by_len]
+    eng, zero, lengths = atlas.engine, table.zero, table.lengths
+    t, sc, memo, mul = eng.tables[c], eng.succ[c], eng.mul_memo, eng.mul
+    final = report.final[c]
+    steps = [zero.steps([(h, h) for h in sphere if h in final])
+             for sphere in table.spheres[1:R + 1]]
 
     N = {0: 0}
     back = {0: None}
-    frontier = [0]
+    frontier = [(0, 0)]                # (representative, witness)
     j = 0
     while frontier:
         j += 1
         nxt = []
-        for p in frontier:
+        for p, w in frontier:
             lp = lengths[p]
-            vals = [p]
-            for n, steps in levels:
-                if n > R - lp:
-                    break
-                vals += [row[vals[i]] for row, i in steps]
-            for lh in range(0, R - lp + 1):
-                # an id is one automorphism, so p*h is injective in h and
-                # the new elements of one bucket need no second check
-                new = [(q, h) for i, h in zip(slots[lh], by_len[lh])
-                       if (q := vals[i]) not in N and lengths[q] == lp + lh]
-                for q, h in new:
+            pw, cw = t.roots[w], t.children[w]
+            for lh, bucket in enumerate(steps[:R - lp], 1):
+                for _, _, ah, get, chh in bucket:
+                    # w·a·h in one wreath step, as in enumerate_spheres
+                    ch = []
+                    for u, v in zip(get(cw), chh):
+                        if u == 0:
+                            ch.append(v)
+                        elif v == 0:
+                            ch.append(u)
+                        else:
+                            r = memo.get((sc, u, v))
+                            ch.append(mul(sc, u, v) if r is None else r)
+                    q, _, _ = zero.lookup(get(pw), ch)
+                    if q in N or lengths.get(q) != lp + lh:
+                        continue
                     N[q] = j
-                    back[q] = (p, h)
-                    nxt.append(q)
+                    back[q] = (p, ah)
+                    nxt.append((q, eng._intern(c, get(pw), tuple(ch))))
         frontier = nxt
     return N, back
 

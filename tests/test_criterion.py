@@ -1,7 +1,9 @@
 import pytest
 
+from treegrowth import build_atlas, catalog
 from treegrowth import criterion as cr
 from treegrowth import incompressible as inc
+from treegrowth.growth import SphereTable
 
 
 @pytest.fixture(scope="module")
@@ -11,16 +13,17 @@ def fg_dp(fg_atlas6, fg_report6):
 
 def test_partition_covers_sphere(fg_atlas6, fg_dp):
     N, _ = fg_dp
-    table = fg_atlas6.table(0).expand()
+    table = fg_atlas6.table(0)
     for n in range(1, 7):
         big, small = cr.partition(table, N, n, 0.45)
-        assert len(big) + len(small) == len(table.sphere(n))
+        size = dict(zip(table.sphere(n), table.orbits[n]))
+        assert sum(size[g] for g in big + small) == table.sphere_sizes()[n]
         assert set(big).isdisjoint(small)
 
 
 def test_pair_factors(fg_atlas6, fg_report6, fg_dp):
     N, back = fg_dp
-    table = fg_atlas6.table(0).expand()
+    table = fg_atlas6.table(0)
     for g in table.spheres[6][:200]:
         factors = inc.factors_of(back, g)
         data = cr.pair_factors(fg_atlas6, fg_report6, 0, factors, 0.45)
@@ -36,8 +39,7 @@ def test_pair_factors(fg_atlas6, fg_report6, fg_dp):
 
 def test_small_factor_bound_below_threshold(fg_atlas6, fg_report6, fg_dp):
     N, back = fg_dp
-    table = fg_atlas6.table(0).expand()
-    big, _ = cr.partition(table, N, 3, 0.45)
+    big, _ = cr.partition(fg_atlas6.table(0), N, 3, 0.45)
     # n = 3 <= 3/epsilon: the bound is not asserted there
     assert cr.check_small_factor_lower_bound(
         fg_atlas6, fg_report6, 0, back, big, 3, 0.45) == (None, [])
@@ -73,9 +75,8 @@ def test_sections_at_depth(fg_atlas6):
 
 def test_level_reduction_monotone(fg_atlas6, fg_report6, fg_dp):
     N, _ = fg_dp
-    table = fg_atlas6.table(0).expand()
     for n in (5, 6):
-        big, _ = cr.partition(table, N, n, 0.45)
+        big, _ = cr.partition(fg_atlas6.table(0), N, n, 0.45)
         for level in (2, 3):
             # section sums never increase with depth, so a pass at the
             # level-function level persists below it
@@ -114,6 +115,18 @@ def test_run_criterion_fg_asserted(fg_atlas10, fg_report10):
     assert res.small_factor_ok[8] is True
     assert res.level_used == 2
     assert res.failures == []
+
+
+def test_criterion_never_expands_the_ball(monkeypatch):
+    atlas = build_atlas(catalog.fabrykowski_gupta(), 7)
+    report = inc.approximate_I_infty(atlas, 6)
+
+    def refuse(*args):
+        raise AssertionError("the criterion expanded the ball")
+
+    monkeypatch.setattr(SphereTable, "expand", refuse)
+    res = cr.run_criterion(atlas, report, 0, 7, 0.45)
+    assert res.ok and res.small_factor_ok[7] is True
 
 
 def test_run_criterion_epsilon_range(fg_atlas6, fg_report6):

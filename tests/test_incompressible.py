@@ -5,7 +5,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from treegrowth import build_atlas, catalog
 from treegrowth import incompressible as inc
-from treegrowth.engine import Engine
 from treegrowth.growth import TableExhausted
 
 from oracle import oracle_spheres, reference_atlas, reference_filtration
@@ -179,22 +178,21 @@ def test_level_function_empty_family(fg_atlas6, fg_report6):
     assert lf.empty_family and lf.value == 1
 
 
-def test_incompressible_by_length(fg_atlas6, fg_report6):
-    buckets = inc.incompressible_by_length(fg_atlas6, fg_report6, 0, 6)
-    assert [len(b) for b in buckets] == [2] + FG_INCOMPRESSIBLE_COUNTS[1:]
-    assert all(bucket == sorted(bucket) for bucket in buckets)
-
-
 def test_factorization_dp_histogram(fg_atlas6, fg_report6):
     N, back = inc.factorization_dp(fg_atlas6, fg_report6, 0, 6)
     table = fg_atlas6.table(0)
-    assert len(N) == table.gamma()[-1]     # every ball element is reached
-    hist = {}
+    size = {g: m for sphere, orbit in zip(table.spheres, table.orbits)
+            for g, m in zip(sphere, orbit)}
+    # every ball element is reached; A's members other than the identity
+    # are one factor each
+    hist = {0: 1, 1: size[0] - 1}
     for g, j in N.items():
-        hist[j] = hist.get(j, 0) + 1
+        if g != 0:
+            hist[j] = hist.get(j, 0) + size[g]
+    assert sum(hist.values()) == table.gamma()[-1]
     assert hist == {0: 1, 1: 4772, 2: 13296, 3: 2736}
     # factorizations are additive and their factors are incompressible
-    for g in table.expand().spheres[5][:100]:
+    for g in table.spheres[5][:100]:
         factors = inc.factors_of(back, g)
         assert len(factors) == N[g]
         assert sum(table.length(h) for h in factors) == 5
@@ -268,57 +266,41 @@ def test_factorization_dp_matches_reference(make, radius, max_n, classes,
     # fresh atlases: the reference interns products outside the ball
     atlas = build_atlas(make(), radius)
     atlas.engine.audit()
+    eng = atlas.engine
     report = inc.approximate_I_infty(atlas, 6)
     if edit is not None:
         report = edit(atlas, report)
     for c in classes or sorted(atlas.tables):
+        table = atlas.table(c)
         N, back = inc.factorization_dp(atlas, report, c, max_n)
-        ref_N, ref_back = _reference_dp(atlas, report, c, max_n)
-        assert list(N.items()) == list(ref_N.items())
-        assert list(back.items()) == list(ref_back.items())
-
-
-def test_factorization_dp_uses_only_edge_products(monkeypatch):
-    # a fresh atlas, so that the expansion runs here: it multiplies every
-    # element of ball(6 - |gen|) by each generator once and records the
-    # product as an edge, and the DP reads edges only
-    atlas = build_atlas(catalog.fabrykowski_gupta(), 6)
-    report = inc.approximate_I_infty(atlas, 6)
-    eng, table = atlas.engine, atlas.table(0)
-    gens = atlas.spec.level(0).generators
-    slots = sum(table.gamma(6 - gen.pseudolength) for gen in gens)
-    calls = [0]
-    mul = Engine.mul
-
-    def counting_mul(self, *args, **kwargs):
-        calls[0] += 1
-        return mul(self, *args, **kwargs)
-
-    monkeypatch.setattr(Engine, "mul", counting_mul)
-    ball = table.expand()
-    assert calls[0] == slots
-    inc.factorization_dp(atlas, report, 0, 6)
-    assert calls[0] == slots
-    monkeypatch.undo()
-
-    assert sorted(ball.edges) == sorted(gen.name for gen in gens)
-    for gen in gens:
-        g = eng.gen_id(0, gen.name)
-        inner = {u for n in range(7 - gen.pseudolength)
-                 for u in ball.sphere(n)}
-        row = ball.edges[gen.name]
-        assert {u for u, v in enumerate(row) if v != -1} == inner
-        for u in inner:
-            assert row[u] == eng.mul(0, u, g, store=False)
+        eng.audit()
+        ref_N, _ = _reference_dp(atlas, report, c, max_n)
+        rep = table.representative
+        # N is constant on each double coset but A, whose representative
+        # is the identity
+        for x, j in ref_N.items():
+            if rep(x) != 0:
+                assert N[rep(x)] == j
+        assert set(N) == {rep(x) for x in ref_N}
+        for q in N:
+            factors = inc.factors_of(back, q)
+            assert len(factors) == N[q]
+            assert sum(table.length(h) for h in factors) == table.lengths[q]
+            assert all(rep(h) in report.final[c] for h in factors)
+            product = 0
+            for h in factors:
+                product = eng.mul(c, product, h, store=False)
+            assert rep(product) == q
 
 
 def test_witness_minimal_count(fg_atlas6, fg_report6):
     eng = fg_atlas6.engine
     g = eng.element_from_word(0, ["b1", "a120", "b1", "a201", "b1"])
     N, back = inc.factorization_dp(fg_atlas6, fg_report6, 0, 6)
-    assert N[g] == 2
+    q = fg_atlas6.table(0).representative(g)
+    assert N[q] == 2
     assert sorted(fg_atlas6.table(0).length(h)
-                  for h in inc.factors_of(back, g)) == [1, 2]
+                  for h in inc.factors_of(back, q)) == [1, 2]
 
 
 def test_ternary_parse_single_letter(fg_atlas6):
