@@ -7,8 +7,9 @@ root permutation plus the tuple of interned section ids at the next level
 class, so equality, identity testing and composition are all exact with no
 depth truncation.
 
-A product takes one wreath step when every child product is trivial or
-already memoized; any other product, and every inverse and generator, is
+A product takes one wreath step when every child product is trivial,
+already memoized, or the product itself (a self-loop, settled as a session
+would settle it); any other product, and every inverse and generator, is
 handed to a session.  A session materializes the closure of pending wreath
 nodes and settles it in one pass of Tarjan's strongly-connected-components
 algorithm.  Tarjan emits components sinks first, so every node a component
@@ -99,9 +100,10 @@ class Engine:
 
     def _intern(self, c, root, ch, pending=0):
         # Invariant: every id on a reference cycle is listed in `cyclic`
-        # under its root.  An id made here is on none: its children are
+        # under its root.  An id made here is on none when its children are
         # older ids, whose children never change.  Ids on cycles come only
-        # from a session settlement, which lists them.
+        # from a session settlement or a self-loop (_settle_loop), which
+        # list them.
         t = self.tables[c]
         i = t.intern.get((root, ch))
         if i is None:
@@ -134,8 +136,9 @@ class Engine:
     def mul(self, c, u, v, store=True):
         """Interned id of the product u*v at class c.  When every child
         product is trivial or memoized this is one wreath step, which stores
-        (c, u, v) in mul_memo only if `store` is true; otherwise a session
-        settles the product and records every product it settles."""
+        (c, u, v) in mul_memo only if `store` is true; a self-loop, where
+        the other child products are the product itself, and any other
+        product are settled and recorded as a session would."""
         if u == 0:
             return v
         if v == 0:
@@ -151,6 +154,7 @@ class Engine:
         cu = t.children[u]
         cv = t.children[v]
         ch = []
+        loop = False
         for x in range(self.d):
             a = cu[pv[x]]
             b = cv[x]
@@ -161,14 +165,38 @@ class Engine:
             else:
                 r = memo.get((sc, a, b))
                 if r is None:
-                    s = _Session(self)
-                    return s.run(s.mul_node(c, u, v))
+                    if (sc, a, b) != key:
+                        s = _Session(self)
+                        return s.run(s.mul_node(c, u, v))
+                    loop = True
                 ch.append(r)
         pu = t.roots[u]
-        i = self._intern(c, tuple([pu[y] for y in pv]), tuple(ch))
+        root = tuple([pu[y] for y in pv])
+        if loop:
+            return self._settle_loop(c, key, root, ch)
+        i = self._intern(c, root, tuple(ch))
         if store:
             self._check_ids(1)
             memo[key] = i
+        return i
+
+    def _settle_loop(self, c, key, root, ch):
+        # A product whose one unmemoized child product is itself (None in
+        # ch): what a session does with that one-node component, without
+        # the session.  It counts the pending product, matches the ids on
+        # cycles under its root, or else interns and lists a fresh id.
+        self._check_ids(1)
+        t = self.tables[c]
+        for i in t.cyclic.get(root, ()):
+            if all(e == (i if r is None else r)
+                   for e, r in zip(t.children[i], ch)):
+                break
+        else:
+            new = len(t.roots)
+            i = self._intern(c, root,
+                             tuple(new if r is None else r for r in ch), 1)
+            t.cyclic.setdefault(t.roots[i], []).append(i)
+        self.mul_memo[key] = i
         return i
 
     def inv(self, c, u):

@@ -296,6 +296,14 @@ def enumerate_spheres(atlas, c, max_radius):
     new radius-(n+1) representative whose orbit has |A|² / pairs members.
     Radius 0 is the one double coset A, with the identity as representative.
 
+    From radius 3 on, steps that provably land in the ball are skipped (for
+    rooted A).  A representative g of radius m was found as
+    A[i1]·h·A[ia]·name·A[i3] with |h| = m-1, so when |name·A[i3]·a·s| ≤ 1
+    the product g·a·s has length at most m and would be discarded anyway;
+    the table of such steps per suffix (name, i3) is built once from the
+    radius-1 ball and the cached section products (_kept_steps).  Skipping
+    changes no output, only which section products get cached.
+
     Deterministic: expansion follows stored sphere order, A's breadth-first
     order and the spec's generator order.  The engine's budget is the only
     limit: BudgetExceeded names the class, the radius being expanded and the
@@ -308,19 +316,23 @@ def enumerate_spheres(atlas, c, max_radius):
     level = atlas.spec.level(c)
     zero = ZeroGroup(eng, c, [g.name for g in level.zero_generators])
     t, sc, memo, mul = eng.tables[c], eng.succ[c], eng.mul_memo, eng.mul
-    steps = zero.steps([(g.name, eng.gen_id(c, g.name))
-                        for g in level.unit_generators])
+    units = [(g.name, eng.gen_id(c, g.name)) for g in level.unit_generators]
+    steps = zero.steps(units)
     pairs_total, trivial = zero.size ** 2, zero.size == 1
     lengths, links = {0: 0}, {0: None}
     spheres, orbits = [[0]], [[zero.size]]
     elements = zero.size
+    kept = None
     n = 0
     try:
         for n in range(1, max_radius + 1):
+            if n == 3 and zero.rooted:
+                kept = _kept_steps(zero, units, steps, lengths)
             sphere, orbit = [], []
             for g in spheres[n - 1]:
                 pg, cg = t.roots[g], t.children[g]
-                for ia, name, _, get, chh in steps:
+                for ia, name, _, get, chh in (
+                        steps if kept is None else kept[links[g][3:]]):
                     # g·h in one wreath step: root pg∘ph, section x is
                     # cg[ph[x]]·chh[x]
                     ch = []
@@ -366,6 +378,37 @@ def enumerate_spheres(atlas, c, max_radius):
     table = SphereTable(c, spheres, orbits, lengths, links, zero)
     atlas.tables[c] = table
     return table
+
+
+def _kept_steps(zero, units, steps, lengths):
+    """For each link suffix (name, i3), the steps (a, s) for which
+    name·A[i3]·a·s is not provably of length at most 1 (rooted A).  That
+    product is name·(A[k]·s) with A[k] = A[i3]·a, taken in one wreath step
+    from cached section products only: a missing one counts as not short,
+    so nothing is interned, cached or counted against the budget."""
+    eng, c = zero.eng, zero.c
+    t, memo, sc = eng.tables[c], eng.mul_memo, eng.succ[c]
+    index = {p: k for k, p in enumerate(zero.perms)}
+    times = [[index[perms.compose(p, q)] for q in zero.perms]
+             for p in zero.perms]
+    kept = {}
+    for name, f in units:
+        pf, cf = t.roots[f], t.children[f]
+        short = set()
+        for k, s, _, get, chh in steps:
+            ch = []
+            for u, v in zip(get(cf), chh):
+                r = v if u == 0 else u if v == 0 else memo.get((sc, u, v))
+                if r is None:
+                    break
+                ch.append(r)
+            else:
+                if lengths.get(zero.lookup(get(pf), ch)[0], 2) <= 1:
+                    short.add((k, s))
+        for i3, row in enumerate(times):
+            kept[name, i3] = [step for step in steps
+                              if (row[step[0]], step[1]) not in short]
+    return kept
 
 
 def build_atlas(spec, max_radius, levels=None, engine=None):

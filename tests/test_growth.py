@@ -8,7 +8,7 @@ from treegrowth.growth import (Atlas, TableExhausted, build_atlas,
                                enumerate_spheres, kappa_estimates)
 
 from oracle import oracle_spheres
-from test_engine import _two_cycles
+from test_engine import CYCLIC_FAMILIES, _two_cycles
 
 FG_SPHERES = [3, 18, 72, 288, 1152, 4296]
 GRIG_SPHERES = [2, 12, 34, 80, 190, 432, 976]
@@ -46,9 +46,42 @@ def test_budget_exceeded_names_class_radius_and_elements():
     with pytest.raises(BudgetExceeded) as exc:
         build_atlas(spec, 8, engine=Engine(spec, budget=2000))
     e = exc.value
-    assert (e.cls, e.radius, e.elements) == (0, 6, 13200)
+    assert (e.cls, e.radius, e.elements) == (0, 6, 14064)
     assert str(e).endswith(
-        "; stopped at level class 0 expanding radius 6, 13200 elements")
+        "; stopped at level class 0 expanding radius 6, 14064 elements")
+
+
+@pytest.mark.parametrize("make_spec, radius, skips", [
+    (catalog.fabrykowski_gupta, 7, True),
+    (catalog.first_grigorchuk, 9, True),
+    (lambda: catalog.sunic(3, 2, (0,)), 4, True),
+    *((make, radius, False) for make, radius in CYCLIC_FAMILIES.values()),
+], ids=["fg-r7", "grigorchuk-r9", "sunic320-r4", *CYCLIC_FAMILIES])
+def test_skipped_steps_land_in_the_ball(monkeypatch, make_spec, radius, skips):
+    # every step the enumeration leaves out for a representative g of
+    # radius m >= 2 gives a product g·a·s of length at most m
+    kept = {}
+    find = growth._kept_steps
+
+    def recorded(zero, units, steps, lengths):
+        kept[zero.c] = steps, find(zero, units, steps, lengths)
+        return kept[zero.c][1]
+    monkeypatch.setattr(growth, "_kept_steps", recorded)
+    atlas = build_atlas(make_spec(), radius)
+    eng, skipped = atlas.engine, 0
+    for c, (steps, keep) in kept.items():
+        table = atlas.table(c)
+        dropped = {}
+        for key, left in keep.items():
+            tried = {step[:2] for step in left}
+            dropped[key] = [(table.zero.ids[ia], eng.gen_id(c, name))
+                            for ia, name, *_ in steps if (ia, name) not in tried]
+        for m in range(2, radius + 1):
+            for g in table.sphere(m):
+                for a, s in dropped[table.links[g][3:]]:
+                    assert table.length(eng.mul(c, eng.mul(c, g, a), s)) <= m
+                    skipped += 1
+    assert skipped > 0 or not skips
 
 
 @pytest.mark.parametrize("make_spec, radius", [

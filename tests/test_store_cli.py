@@ -282,7 +282,7 @@ def test_cli_spheres_budget_exit(tmp_path, fg_config_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "budget of 2000 exceeded" in err
-    assert "stopped at level class 0 expanding radius 6, 13200 elements" in err
+    assert "stopped at level class 0 expanding radius 6, 14064 elements" in err
     # the budget bounds ids plus cached products, session memo writes included
     ids, products = re.search(
         r"\((\d+) elements, (\d+) cached products\)", err).groups()
