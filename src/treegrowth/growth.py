@@ -36,6 +36,14 @@ class ZeroGroup:
     an element, the least (root, children) key over its A×A orbit, is found
     without a product.  Otherwise the canonical form is the least id of the
     orbit, which interns the whole orbit.
+
+    Enumeration, its skip table and the factorization DP each multiply an
+    element g by a·f with a in A and read the product modulo A×A:
+    `products` forms g·a·f in one wreath step, and `find(root, children)`
+    gives (id, pairs, i1, i3), the canonical form A[i1]·g·A[i3] of the
+    element g with that key, interned if absent, and how many of the |A|²
+    pairs reach it.  `find` is the method for A's case (trivial, rooted or
+    not); callers bind it once, outside their loops.
     """
 
     def __init__(self, eng, c, names):
@@ -70,22 +78,19 @@ class ZeroGroup:
     def _plan(self, root):
         # the least root over the pairs, and (getter of α3, i1, i3) for
         # each pair that reaches it; α1 is fixed by α3 and the least root
-        plan = self._plans.get(root)
-        if plan is None:
-            pairs = [(perms.compose(a1, perms.compose(root, a3)), i1, i3)
-                     for i3, a3 in enumerate(self.perms)
-                     for i1, a1 in enumerate(self.perms)]
-            least = min(r for r, _, _ in pairs)
-            plan = self._plans[root] = (least, [
-                (self.getters[i3], i1, i3) for r, i1, i3 in pairs
-                if r == least])
+        pairs = [(perms.compose(a1, perms.compose(root, a3)), i1, i3)
+                 for i3, a3 in enumerate(self.perms)
+                 for i1, a1 in enumerate(self.perms)]
+        least = min(r for r, _, _ in pairs)
+        plan = self._plans[root] = (least, [
+            (self.getters[i3], i1, i3) for r, i1, i3 in pairs if r == least])
         return plan
 
     def canon(self, root, children):
         """Canonical key of a rooted-A orbit from one member's key:
         (root, children, pairs, i1, i3), where A[i1]·g·A[i3] has the least
         key and `pairs` of the |A|² pairs reach it."""
-        least, cands = self._plan(root)
+        least, cands = self._plans.get(root) or self._plan(root)
         best = None
         for get, j1, j3 in cands:
             ch = get(children)
@@ -98,7 +103,8 @@ class ZeroGroup:
     def lookup(self, root, children):
         """(id, i1, i3) with id the canonical form A[i1]·g·A[i3] of the
         element g with this key, None when not interned.  For rooted A
-        nothing is interned; otherwise the orbit of an interned g is."""
+        nothing is interned; otherwise the orbit of an interned g is.
+        Unlike `find`, it never interns g itself (SphereTable.locate)."""
         if self.rooted:
             root, key, _, i1, i3 = self.canon(root, children)
             return self.eng.tables[self.c].intern.get((root, key)), i1, i3
@@ -107,6 +113,40 @@ class ZeroGroup:
             return None, 0, 0
         best, _, i1, i3 = self.canon_id(g)
         return best, i1, i3
+
+    @property
+    def find(self):
+        # a bound method stored on self would be a cycle holding the engine
+        return (self._find_trivial if self.size == 1 else
+                self._find_rooted if self.rooted else self._find_orbit)
+
+    def _find_trivial(self, root, children):
+        return self.eng._intern(self.c, root, tuple(children)), 1, 0, 0
+
+    def _find_rooted(self, root, children):
+        root, key, pairs, i1, i3 = self.canon(root, children)
+        return self.eng._intern(self.c, root, key), pairs, i1, i3
+
+    def _find_orbit(self, root, children):
+        return self.canon_id(self.eng._intern(self.c, root, tuple(children)))
+
+    def products(self, root, children, steps):
+        """(step, root, sections) of g·a·f for each step (as made by
+        `steps`), with g the element of this key: one wreath step, whose
+        section products at the successor class are read from the memo or
+        else multiplied."""
+        eng = self.eng
+        memo, mul, sc = eng.mul_memo, eng.mul, eng.succ[self.c]
+        for step in steps:
+            get = step[3]
+            ch = []
+            for u, v in zip(get(children), step[4]):
+                if u and v:
+                    r = memo.get((sc, u, v))
+                    ch.append(mul(sc, u, v) if r is None else r)
+                else:               # one of them is the identity, 0
+                    ch.append(u or v)
+            yield step, get(root), ch
 
     def steps(self, factors):
         """(ia, label, a·f, getter of its root, its children) for each a =
@@ -289,20 +329,20 @@ def enumerate_spheres(atlas, c, max_radius):
     per A×A double coset.
 
     Each representative g of the radius-n sphere is multiplied by every
-    h = a·s (a in A, s a unit-length generator) in one wreath step: only the
-    section products at the successor class go through the engine, and they
-    are memoized, being few.  The product is brought to its canonical form
-    (ZeroGroup), and a canonical form not yet in the ball is interned as a
-    new radius-(n+1) representative whose orbit has |A|² / pairs members.
+    h = a·s (a in A, s a unit-length generator) in one wreath step
+    (ZeroGroup.products): only the section products at the successor class
+    go through the engine, and they are memoized, being few.  The product's
+    canonical form (ZeroGroup.find) is a new radius-(n+1) representative,
+    whose orbit has |A|² / pairs members, unless it is in the ball already.
     Radius 0 is the one double coset A, with the identity as representative.
 
     From radius 3 on, steps that provably land in the ball are skipped (for
     rooted A).  A representative g of radius m was found as
     A[i1]·h·A[ia]·name·A[i3] with |h| = m-1, so when |name·A[i3]·a·s| ≤ 1
     the product g·a·s has length at most m and would be discarded anyway;
-    the table of such steps per suffix (name, i3) is built once from the
-    radius-1 ball and the cached section products (_kept_steps).  Skipping
-    changes no output, only which section products get cached.
+    the table of such steps per suffix (name, i3) is built once, from the
+    radius-2 ball (_kept_steps).  Skipping changes no output, only which
+    section products get cached.
 
     Deterministic: expansion follows stored sphere order, A's breadth-first
     order and the spec's generator order.  The engine's budget is the only
@@ -315,55 +355,28 @@ def enumerate_spheres(atlas, c, max_radius):
     eng = atlas.engine
     level = atlas.spec.level(c)
     zero = ZeroGroup(eng, c, [g.name for g in level.zero_generators])
-    t, sc, memo, mul = eng.tables[c], eng.succ[c], eng.mul_memo, eng.mul
+    t, products, find = eng.tables[c], zero.products, zero.find
     units = [(g.name, eng.gen_id(c, g.name)) for g in level.unit_generators]
     steps = zero.steps(units)
-    pairs_total, trivial = zero.size ** 2, zero.size == 1
+    pairs_total = zero.size ** 2
     lengths, links = {0: 0}, {0: None}
     spheres, orbits = [[0]], [[zero.size]]
     elements = zero.size
-    kept = None
-    n = 0
+    kept, n = None, 0
     try:
         for n in range(1, max_radius + 1):
+            sphere, orbit = [], []
             if n == 3 and zero.rooted:
                 kept = _kept_steps(zero, units, steps, lengths)
-            sphere, orbit = [], []
             for g in spheres[n - 1]:
-                pg, cg = t.roots[g], t.children[g]
-                for ia, name, _, get, chh in (
+                for step, root, ch in products(
+                        t.roots[g], t.children[g],
                         steps if kept is None else kept[links[g][3:]]):
-                    # g·h in one wreath step: root pg∘ph, section x is
-                    # cg[ph[x]]·chh[x]
-                    ch = []
-                    for u, v in zip(get(cg), chh):
-                        if u == 0:
-                            ch.append(v)
-                        elif v == 0:
-                            ch.append(u)
-                        else:
-                            r = memo.get((sc, u, v))
-                            ch.append(mul(sc, u, v) if r is None else r)
-                    if trivial:
-                        i = eng._intern(c, get(pg), tuple(ch))
-                        if i in lengths:
-                            continue
-                        pairs = 1
-                        i1 = i3 = 0
-                    elif zero.rooted:
-                        root, key, pairs, i1, i3 = zero.canon(get(pg), ch)
-                        i = t.intern.get((root, key))
-                        if i is None:
-                            i = eng._intern(c, root, key)
-                        elif i in lengths:
-                            continue
-                    else:
-                        i, pairs, i1, i3 = zero.canon_id(
-                            eng._intern(c, get(pg), tuple(ch)))
-                        if i in lengths:
-                            continue
+                    i, pairs, i1, i3 = find(root, ch)
+                    if i in lengths:
+                        continue
                     lengths[i] = n
-                    links[i] = (g, i1, ia, name, i3)
+                    links[i] = (g, i1, step[0], step[1], i3)
                     sphere.append(i)
                     orbit.append(pairs_total // pairs)
             spheres.append(sphere)
@@ -383,28 +396,19 @@ def enumerate_spheres(atlas, c, max_radius):
 def _kept_steps(zero, units, steps, lengths):
     """For each link suffix (name, i3), the steps (a, s) for which
     name·A[i3]·a·s is not provably of length at most 1 (rooted A).  That
-    product is name·(A[k]·s) with A[k] = A[i3]·a, taken in one wreath step
-    from cached section products only: a missing one counts as not short,
-    so nothing is interned, cached or counted against the budget."""
-    eng, c = zero.eng, zero.c
-    t, memo, sc = eng.tables[c], eng.mul_memo, eng.succ[c]
+    product is name·(A[k]·s) with A[k] = A[i3]·a, of length at most 2, so
+    its canonical form is already in the radius-2 ball and finding it
+    interns nothing; a section product not yet cached is multiplied and
+    counts against the budget like any other."""
+    t = zero.eng.tables[zero.c]
     index = {p: k for k, p in enumerate(zero.perms)}
     times = [[index[perms.compose(p, q)] for q in zero.perms]
              for p in zero.perms]
     kept = {}
     for name, f in units:
-        pf, cf = t.roots[f], t.children[f]
-        short = set()
-        for k, s, _, get, chh in steps:
-            ch = []
-            for u, v in zip(get(cf), chh):
-                r = v if u == 0 else u if v == 0 else memo.get((sc, u, v))
-                if r is None:
-                    break
-                ch.append(r)
-            else:
-                if lengths.get(zero.lookup(get(pf), ch)[0], 2) <= 1:
-                    short.add((k, s))
+        short = {step[:2] for step, root, ch
+                 in zero.products(t.roots[f], t.children[f], steps)
+                 if lengths.get(zero.find(root, ch)[0], 2) <= 1}
         for i3, row in enumerate(times):
             kept[name, i3] = [step for step in steps
                               if (row[step[0]], step[1]) not in short]

@@ -7,6 +7,11 @@ lengths are additive down to k levels.  The infinite intersection is
 approximated from above by the depth-K set; when consecutive depths agree on
 every enumerated ball the approximation is exact there, because sections of
 ball elements stay inside the next ball.
+
+Everything here runs on the A×A double-coset representatives of the sphere
+tables.  The factorization DP multiplies through the table's ZeroGroup,
+which forms each product in one wreath step and finds its representative,
+so it reads no engine internals and interns no witness.
 """
 
 from dataclasses import dataclass, field
@@ -165,46 +170,34 @@ def factorization_dp(atlas, report, c, max_n):
     A and h a depth-K representative of positive length reach the double
     coset of x·y for every x in w's double coset and y in the depth-K set.
     Only |w| + |h| <= R = min(max_n, table radius) can be additive in the
-    ball.  Each product takes one wreath step and is canonicalized without
-    interning; only an accepted witness is interned.  back[q] = (p, a·h)
-    with q's witness equal to p's witness times a·h.
+    ball, so every product is in the ball and its canonical form is found
+    without interning (ZeroGroup).  A witness is held as its root and
+    sections, not as an id.  back[q] = (p, a·h) with q's witness equal to
+    p's witness times a·h.
     """
     table = atlas.table(c)
     R = min(max_n, table.max_radius)
-    eng, zero, lengths = atlas.engine, table.zero, table.lengths
-    t, sc, memo, mul = eng.tables[c], eng.succ[c], eng.mul_memo, eng.mul
-    final = report.final[c]
+    zero, lengths, final = table.zero, table.lengths, report.final[c]
+    products, find, eng = zero.products, zero.find, atlas.engine
     steps = [zero.steps([(h, h) for h in sphere if h in final])
              for sphere in table.spheres[1:R + 1]]
 
-    N = {0: 0}
-    back = {0: None}
-    frontier = [(0, 0)]                # (representative, witness)
+    N, back = {0: 0}, {0: None}
+    frontier = [(0, eng.root(c, 0), eng.children(c, 0))]
     j = 0
     while frontier:
         j += 1
         nxt = []
-        for p, w in frontier:
+        for p, root, children in frontier:
             lp = lengths[p]
-            pw, cw = t.roots[w], t.children[w]
             for lh, bucket in enumerate(steps[:R - lp], 1):
-                for _, _, ah, get, chh in bucket:
-                    # w·a·h in one wreath step, as in enumerate_spheres
-                    ch = []
-                    for u, v in zip(get(cw), chh):
-                        if u == 0:
-                            ch.append(v)
-                        elif v == 0:
-                            ch.append(u)
-                        else:
-                            r = memo.get((sc, u, v))
-                            ch.append(mul(sc, u, v) if r is None else r)
-                    q, _, _ = zero.lookup(get(pw), ch)
+                for step, wr, wch in products(root, children, bucket):
+                    q = find(wr, wch)[0]
                     if q in N or lengths.get(q) != lp + lh:
                         continue
                     N[q] = j
-                    back[q] = (p, ah)
-                    nxt.append((q, eng._intern(c, get(pw), tuple(ch))))
+                    back[q] = (p, step[2])
+                    nxt.append((q, wr, wch))
         frontier = nxt
     return N, back
 

@@ -54,19 +54,21 @@ INTEGER_PARAMETERS = {
     "nekrashevych_D": {"pre": 1, "per": 1},
     "custom": {"degree": 0},
 }
-# the integer fields of each generator object in a custom level's list
-GENERATOR_INTEGER_FIELDS = {"pseudolength": 0, "root": 1}
+# each custom generator's fields: entry type, number of lists around entries
+GENERATOR_FIELDS = {"name": (str, 0), "pseudolength": (int, 0),
+                    "inverse": (str, 0), "root": (int, 1), "children": (str, 2)}
+TYPE_NAMES = {int: ("an integer", "integers"), str: ("a string", "strings")}
 
 
-def _is_integers(value, depth):
+def _is_nested(value, typ, depth):
     if depth == 0:
-        return isinstance(value, int) and not isinstance(value, bool)
-    return isinstance(value, list) and all(_is_integers(x, depth - 1)
+        return isinstance(value, typ) and not isinstance(value, bool)
+    return isinstance(value, list) and all(_is_nested(x, typ, depth - 1)
                                            for x in value)
 
 
-def _check_integers(kind, params):
-    fields = [(key, params[key], depth)
+def _check_types(kind, params):
+    fields = [(key, params[key], int, depth)
               for key, depth in INTEGER_PARAMETERS.get(kind, {}).items()
               if key in params]
     if kind == "custom":
@@ -77,14 +79,14 @@ def _check_integers(kind, params):
                 for g in lv if isinstance(lv, list) else ():
                     if isinstance(g, dict):
                         fields += [(f"{name} of generator {g.get('name')}",
-                                    g[name], depth)
-                                   for name, depth
-                                   in GENERATOR_INTEGER_FIELDS.items()
-                                   if name in g]
-    for key, value, depth in fields:
-        if not _is_integers(value, depth):
-            shape = ("an integer" if depth == 0 else
-                     "a list of " + "lists of " * (depth - 1) + "integers")
+                                    g[name], typ, depth)
+                                   for name, (typ, depth)
+                                   in GENERATOR_FIELDS.items() if name in g]
+    for key, value, typ, depth in fields:
+        if not _is_nested(value, typ, depth):
+            one, many = TYPE_NAMES[typ]
+            shape = one if depth == 0 else (
+                "a list of " + "lists of " * (depth - 1) + many)
             raise ConfigError(
                 f"malformed parameters for kind {kind}: {key} must be "
                 f"{shape}, got {json.dumps(value)}")
@@ -95,7 +97,7 @@ def build_spec(config):
     kind = config.get("kind")
     params = config.get("parameters", {})
     try:
-        _check_integers(kind, params)
+        _check_types(kind, params)
         if kind == "spinal":
             data = catalog.SpinalData(
                 degree=params["degree"],

@@ -94,6 +94,7 @@ def test_filtration_matches_reference_on_catalog():
 
 
 CYCLE3_POWERS = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
+CYCLE4_POWERS = [(0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2)]
 # the three nonzero homomorphisms (Z/2)^2 -> Sym(2); the zero one enlarges
 # the joint kernel, so catalog.spinal rejects most draws containing it
 NONZERO_Z2_HOMS = [((1, 0), (0, 1)), ((0, 1), (1, 0)), ((1, 0), (1, 0))]
@@ -101,15 +102,20 @@ NONZERO_Z2_HOMS = [((1, 0), (0, 1)), ((0, 1), (1, 0)), ((1, 0), (1, 0))]
 
 @st.composite
 def spinal_data(draw):
-    """Degree 3 over B = Z/3 with images powers of the 3-cycle, or degree 2
-    over B = (Z/2)^2 with nonzero homomorphisms; up to one preperiod and one
-    to three period entries."""
-    if draw(st.booleans()):
+    """Degree 3 over B = Z/3 with images powers of the 3-cycle, degree 4
+    over B = Z/4 with images powers of the 4-cycle, or degree 2 over
+    B = (Z/2)^2 with nonzero homomorphisms; up to one preperiod and one to
+    three period entries."""
+    degree = draw(st.sampled_from((3, 2, 4)))
+    if degree == 3:
         hom = st.tuples(st.sampled_from(CYCLE3_POWERS))
-        degree, orders, a, entry = 3, (3,), (1, 2, 0), st.tuples(hom, hom)
+        orders, a, entry = (3,), (1, 2, 0), st.tuples(hom, hom)
+    elif degree == 4:
+        hom = st.tuples(st.sampled_from(CYCLE4_POWERS))
+        orders, a, entry = (4,), (1, 2, 3, 0), st.tuples(hom, hom, hom)
     else:
         hom = st.sampled_from(NONZERO_Z2_HOMS)
-        degree, orders, a, entry = 2, (2, 2), (1, 0), st.tuples(hom)
+        orders, a, entry = (2, 2), (1, 0), st.tuples(hom)
     pre = draw(st.lists(entry, max_size=1))
     per = draw(st.lists(entry, min_size=1, max_size=3))
     return catalog.SpinalData(degree, orders, (a,), tuple(pre), tuple(per))
@@ -122,7 +128,7 @@ def test_filtration_matches_reference_on_generated_families(data):
         spec = catalog.spinal(data)
     except catalog.CatalogError:
         assume(False)
-    radius = 4 if data.degree == 3 else 6
+    radius = {2: 6, 3: 4, 4: 3}[data.degree]
     assert build_atlas(spec, radius, levels=1).table(0).sphere_sizes() == \
         oracle_spheres(spec, 8, radius)
     _assert_matches_reference(spec, radius)
@@ -291,6 +297,22 @@ def test_factorization_dp_matches_reference(make, radius, max_n, classes,
             for h in factors:
                 product = eng.mul(c, product, h, store=False)
             assert rep(product) == q
+
+
+def test_factorization_dp_interns_no_witness():
+    # the only ids the DP may add at class c are its step factors A[i]·h;
+    # at first Grigorchuk the section products land at the next class
+    atlas = build_atlas(catalog.first_grigorchuk(), 10)
+    eng = atlas.engine
+    report = inc.approximate_I_infty(atlas, 6)
+    for c, table in sorted(atlas.tables.items()):
+        before = len(eng.tables[c].roots)
+        inc.factorization_dp(atlas, report, c, 10)
+        added = set(range(before, len(eng.tables[c].roots)))
+        factors = {eng.mul(c, a, h, store=False) for a in table.zero.ids
+                   for h in report.final[c] if h != 0}
+        assert added <= factors, c
+    eng.audit()
 
 
 def test_witness_minimal_count(fg_atlas6, fg_report6):

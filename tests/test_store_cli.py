@@ -204,8 +204,22 @@ def test_cli_define_malformed_parameters_exit_2(tmp_path, capsys, config):
         "degree": 2, "preperiod": [],
         "period": [[_gen("a", 0, "a", [1.0, 0], [[], []])]]}},
      "root of generator a must be a list of integers, got [1.0, 0]"),
+    ({"kind": "custom", "parameters": {
+        "degree": 2, "preperiod": [],
+        "period": [[_gen("w", 0, "w", [1, 0], ["w", "w"])]]}},
+     'children of generator w must be a list of lists of strings, '
+     'got ["w", "w"]'),
+    ({"kind": "custom", "parameters": {
+        "degree": 2, "preperiod": [],
+        "period": [[_gen(7, 0, "a", [1, 0], [[], []])]]}},
+     "name of generator 7 must be a string, got 7"),
+    ({"kind": "custom", "parameters": {
+        "degree": 2, "preperiod": [],
+        "period": [[_gen("a", 0, 7, [1, 0], [[], []])]]}},
+     "inverse of generator a must be a string, got 7"),
 ], ids=["sunic-coefficient-string", "grigorchuk_p-index-float",
-        "custom-pseudolength-float", "custom-root-float"])
+        "custom-pseudolength-float", "custom-root-float",
+        "custom-children-strings", "custom-name-int", "custom-inverse-int"])
 def test_cli_define_names_the_non_integer_parameter(tmp_path, capsys, config,
                                                      message):
     path = tmp_path / "bad.json"
