@@ -30,20 +30,20 @@ class ZeroGroup:
 
     A is listed breadth first from the identity under right multiplication
     by the zero-length generators; `links[i]` is (j, name) with
-    A[i] = A[j]·name, None for the identity.  A is rooted when every
-    zero-length generator has identity sections.  Then a1·g·a3 has root
-    α1∘π∘α3 and the sections of g permuted by α3, so the canonical form of
-    an element, the least (root, children) key over its A×A orbit, is found
-    without a product.  Otherwise the canonical form is the least id of the
-    orbit, which interns the whole orbit.
+    A[i] = A[j]·name, None for the identity.  The member A[i1]·g·A[i3] of
+    g's orbit has root α1∘π∘α3, and section at x equal to
+    (A[i1])_{π∘α3(x)} · g_{α3(x)} · (A[i3])_x.  The canonical form of an
+    element is the member with the least (root, sections) key.  A is rooted
+    when every zero-length generator has identity sections; then a member's
+    sections are g's permuted by α3 and the key needs no product.
+    Otherwise they are formed at the successor class.
 
     Enumeration, its skip table and the factorization DP each multiply an
     element g by a·f with a in A and read the product modulo A×A:
     `products` forms g·a·f in one wreath step, and `find(root, children)`
     gives (id, pairs, i1, i3), the canonical form A[i1]·g·A[i3] of the
     element g with that key, interned if absent, and how many of the |A|²
-    pairs reach it.  `find` is the method for A's case (trivial, rooted or
-    not); callers bind it once, outside their loops.
+    pairs reach it.
     """
 
     def __init__(self, eng, c, names):
@@ -63,6 +63,7 @@ class ZeroGroup:
         t = eng.tables[c]
         self.rooted = all(t.children[z] == (0,) * eng.d for z in gens)
         self.perms = [t.roots[a] for a in self.ids]
+        self.sections = [t.children[a] for a in self.ids]
         self.getters = [itemgetter(*p) for p in self.perms]
         self._plans = {}
 
@@ -76,19 +77,34 @@ class ZeroGroup:
         return out
 
     def _plan(self, root):
-        # the least root over the pairs, and (getter of α3, i1, i3) for
-        # each pair that reaches it; α1 is fixed by α3 and the least root
+        # the least root over the pairs, and (reader, i1, i3) for each pair
+        # that reaches it
         pairs = [(perms.compose(a1, perms.compose(root, a3)), i1, i3)
                  for i3, a3 in enumerate(self.perms)
                  for i1, a1 in enumerate(self.perms)]
         least = min(r for r, _, _ in pairs)
         plan = self._plans[root] = (least, [
-            (self.getters[i3], i1, i3) for r, i1, i3 in pairs if r == least])
+            (self._reader(root, i1, i3), i1, i3)
+            for r, i1, i3 in pairs if r == least])
         return plan
 
+    def _reader(self, root, i1, i3):
+        # the map from the sections of a g with this root to those of
+        # A[i1]·g·A[i3]; it holds the engine, not self, so plans make no
+        # reference cycle
+        get = self.getters[i3]
+        if self.rooted:
+            return get
+        mul, sc = self.eng.mul, self.eng.succ[self.c]
+        left = [self.sections[i1][r] for r in get(root)]
+        right = self.sections[i3]
+        return lambda children: tuple([
+            mul(sc, mul(sc, a, u), b)
+            for a, u, b in zip(left, get(children), right)])
+
     def canon(self, root, children):
-        """Canonical key of a rooted-A orbit from one member's key:
-        (root, children, pairs, i1, i3), where A[i1]·g·A[i3] has the least
+        """Canonical key of an orbit from one member's key:
+        (root, sections, pairs, i1, i3), where A[i1]·g·A[i3] has the least
         key and `pairs` of the |A|² pairs reach it."""
         least, cands = self._plans.get(root) or self._plan(root)
         best = None
@@ -100,35 +116,14 @@ class ZeroGroup:
                 pairs += 1
         return least, best, pairs, i1, i3
 
-    def lookup(self, root, children):
-        """(id, i1, i3) with id the canonical form A[i1]·g·A[i3] of the
-        element g with this key, None when not interned.  For rooted A
-        nothing is interned; otherwise the orbit of an interned g is.
-        Unlike `find`, it never interns g itself (SphereTable.locate)."""
-        if self.rooted:
-            root, key, _, i1, i3 = self.canon(root, children)
-            return self.eng.tables[self.c].intern.get((root, key)), i1, i3
-        g = self.eng.tables[self.c].intern.get((root, tuple(children)))
-        if g is None:
-            return None, 0, 0
-        best, _, i1, i3 = self.canon_id(g)
-        return best, i1, i3
-
-    @property
-    def find(self):
-        # a bound method stored on self would be a cycle holding the engine
-        return (self._find_trivial if self.size == 1 else
-                self._find_rooted if self.rooted else self._find_orbit)
-
-    def _find_trivial(self, root, children):
-        return self.eng._intern(self.c, root, tuple(children)), 1, 0, 0
-
-    def _find_rooted(self, root, children):
+    def find(self, root, children):
+        """(id, pairs, i1, i3) with id the canonical form A[i1]·g·A[i3] of
+        the element g with this key, interned if absent, and `pairs` of the
+        |A|² pairs reaching it."""
+        if self.size == 1:
+            return self.eng._intern(self.c, root, tuple(children)), 1, 0, 0
         root, key, pairs, i1, i3 = self.canon(root, children)
         return self.eng._intern(self.c, root, key), pairs, i1, i3
-
-    def _find_orbit(self, root, children):
-        return self.canon_id(self.eng._intern(self.c, root, tuple(children)))
 
     def products(self, root, children, steps):
         """(step, root, sections) of g·a·f for each step (as made by
@@ -161,24 +156,13 @@ class ZeroGroup:
                             t.children[h]))
         return out
 
-    def canon_id(self, g):
-        """(least id, pairs, i1, i3) over the orbit of the id g, interning
-        every member: the canonical form when A is not rooted."""
-        orbit = [(self.act(i1, g, i3), i1, i3)
-                 for i1 in range(self.size) for i3 in range(self.size)]
-        best, i1, i3 = min(orbit)
-        return best, sum(w == best for w, _, _ in orbit), i1, i3
-
     def act(self, i1, g, i3):
         """Interned id of A[i1]·g·A[i3]."""
         eng, c = self.eng, self.c
-        if not self.rooted:
-            left = eng.mul(c, self.ids[i1], g, store=False)
-            return eng.mul(c, left, self.ids[i3], store=False)
         t = eng.tables[c]
-        get = self.getters[i3]
-        root = perms.compose(self.perms[i1], get(t.roots[g]))
-        return eng._intern(c, root, get(t.children[g]))
+        root = perms.compose(self.perms[i1], self.getters[i3](t.roots[g]))
+        read = self._reader(t.roots[g], i1, i3)
+        return eng._intern(c, root, read(t.children[g]))
 
 
 @dataclass
@@ -225,8 +209,9 @@ class SphereTable:
 
     def locate(self, g):
         """(rep, j1, j3) with g = A[j1]·rep·A[j3] for a ball id g, None
-        for any other value.  Memoized: the ids looked up are mostly
-        sections, and they are few."""
+        for any other value.  An id outside the ball has its canonical form
+        interned.  Memoized: the ids looked up are mostly sections, and they
+        are few."""
         if g in self.lengths:
             return g, 0, 0
         if g in self._located:
@@ -234,7 +219,7 @@ class SphereTable:
         zero, found = self.zero, None
         t = zero.eng.tables[self.cls]
         if isinstance(g, int) and 0 <= g < len(t.roots):
-            rep, i1, i3 = zero.lookup(t.roots[g], t.children[g])
+            rep, _, i1, i3 = zero.find(t.roots[g], t.children[g])
             if rep in self.lengths:
                 found = rep, zero.inverse[i1], zero.inverse[i3]
         self._located[g] = found
@@ -336,13 +321,12 @@ def enumerate_spheres(atlas, c, max_radius):
     whose orbit has |A|² / pairs members, unless it is in the ball already.
     Radius 0 is the one double coset A, with the identity as representative.
 
-    From radius 3 on, steps that provably land in the ball are skipped (for
-    rooted A).  A representative g of radius m was found as
-    A[i1]·h·A[ia]·name·A[i3] with |h| = m-1, so when |name·A[i3]·a·s| ≤ 1
-    the product g·a·s has length at most m and would be discarded anyway;
-    the table of such steps per suffix (name, i3) is built once, from the
-    radius-2 ball (_kept_steps).  Skipping changes no output, only which
-    section products get cached.
+    From radius 3 on, steps that provably land in the ball are skipped.  A
+    representative g of radius m was found as A[i1]·h·A[ia]·name·A[i3] with
+    |h| = m-1, so when |name·A[i3]·a·s| ≤ 1 the product g·a·s has length at
+    most m and would be discarded anyway; the table of such steps per suffix
+    (name, i3) is built once, from the radius-2 ball (_kept_steps).
+    Skipping changes no output, only which section products get cached.
 
     Deterministic: expansion follows stored sphere order, A's breadth-first
     order and the spec's generator order.  The engine's budget is the only
@@ -366,7 +350,7 @@ def enumerate_spheres(atlas, c, max_radius):
     try:
         for n in range(1, max_radius + 1):
             sphere, orbit = [], []
-            if n == 3 and zero.rooted:
+            if n == 3:
                 kept = _kept_steps(zero, units, steps, lengths)
             for g in spheres[n - 1]:
                 for step, root, ch in products(
@@ -395,15 +379,16 @@ def enumerate_spheres(atlas, c, max_radius):
 
 def _kept_steps(zero, units, steps, lengths):
     """For each link suffix (name, i3), the steps (a, s) for which
-    name·A[i3]·a·s is not provably of length at most 1 (rooted A).  That
-    product is name·(A[k]·s) with A[k] = A[i3]·a, of length at most 2, so
-    its canonical form is already in the radius-2 ball and finding it
-    interns nothing; a section product not yet cached is multiplied and
-    counts against the budget like any other."""
-    t = zero.eng.tables[zero.c]
-    index = {p: k for k, p in enumerate(zero.perms)}
-    times = [[index[perms.compose(p, q)] for q in zero.perms]
-             for p in zero.perms]
+    name·A[i3]·a·s is not provably of length at most 1.  That product is
+    name·(A[k]·s) with A[k] = A[i3]·a, of length at most 2, so its canonical
+    form is already in the radius-2 ball and finding it interns nothing; a
+    section product not yet cached is multiplied and counts against the
+    budget like any other."""
+    eng, c = zero.eng, zero.c
+    t = eng.tables[c]
+    index = {a: k for k, a in enumerate(zero.ids)}
+    times = [[index[eng.mul(c, a, b, store=False)] for b in zero.ids]
+             for a in zero.ids]
     kept = {}
     for name, f in units:
         short = {step[:2] for step, root, ch

@@ -26,7 +26,7 @@ class IncompressibilityReport:
     K: int
     counts: dict                 # class -> list over k of per-radius counts
     first_fail: dict             # class -> {rep: least k with rep outside I_k}
-    final: dict                  # class -> set of reps still in I_K
+    final: dict                  # class -> {rep still in I_K: its sections}
     stabilization_depth: int = None   # least k with I_k = I_{k+1} on all balls
     tables: dict = None          # class -> SphereTable the reps belong to
 
@@ -65,8 +65,8 @@ def approximate_I_infty(atlas, K):
     Round k drops those still alive with a section no longer alive, and the
     first round that drops nothing gives stabilization_depth = k-1.
     counts[c][k][n] is the radius-n sphere size less the orbit sizes of the
-    radius-n representatives with first_fail at most k; final[c] is the set
-    of representatives still alive.
+    radius-n representatives with first_fail at most k; final[c] maps each
+    representative still alive to its sections' representatives.
     """
     if K < 1:
         raise ValueError(f"depth K must be at least 1, got {K}")
@@ -77,37 +77,36 @@ def approximate_I_infty(atlas, K):
             raise ValueError(
                 f"class {succ[c]} needed for sections of class {c}")
 
-    first_fail, sections = {}, {}
+    first_fail, alive = {}, {}
     for c in classes:
         table, nxt = atlas.table(c), atlas.table(succ[c])
         rep, next_lengths = nxt.representative, nxt.lengths
         is_rep = next_lengths.__contains__
         children = atlas.engine.tables[c].children
-        first_fail[c], sections[c] = {}, {}
+        first_fail[c], alive[c] = {}, {}
         for g, n in table.lengths.items():
             xs = children[g]
             if not all(map(is_rep, xs)):
                 xs = tuple(map(rep, xs))
             if sum(map(next_lengths.__getitem__, xs)) == n:
-                sections[c][g] = xs
+                alive[c][g] = xs
             else:
                 first_fail[c][g] = 1
-    # a set sized to its members: it outlives the call as `final`
-    alive = {c: set(sections[c]) for c in classes}
 
     stab = None
     for k in range(2, K + 1):
         # every class is checked against the round k-1 sets before any drop
         dropped = {}
         for c in classes:
-            secs, live_next = sections[c], alive[succ[c]]
-            dropped[c] = [g for g in alive[c]
-                          if not all(map(live_next.__contains__, secs[g]))]
+            live_next = alive[succ[c]]
+            dropped[c] = [g for g, xs in alive[c].items()
+                          if not all(map(live_next.__contains__, xs))]
         if not any(dropped.values()):
             stab = k - 1
             break
         for c in classes:
-            alive[c].difference_update(dropped[c])
+            for g in dropped[c]:
+                del alive[c][g]
             first_fail[c].update(dict.fromkeys(dropped[c], k))
 
     counts = {}
@@ -170,10 +169,10 @@ def factorization_dp(atlas, report, c, max_n):
     A and h a depth-K representative of positive length reach the double
     coset of x·y for every x in w's double coset and y in the depth-K set.
     Only |w| + |h| <= R = min(max_n, table radius) can be additive in the
-    ball, so every product is in the ball and its canonical form is found
-    without interning (ZeroGroup).  A witness is held as its root and
-    sections, not as an id.  back[q] = (p, a·h) with q's witness equal to
-    p's witness times a·h.
+    ball, so every product is in the ball and its canonical form is
+    interned already, rooted A or not (ZeroGroup).  A witness is held as its
+    root and sections, not as an id.  back[q] = (p, a·h) with q's witness
+    equal to p's witness times a·h.
     """
     table = atlas.table(c)
     R = min(max_n, table.max_radius)

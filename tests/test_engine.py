@@ -238,6 +238,26 @@ def _two_cycles():
     ])
 
 
+def _cycle3():
+    # A = <z> with z = (z, z, z)·(0 1 2) is not rooted
+    return _custom(3, [
+        _gen("z", 0, "y", [1, 2, 0], [["z"], ["z"], ["z"]]),
+        _gen("y", 0, "z", [2, 0, 1], [["y"], ["y"], ["y"]]),
+        _gen("b", 1, "c", [0, 1, 2], [["z"], ["y"], ["b"]]),
+        _gen("c", 1, "b", [0, 1, 2], [["y"], ["z"], ["c"]]),
+    ])
+
+
+def _hidden_root():
+    # A = <w, v> has order 4, and its roots (identity, swap) do not tell
+    # its elements apart
+    return _custom(2, [
+        _gen("w", 0, "w", [1, 0], [["w"], ["w"]]),
+        _gen("v", 0, "v", [0, 1], [["w"], ["w"]]),
+        _gen("b", 1, "b", [0, 1], [["v"], ["b"]]),
+    ])
+
+
 def test_session_with_two_cyclic_components():
     spec = _two_cycles()
     sizes = build_atlas(spec, 5).table(0).sphere_sizes()
@@ -275,6 +295,8 @@ CYCLIC_FAMILIES = {
         (lambda: catalog.nekrashevych_D((1,), (0, 1)), 6),
     "two_letter_ggs-r5": (_two_letter_ggs, 5),
     "two_cycles-r5": (_two_cycles, 5),
+    "cycle3-r5": (_cycle3, 5),
+    "hidden_root-r6": (_hidden_root, 6),
     "ggs4_102-r3": (lambda: catalog.ggs(4, (1, 0, 2)), 3),
 }
 FINGERPRINTS = Path(__file__).resolve().parent / "id_fingerprints.json"
