@@ -168,14 +168,8 @@ def spinal(data):
                 root=ident, children=tuple(ch)))
         levels.append(LevelSpec(tuple(gens)))
 
-    meta = dict(data.meta)
-    meta.update({
-        "kind": "spinal",
-        "orders": orders,
-        "kernel_depth": kernel_depth(data),
-        "spine_names": [b_name(b) for b in b_elements(orders)
-                        if b != (0,) * len(orders)],
-    })
+    meta = dict(data.meta, kind="spinal", orders=orders,
+                kernel_depth=kernel_depth(data))
     # purely periodic input whose given root group matches the derived one
     # needs no preperiod seam; fewer level classes means smaller tables
     if p == 0 and levels[0] == levels[q]:
@@ -242,6 +236,8 @@ def sunic(p, m, a_coeffs=(), name=""):
     """Spinal group over B = (Z/p)^m with defining sequence given by the
     row functional (0...0 1) composed with powers of the companion-style
     matrix whose first row is (0...0 -1) and last column (-1, a_1..a_{m-1})."""
+    if p < 2:
+        raise CatalogError(f"B = (Z/p)^m needs p at least 2, got {p}")
     if m < 1:
         raise CatalogError(f"B = (Z/p)^m needs m at least 1, got {m}")
     if len(a_coeffs) != m - 1:

@@ -29,8 +29,9 @@ class ZeroGroup:
     class, acting on ids from both sides.
 
     A is listed breadth first from the identity under right multiplication
-    by the zero-length generators; `links[i]` is (j, name) with
-    A[i] = A[j]·name, None for the identity.  The member A[i1]·g·A[i3] of
+    by the zero-length generators, and `words[i]` is the generator names
+    whose product is A[i].  Its arithmetic is formed once: A[i]·A[j] is
+    A[times[i][j]] and A[i]⁻¹ is A[inverse[i]].  The member A[i1]·g·A[i3] of
     g's orbit has root α1∘π∘α3, and section at x equal to
     (A[i1])_{π∘α3(x)} · g_{α3(x)} · (A[i3])_x.  The canonical form of an
     element is the member with the least (root, sections) key.  A is rooted
@@ -49,32 +50,25 @@ class ZeroGroup:
     def __init__(self, eng, c, names):
         self.eng, self.c = eng, c
         gens = [eng.gen_id(c, nm) for nm in names]
-        self.ids, self.links = [0], [None]
+        self.ids, self.words = [0], [[]]
         index = {0: 0}
-        for u in self.ids:          # grows while it is read
+        for u, word in zip(self.ids, self.words):   # both grow while read
             for nm, z in zip(names, gens):
                 w = eng.mul(c, u, z, store=False)
                 if w not in index:
                     index[w] = len(self.ids)
                     self.ids.append(w)
-                    self.links.append((index[u], nm))
+                    self.words.append(word + [nm])
         self.size = len(self.ids)
-        self.inverse = [index[eng.inv(c, a)] for a in self.ids]
+        self.times = [[index[eng.mul(c, a, b, store=False)] for b in self.ids]
+                      for a in self.ids]
+        self.inverse = [row.index(0) for row in self.times]
         t = eng.tables[c]
         self.rooted = all(t.children[z] == (0,) * eng.d for z in gens)
         self.perms = [t.roots[a] for a in self.ids]
         self.sections = [t.children[a] for a in self.ids]
         self.getters = [itemgetter(*p) for p in self.perms]
         self._plans = {}
-
-    def word(self, i):
-        """Zero-length generator names whose product is A[i]."""
-        out = []
-        while self.links[i] is not None:
-            i, nm = self.links[i]
-            out.append(nm)
-        out.reverse()
-        return out
 
     def _plan(self, root):
         # the least root over the pairs, and (reader, i1, i3) for each pair
@@ -102,10 +96,12 @@ class ZeroGroup:
             mul(sc, mul(sc, a, u), b)
             for a, u, b in zip(left, get(children), right)])
 
-    def canon(self, root, children):
-        """Canonical key of an orbit from one member's key:
-        (root, sections, pairs, i1, i3), where A[i1]·g·A[i3] has the least
-        key and `pairs` of the |A|² pairs reach it."""
+    def find(self, root, children):
+        """(id, pairs, i1, i3) with id the canonical form A[i1]·g·A[i3] of
+        the element g with this key, the member with the least key,
+        interned if absent, and `pairs` of the |A|² pairs reaching it."""
+        if self.size == 1:
+            return self.eng._intern(self.c, root, tuple(children)), 1, 0, 0
         least, cands = self._plans.get(root) or self._plan(root)
         best = None
         for get, j1, j3 in cands:
@@ -114,16 +110,7 @@ class ZeroGroup:
                 best, pairs, i1, i3 = ch, 1, j1, j3
             elif ch == best:
                 pairs += 1
-        return least, best, pairs, i1, i3
-
-    def find(self, root, children):
-        """(id, pairs, i1, i3) with id the canonical form A[i1]·g·A[i3] of
-        the element g with this key, interned if absent, and `pairs` of the
-        |A|² pairs reaching it."""
-        if self.size == 1:
-            return self.eng._intern(self.c, root, tuple(children)), 1, 0, 0
-        root, key, pairs, i1, i3 = self.canon(root, children)
-        return self.eng._intern(self.c, root, key), pairs, i1, i3
+        return self.eng._intern(self.c, least, best), pairs, i1, i3
 
     def products(self, root, children, steps):
         """(step, root, sections) of g·a·f for each step (as made by
@@ -243,17 +230,18 @@ class SphereTable:
 
     def geodesic(self, g):
         """Generator-name word for the ball id g: rep = A[i1]·h·A[ia]·s·A[i3]
-        unrolls to A[i1]·geodesic(h)·A[ia]·s·A[i3], down to the identity."""
+        unrolls to A[i1]·geodesic(h)·A[ia]·s·A[i3], down to the identity,
+        with A's words read from `zero.words`."""
         rep, j1, j3 = self.find(g)
-        word = self.zero.word
-        left, right = word(j1), []
+        words = self.zero.words
+        left, right = list(words[j1]), []   # a copy: += would extend A's word
         while rep != 0:
             rep, i1, ia, name, i3 = self.links[rep]
-            left += word(i1)
-            right.append(word(ia) + [name] + word(i3))
+            left += words[i1]
+            right.append(words[ia] + [name] + words[i3])
         for part in reversed(right):
             left += part
-        return left + word(j3)
+        return left + words[j3]
 
     def orbit(self, rep):
         """Every member A[i1]·rep·A[i3] of a representative's orbit, repeats
@@ -383,18 +371,14 @@ def _kept_steps(zero, units, steps, lengths):
     name·(A[k]·s) with A[k] = A[i3]·a, of length at most 2, so its canonical
     form is already in the radius-2 ball and finding it interns nothing; a
     section product not yet cached is multiplied and counts against the
-    budget like any other."""
-    eng, c = zero.eng, zero.c
-    t = eng.tables[c]
-    index = {a: k for k, a in enumerate(zero.ids)}
-    times = [[index[eng.mul(c, a, b, store=False)] for b in zero.ids]
-             for a in zero.ids]
+    budget like any other.  A[k] is read off `zero.times`."""
+    t = zero.eng.tables[zero.c]
     kept = {}
     for name, f in units:
         short = {step[:2] for step, root, ch
                  in zero.products(t.roots[f], t.children[f], steps)
                  if lengths.get(zero.find(root, ch)[0], 2) <= 1}
-        for i3, row in enumerate(times):
+        for i3, row in enumerate(zero.times):
             kept[name, i3] = [step for step in steps
                               if (row[step[0]], step[1]) not in short]
     return kept

@@ -68,6 +68,10 @@ def _is_nested(value, typ, depth):
 
 
 def _check_types(kind, params):
+    if not isinstance(params, dict):
+        raise ConfigError(
+            f"malformed parameters for kind {kind}: parameters must be a "
+            f"JSON object, got {json.dumps(params)}")
     fields = [(key, params[key], int, depth)
               for key, depth in INTEGER_PARAMETERS.get(kind, {}).items()
               if key in params]

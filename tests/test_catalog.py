@@ -70,6 +70,12 @@ def test_sunic_rejects_empty_base():
         catalog.sunic(3, 0, ())
 
 
+@pytest.mark.parametrize("p", [0, 1])
+def test_sunic_rejects_p_below_2(p):
+    with pytest.raises(CatalogError, match=f"p at least 2, got {p}"):
+        catalog.sunic(p, 1, ())
+
+
 def test_ggs_rejects_zero_vector():
     with pytest.raises(CatalogError, match="gcd_condition"):
         catalog.ggs(3, (0, 0))

@@ -258,6 +258,39 @@ def _hidden_root():
     ])
 
 
+def _pending_operand():
+    # b = (z, y, b·z): the session multiplying b by z meets the pending
+    # product b·z as an operand of a section product
+    return _custom(3, [
+        _gen("z", 0, "y", [1, 2, 0], [[], [], []]),
+        _gen("y", 0, "z", [2, 0, 1], [[], [], []]),
+        _gen("b", 1, "c", [0, 1, 2], [["z"], ["y"], ["b", "z"]]),
+        _gen("c", 1, "b", [0, 1, 2], [["y"], ["z"], ["y", "c"]]),
+    ])
+
+
+def _two_spines():
+    # the involutions b = (c, 1) and c = (b, w) refer to each other, so
+    # their component needs a second bisimulation round
+    return _custom(2, [
+        _gen("w", 0, "w", [1, 0], [[], []]),
+        _gen("b", 1, "b", [0, 1], [["c"], []]),
+        _gen("c", 1, "c", [0, 1], [["b"], ["w"]]),
+    ])
+
+
+@pytest.mark.parametrize("make_spec, sizes", [
+    (_pending_operand, [3, 18, 90, 450, 2250, 11070]),
+    (_two_spines, [2, 8, 18, 36, 70, 132, 242, 432]),
+], ids=["pending_operand", "two_spines"])
+def test_session_branch_families_match_oracle(make_spec, sizes):
+    spec = make_spec()
+    atlas = build_atlas(spec, len(sizes) - 1)
+    assert atlas.table(0).sphere_sizes() == sizes
+    assert sizes[:5] == oracle_spheres(spec, 8, 4)
+    atlas.engine.audit()
+
+
 def test_session_with_two_cyclic_components():
     spec = _two_cycles()
     sizes = build_atlas(spec, 5).table(0).sphere_sizes()
@@ -298,6 +331,8 @@ CYCLIC_FAMILIES = {
     "cycle3-r5": (_cycle3, 5),
     "hidden_root-r6": (_hidden_root, 6),
     "ggs4_102-r3": (lambda: catalog.ggs(4, (1, 0, 2)), 3),
+    "pending_operand-r5": (_pending_operand, 5),
+    "two_spines-r7": (_two_spines, 7),
 }
 FINGERPRINTS = Path(__file__).resolve().parent / "id_fingerprints.json"
 

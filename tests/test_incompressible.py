@@ -385,3 +385,13 @@ def test_in_Ik_beyond_K_requires_exactness(fg_atlas6):
     assert rep.stabilization_depth is None
     with pytest.raises(ValueError):
         rep.in_Ik(0, 0, 5)
+
+
+def test_approximate_I_infty_rejects_bad_input(fg_atlas6):
+    with pytest.raises(ValueError, match="depth K must be at least 1, got 0"):
+        inc.approximate_I_infty(fg_atlas6, 0)
+    # first Grigorchuk's class 0 has its sections at class 1
+    atlas = build_atlas(catalog.first_grigorchuk(), 3, levels=1)
+    with pytest.raises(ValueError,
+                       match="class 1 needed for sections of class 0"):
+        inc.approximate_I_infty(atlas, 6)

@@ -130,6 +130,15 @@ def test_cli_define_domain_error(tmp_path, capsys):
     assert "gcd_condition" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p", [0, 1])
+def test_cli_define_rejects_sunic_p_below_2(tmp_path, capsys, p):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"kind": "sunic",
+                                "parameters": {"p": p, "m": 1}}))
+    assert main(["define", "--config", str(path)]) == 1
+    assert f"needs p at least 2, got {p}" in capsys.readouterr().err
+
+
 def test_cli_define_io_error(tmp_path):
     assert main(["define", "--config", str(tmp_path / "none.json")]) == 2
 
@@ -179,8 +188,11 @@ FG_SPINAL = {"degree": 3, "orders": [3], "a_perms": [[1, 2, 0]],
         "degree": 2, "preperiod": [], "period": [7]}},
     {"kind": "spinal", "parameters": dict(
         FG_SPINAL, omega_per=[[[[1, 2, 0]], [[0, 1]]]])},
+    {"kind": "custom", "parameters": []},
+    {"kind": "custom", "parameters": "x"},
 ], ids=["ggs-d-string", "ggs-epsilon-int", "custom-root-int",
-        "custom-period-entry-int", "spinal-image-degree-2"])
+        "custom-period-entry-int", "spinal-image-degree-2",
+        "custom-parameters-list", "custom-parameters-string"])
 def test_cli_define_malformed_parameters_exit_2(tmp_path, capsys, config):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(config))
@@ -217,9 +229,12 @@ def test_cli_define_malformed_parameters_exit_2(tmp_path, capsys, config):
         "degree": 2, "preperiod": [],
         "period": [[_gen("a", 0, 7, [1, 0], [[], []])]]}},
      "inverse of generator a must be a string, got 7"),
+    ({"kind": "custom", "parameters": []},
+     "parameters must be a JSON object, got []"),
 ], ids=["sunic-coefficient-string", "grigorchuk_p-index-float",
         "custom-pseudolength-float", "custom-root-float",
-        "custom-children-strings", "custom-name-int", "custom-inverse-int"])
+        "custom-children-strings", "custom-name-int", "custom-inverse-int",
+        "custom-parameters-list"])
 def test_cli_define_names_the_non_integer_parameter(tmp_path, capsys, config,
                                                      message):
     path = tmp_path / "bad.json"
@@ -363,6 +378,40 @@ def test_cli_report(tmp_path, fg_config_path):
                  "--max-radius", "4", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["spheres"]["0"] == [3, 18, 72, 288, 1152]
+
+
+@pytest.mark.parametrize("command", ["criterion", "report"])
+def test_cli_prints_json_without_out(tmp_path, fg_config_path, capsys,
+                                     command):
+    argv = [command, "--config", fg_config_path, "--max-radius", "3"]
+    out = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out.read_text()
+
+
+def test_cli_out_in_missing_directory_exit_2(tmp_path, fg_config_path,
+                                             capsys):
+    out = tmp_path / "missing" / "rep.json"
+    assert main(["report", "--config", fg_config_path, "--max-radius", "2",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+
+
+def test_cli_incompressible_counts_derivative_violations(tmp_path):
+    # Gupta-Sidki is ternary spinal, and half of its depth-6 ball elements
+    # to radius 4 have a derivative without the two-run property
+    path = tmp_path / "gs.json"
+    path.write_text(json.dumps({"kind": "ggs",
+                                "parameters": {"d": 3, "epsilon": [1, 1]}}))
+    out = tmp_path / "inc"
+    assert main(["incompressible", "--config", str(path),
+                 "--max-radius", "4", "--out", str(out)]) == 0
+    payload = json.loads((tmp_path / "inc.json").read_text())
+    assert payload["derivative_audit"] == {
+        "applicable": True, "checked": 1296, "violations": 648}
 
 
 def test_cli_criterion_fails_on_elements_without_factorization(tmp_path):
