@@ -9,7 +9,7 @@ root permutation, and rooted letters decompose trivially.
 """
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import accumulate, product
 
 from . import perms
 from .family import FamilyError, FamilySpec, GeneratorSpec, LevelSpec, validate
@@ -89,32 +89,34 @@ class SpinalData:
         return self.omega_per[(k - p) % len(self.omega_per)]
 
 
-def _check_kernel_condition(data):
-    p, q = len(data.omega_pre), len(data.omega_per)
+def _level_kernels(data):
+    """Common kernel of each of the p+q homomorphism tuples: the elements of
+    B that every homomorphism of omega_at(k) sends to the identity, all of B
+    for an empty tuple.  One pass serves the kernel condition and
+    kernel_depth."""
     orders = data.orders
-    # offsets past p repeat offset p: the period wraps round
-    for start in range(p + 1):
+    out = []
+    for k in range(data.num_omega_classes):
         ker = set(b_elements(orders))
-        for k in range(start, p + q):
-            for hom in data.omega_at(k):
-                ker &= hom_kernel(hom, orders)
-        if ker != {(0,) * len(orders)}:
-            raise CatalogError(
-                f"kernel_condition: homomorphisms from offset {start} onward "
-                f"have common kernel of size {len(ker)} > 1")
+        for hom in data.omega_at(k):
+            ker &= hom_kernel(hom, orders)
+        out.append(ker)
+    return out
+
+
+def _depth(kernels):
+    # every kernel holds the identity, so size 1 is trivial
+    for l, ker in enumerate(accumulate(kernels, set.__and__)):
+        if len(ker) == 1:
+            return l
+    return None
 
 
 def kernel_depth(data):
     """Least l with the kernels of the first l+1 homomorphism tuples meeting
-    trivially, or None if no such l exists within one preperiod+period."""
-    orders = data.orders
-    ker = set(b_elements(orders))
-    for l in range(data.num_omega_classes):
-        for hom in data.omega_at(l):
-            ker &= hom_kernel(hom, orders)
-        if ker == {(0,) * len(orders)}:
-            return l
-    return None
+    trivially, or None if no such l exists within one preperiod+period;
+    read off _level_kernels(data)."""
+    return _depth(_level_kernels(data))
 
 
 def spinal(data):
@@ -128,9 +130,15 @@ def spinal(data):
         raise CatalogError("period must be nonempty")
     d = data.degree
     orders = data.orders
-    _check_kernel_condition(data)
-
     p, q = len(data.omega_pre), len(data.omega_per)
+    kernels = _level_kernels(data)
+    # offsets past p repeat offset p: the period wraps round
+    for start in range(p + 1):
+        ker = set.intersection(*kernels[start:])
+        if len(ker) > 1:
+            raise CatalogError(
+                f"kernel_condition: homomorphisms from offset {start} onward "
+                f"have common kernel of size {len(ker)} > 1")
     nlevels = p + q + 1  # preperiod p+1, then one full period
 
     ident = perms.identity(d)
@@ -169,7 +177,7 @@ def spinal(data):
         levels.append(LevelSpec(tuple(gens)))
 
     meta = dict(data.meta, kind="spinal", orders=orders,
-                kernel_depth=kernel_depth(data))
+                kernel_depth=_depth(kernels))
     # purely periodic input whose given root group matches the derived one
     # needs no preperiod seam; fewer level classes means smaller tables
     if p == 0 and levels[0] == levels[q]:
@@ -190,6 +198,8 @@ def grigorchuk_p(p, pre, per, name=""):
     """Group over B = (Z/p)^2 defined by an eventually periodic sequence of
     indices in {0..p}: index k < p selects (x,y) -> x+ky, index p selects
     (x,y) -> y as the epimorphism onto the cyclic root group."""
+    if p < 2:
+        raise CatalogError(f"B = (Z/p)^2 needs p at least 2, got {p}")
     a = _cycle(p)
 
     def hom_for(k):
@@ -272,6 +282,8 @@ def ggs(d, epsilon, name=""):
     """GGS group on T_d: constant spinal data with the j-th homomorphism
     sending the generator of B = Z/d to the rooted d-cycle raised to e_j."""
     import math
+    if d < 2:
+        raise CatalogError(f"the tree T_d needs d at least 2, got {d}")
     epsilon = tuple(e % d for e in epsilon)
     if len(epsilon) != d - 1:
         raise CatalogError(f"expected {d - 1} exponents, got {len(epsilon)}")
@@ -321,28 +333,9 @@ def nekrashevych_D(pre, per, name=""):
 
 def neumann_pairs():
     """All (a, x) with a an even permutation of 6 points fixing x."""
-    out = []
-    for a in perms.all_perms(6):
-        # parity via cycle structure
-        seen = set()
-        parity = 0
-        for i in range(6):
-            if i in seen:
-                continue
-            j = a[i]
-            clen = 1
-            seen.add(i)
-            while j != i:
-                seen.add(j)
-                j = a[j]
-                clen += 1
-            parity += clen - 1
-        if parity % 2:
-            continue
-        for x in range(6):
-            if a[x] == x:
-                out.append((a, x))
-    return out
+    return [(a, x) for a in perms.all_perms(6)
+            if sum(a[j] > a[i] for i in range(6) for j in range(i)) % 2 == 0
+            for x in range(6) if a[x] == x]
 
 
 def neumann6(name="neumann6"):

@@ -73,10 +73,9 @@ def _emit(args, payload):
 
 
 def cmd_define(args):
-    spec = _spec_from(args)
-    report = validate(spec)
-    print(report.summary())
-    return EXIT_OK if report.ok else EXIT_DOMAIN
+    # build_spec rejects a family that fails any check, so all pass here
+    print(validate(_spec_from(args)).summary())
+    return EXIT_OK
 
 
 def cmd_spheres(args):

@@ -148,17 +148,17 @@ def validate(spec):
 
     for c in spec.classes():
         level = spec.level(c)
-        nxt = spec.level(spec.succ_class(c))
-        nxt_names = {g.name for g in nxt.generators}
-        nxt_len = {g.name: g.pseudolength for g in nxt.generators}
+        by_name = {g.name: g for g in level.generators}
+        nxt_len = {g.name: g.pseudolength
+                   for g in spec.level(spec.succ_class(c)).generators}
 
         # symmetry: inverse pairing is a well-formed involution
         ok, detail = True, ""
         for g in level.generators:
-            if g.inverse not in {h.name for h in level.generators}:
+            h = by_name.get(g.inverse)
+            if h is None:
                 ok, detail = False, f"{g.name}: inverse {g.inverse} missing"
                 break
-            h = level.gen(g.inverse)
             if h.inverse != g.name:
                 ok, detail = False, f"{g.name}/{h.name}: pairing not an involution"
                 break
@@ -179,7 +179,7 @@ def validate(spec):
             if len(g.children) != d:
                 ok, detail = False, f"{g.name}: expected {d} child words"
                 break
-            missing = [n for w in g.children for n in w if n not in nxt_names]
+            missing = [n for w in g.children for n in w if n not in nxt_len]
             if missing:
                 ok, detail = False, f"{g.name}: unknown child generator {missing[0]}"
                 break

@@ -194,32 +194,22 @@ class SphereTable:
         out = list(accumulate(self.sizes))
         return out if n is None else out[n]
 
-    def locate(self, g):
-        """(rep, j1, j3) with g = A[j1]·rep·A[j3] for a ball id g, None
-        for any other value.  An id outside the ball has its canonical form
-        interned.  Memoized: the ids looked up are mostly sections, and they
-        are few."""
+    def find(self, g):
+        """(rep, j1, j3) with g = A[j1]·rep·A[j3] for a ball id g;
+        TableExhausted for any other value, -1 and non-ints included.  An id
+        outside the ball has its canonical form interned.  Memoized: the ids
+        looked up are mostly sections, and they are few."""
         if g in self.lengths:
             return g, 0, 0
-        if g in self._located:
-            return self._located[g]
-        zero, found = self.zero, None
-        t = zero.eng.tables[self.cls]
-        if isinstance(g, int) and 0 <= g < len(t.roots):
-            rep, _, i1, i3 = zero.find(t.roots[g], t.children[g])
-            if rep in self.lengths:
-                found = rep, zero.inverse[i1], zero.inverse[i3]
-        self._located[g] = found
-        return found
-
-    def representative(self, g):
-        """Representative of the ball id g, None outside the ball."""
-        found = self.locate(g)
-        return None if found is None else found[0]
-
-    def find(self, g):
-        """locate(g), with TableExhausted for an id outside the ball."""
-        found = self.locate(g)
+        if g not in self._located:
+            zero, found = self.zero, None
+            t = zero.eng.tables[self.cls]
+            if isinstance(g, int) and 0 <= g < len(t.roots):
+                rep, _, i1, i3 = zero.find(t.roots[g], t.children[g])
+                if rep in self.lengths:
+                    found = rep, zero.inverse[i1], zero.inverse[i3]
+            self._located[g] = found
+        found = self._located[g]
         if found is None:
             raise TableExhausted(
                 f"element not within enumerated radius {self.max_radius}")

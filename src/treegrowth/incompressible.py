@@ -80,14 +80,14 @@ def approximate_I_infty(atlas, K):
     first_fail, alive = {}, {}
     for c in classes:
         table, nxt = atlas.table(c), atlas.table(succ[c])
-        rep, next_lengths = nxt.representative, nxt.lengths
+        find, next_lengths = nxt.find, nxt.lengths
         is_rep = next_lengths.__contains__
         children = atlas.engine.tables[c].children
         first_fail[c], alive[c] = {}, {}
         for g, n in table.lengths.items():
             xs = children[g]
             if not all(map(is_rep, xs)):
-                xs = tuple(map(rep, xs))
+                xs = tuple([find(x)[0] for x in xs])
             if sum(map(next_lengths.__getitem__, xs)) == n:
                 alive[c][g] = xs
             else:

@@ -26,33 +26,38 @@ def group_hash(config):
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _custom_spec(params):
-    def levels(key):
-        out = []
-        for lv in params.get(key, []):
-            gens = []
-            for g in lv:
-                gens.append(GeneratorSpec(
-                    name=g["name"], pseudolength=g["pseudolength"],
-                    inverse=g["inverse"], root=tuple(g["root"]),
-                    children=tuple(tuple(w) for w in g["children"])))
-            out.append(LevelSpec(tuple(gens)))
-        return tuple(out)
+def _custom_spec(degree, preperiod, period, name):
+    def levels(entries):
+        return tuple(LevelSpec(tuple(
+            GeneratorSpec(name=g["name"], pseudolength=g["pseudolength"],
+                          inverse=g["inverse"], root=tuple(g["root"]),
+                          children=tuple(tuple(w) for w in g["children"]))
+            for g in lv)) for lv in entries)
 
-    return FamilySpec(params["degree"], levels("preperiod"), levels("period"),
-                      name=params.get("name", "custom"))
+    return catalog._validated(
+        FamilySpec(degree, levels(preperiod), levels(period), name=name))
 
 
-# the integer parameters of each kind, with the number of lists the
-# integers sit in (0 for a bare integer)
-INTEGER_PARAMETERS = {
-    "spinal": {"degree": 0, "orders": 1, "a_perms": 2, "omega_pre": 4,
-               "omega_per": 4},
-    "grigorchuk_p": {"p": 0, "pre": 1, "per": 1},
-    "sunic": {"p": 0, "m": 0, "a_coeffs": 1},
-    "ggs": {"d": 0, "epsilon": 1},
-    "nekrashevych_D": {"pre": 1, "per": 1},
-    "custom": {"degree": 0},
+# each kind's constructor and its parameters in call order: name, entry
+# type, number of lists around the entries (0 for a bare value) and, for a
+# parameter that may be left out, its default; type None leaves the value
+# unchecked (custom levels are checked against GENERATOR_FIELDS)
+KINDS = {
+    "spinal": (lambda *args: catalog.spinal(catalog.SpinalData(*args)),
+               (("degree", int, 0), ("orders", int, 1), ("a_perms", int, 2),
+                ("omega_pre", int, 4, ()), ("omega_per", int, 4),
+                ("name", str, 0, "spinal"))),
+    "grigorchuk_p": (catalog.grigorchuk_p, (("p", int, 0), ("pre", int, 1, ()),
+                                            ("per", int, 1))),
+    "sunic": (catalog.sunic, (("p", int, 0), ("m", int, 0),
+                              ("a_coeffs", int, 1, ()))),
+    "ggs": (catalog.ggs, (("d", int, 0), ("epsilon", int, 1))),
+    "nekrashevych_D": (catalog.nekrashevych_D, (("pre", int, 1, ()),
+                                                ("per", int, 1))),
+    "neumann6": (catalog.neumann6, ()),
+    "custom": (_custom_spec, (("degree", int, 0), ("preperiod", None, 0, ()),
+                              ("period", None, 0, ()),
+                              ("name", None, 0, "custom"))),
 }
 # each custom generator's fields: entry type, number of lists around entries
 GENERATOR_FIELDS = {"name": (str, 0), "pseudolength": (int, 0),
@@ -67,14 +72,19 @@ def _is_nested(value, typ, depth):
                                            for x in value)
 
 
+def _tuples(value):
+    """The value with every list, at any depth, made a tuple."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
+
+
 def _check_types(kind, params):
     if not isinstance(params, dict):
         raise ConfigError(
             f"malformed parameters for kind {kind}: parameters must be a "
             f"JSON object, got {json.dumps(params)}")
-    fields = [(key, params[key], int, depth)
-              for key, depth in INTEGER_PARAMETERS.get(kind, {}).items()
-              if key in params]
+    fields = [(key, params[key], typ, depth)
+              for key, typ, depth, *_ in KINDS.get(kind, (None, ()))[1]
+              if key in params and typ is not None]
     if kind == "custom":
         # a level or generator of the wrong shape is left to build_spec
         for key in ("preperiod", "period"):
@@ -97,47 +107,23 @@ def _check_types(kind, params):
 
 
 def build_spec(config):
-    """FamilySpec from a parsed config mapping."""
+    """FamilySpec from a parsed config mapping: its kind's constructor
+    called with the parameters KINDS lists, lists made tuples."""
     kind = config.get("kind")
     params = config.get("parameters", {})
     try:
         _check_types(kind, params)
-        if kind == "spinal":
-            data = catalog.SpinalData(
-                degree=params["degree"],
-                orders=tuple(params["orders"]),
-                a_perms=tuple(tuple(p) for p in params["a_perms"]),
-                omega_pre=_parse_omega(params.get("omega_pre", [])),
-                omega_per=_parse_omega(params["omega_per"]),
-                name=params.get("name", "spinal"))
-            return catalog.spinal(data)
-        if kind == "grigorchuk_p":
-            return catalog.grigorchuk_p(params["p"], tuple(params.get("pre", ())),
-                                        tuple(params["per"]))
-        if kind == "sunic":
-            return catalog.sunic(params["p"], params["m"],
-                                 tuple(params.get("a_coeffs", ())))
-        if kind == "ggs":
-            return catalog.ggs(params["d"], tuple(params["epsilon"]))
-        if kind == "nekrashevych_D":
-            return catalog.nekrashevych_D(tuple(params.get("pre", ())),
-                                          tuple(params["per"]))
-        if kind == "neumann6":
-            return catalog.neumann6()
-        if kind == "custom":
-            return catalog._validated(_custom_spec(params))
+        if kind in KINDS:
+            make, fields = KINDS[kind]
+            return make(*[
+                _tuples(params.get(key, *default) if default else params[key])
+                for key, _, _, *default in fields])
     except KeyError as e:
         raise ConfigError(f"missing parameter {e} for kind {kind}")
     except (TypeError, IndexError) as e:
         # e.g. a string for a number or a permutation of the wrong degree
         raise ConfigError(f"malformed parameters for kind {kind}: {e}")
     raise ConfigError(f"unknown group kind: {kind!r}")
-
-
-def _parse_omega(entries):
-    return tuple(
-        tuple(tuple(tuple(img) for img in hom) for hom in entry)
-        for entry in entries)
 
 
 def load_config(path):

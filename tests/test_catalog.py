@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from treegrowth import catalog, perms
@@ -74,6 +76,39 @@ def test_sunic_rejects_empty_base():
 def test_sunic_rejects_p_below_2(p):
     with pytest.raises(CatalogError, match=f"p at least 2, got {p}"):
         catalog.sunic(p, 1, ())
+
+
+@pytest.mark.parametrize("p", [0, 1, -3])
+def test_grigorchuk_p_rejects_p_below_2(p):
+    with pytest.raises(CatalogError, match=re.escape(
+            f"B = (Z/p)^2 needs p at least 2, got {p}")):
+        catalog.grigorchuk_p(p, (), (0,))
+
+
+@pytest.mark.parametrize("d", [0, 1, -3])
+def test_ggs_rejects_d_below_2(d):
+    with pytest.raises(CatalogError,
+                       match=f"the tree T_d needs d at least 2, got {d}"):
+        catalog.ggs(d, (1,))
+
+
+@pytest.mark.parametrize("pre,offset", [((), 0), ((3,), 1)])
+def test_kernel_condition_names_the_first_failing_offset(pre, offset):
+    # over (Z/3)^2, index 0 alone has a kernel of size 3; index 3 in the
+    # preperiod would meet it trivially, but only from offset 0
+    with pytest.raises(CatalogError) as exc:
+        catalog.grigorchuk_p(3, pre, (0,))
+    assert str(exc.value) == (
+        f"kernel_condition: homomorphisms from offset {offset} onward "
+        f"have common kernel of size 3 > 1")
+
+
+def test_kernel_depth_reads_the_level_kernels():
+    a, e = (1, 0), (0, 1)
+    homs = (((a, e),), ((a, a),), ((e, a),))     # first Grigorchuk's
+    assert kernel_depth(SpinalData(2, (2, 2), (a,), (), homs)) == 1
+    # one epimorphism of (Z/2)^2 onto Z/2 keeps a kernel of size 2
+    assert kernel_depth(SpinalData(2, (2, 2), (a,), (), homs[:1])) is None
 
 
 def test_ggs_rejects_zero_vector():

@@ -58,12 +58,22 @@ def test_validate_catalog_groups():
         assert report.ok, report.summary()
 
 
-def test_validate_symmetry_failure():
+@pytest.mark.parametrize("gens,detail", [
+    ([("b", 1, "c", (0, 1))], "b: inverse c missing"),
+    ([("b", 1, "c", (0, 1)), ("c", 1, "b", (0, 1)), ("d", 1, "c", (0, 1))],
+     "d/c: pairing not an involution"),
+    ([("b", 1, "c", (0, 1)), ("c", 0, "b", (0, 1))],
+     "b: inverse has different pseudolength"),
+    ([("b", 0, "c", (1, 0)), ("c", 0, "b", (0, 1))],
+     "b: inverse root permutation mismatch"),
+], ids=["inverse-missing", "not-an-involution", "pseudolength", "root"])
+def test_validate_symmetry_failure(gens, detail):
     a = GeneratorSpec("a", 0, "a", (1, 0), ((), ()))
-    b = GeneratorSpec("b", 1, "c", (0, 1), (("b",), ()))   # inverse missing
-    spec = FamilySpec(2, (), (LevelSpec((a, b)),))
-    report = validate(spec)
-    assert any(r.check == "symmetry" and not r.ok for r in report.results)
+    gens = tuple(GeneratorSpec(name, length, inv, root, ((), ()))
+                 for name, length, inv, root in gens)
+    report = validate(FamilySpec(2, (), (LevelSpec((a,) + gens),)))
+    assert [(r.check, r.detail) for r in report.failures()
+            if r.check == "symmetry"] == [("symmetry", detail)]
 
 
 def test_validate_child_reference_failure():

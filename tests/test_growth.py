@@ -134,12 +134,13 @@ def test_ids_outside_the_ball():
     atlas = build_atlas(catalog.fabrykowski_gupta(), 2)
     table = atlas.table(0)
     g = atlas.engine.element_from_word(0, ["b1", "a120"] * 3)
-    assert table.representative(g) is None
+    for x in (g, -1, "b1", 1.5, None):
+        with pytest.raises(TableExhausted):
+            table.find(x)
     with pytest.raises(TableExhausted):
         table.length(g)
     with pytest.raises(TableExhausted):
         table.geodesic(g)
-    assert table.representative(-1) is None
 
 
 def test_shift_into_preperiod():

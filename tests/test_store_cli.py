@@ -139,6 +139,20 @@ def test_cli_define_rejects_sunic_p_below_2(tmp_path, capsys, p):
     assert f"needs p at least 2, got {p}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config,message", [
+    ({"kind": "ggs", "parameters": {"d": 0, "epsilon": [1]}},
+     "the tree T_d needs d at least 2, got 0"),
+    ({"kind": "grigorchuk_p", "parameters": {"p": 0, "per": [0]}},
+     "B = (Z/p)^2 needs p at least 2, got 0"),
+], ids=["ggs-d", "grigorchuk_p-p"])
+def test_cli_define_rejects_degree_below_2(tmp_path, capsys, config,
+                                           message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    assert main(["define", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_cli_define_io_error(tmp_path):
     assert main(["define", "--config", str(tmp_path / "none.json")]) == 2
 
@@ -167,6 +181,19 @@ def test_cli_rejects_expanding_custom_family(tmp_path, capsys):
                  "--out", str(tmp_path / "r.json")]) == 1
     assert "non_expansion" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+
+
+def test_cli_define_empty_omega_entry_fails_kernel_condition(tmp_path,
+                                                              capsys):
+    # a tuple with no homomorphism has all of B = Z/3 as its kernel
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"kind": "spinal", "parameters": {
+        "degree": 3, "orders": [3], "a_perms": [[1, 2, 0]],
+        "omega_per": [[]]}}))
+    assert main(["define", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: kernel_condition: homomorphisms from offset 0 onward have "
+        "common kernel of size 3 > 1\n")
 
 
 def _gen(name, length, inverse, root, children):
@@ -231,10 +258,12 @@ def test_cli_define_malformed_parameters_exit_2(tmp_path, capsys, config):
      "inverse of generator a must be a string, got 7"),
     ({"kind": "custom", "parameters": []},
      "parameters must be a JSON object, got []"),
+    ({"kind": "spinal", "parameters": dict(FG_SPINAL, name=5)},
+     "name must be a string, got 5"),
 ], ids=["sunic-coefficient-string", "grigorchuk_p-index-float",
         "custom-pseudolength-float", "custom-root-float",
         "custom-children-strings", "custom-name-int", "custom-inverse-int",
-        "custom-parameters-list"])
+        "custom-parameters-list", "spinal-name-int"])
 def test_cli_define_names_the_non_integer_parameter(tmp_path, capsys, config,
                                                      message):
     path = tmp_path / "bad.json"
