@@ -10,17 +10,18 @@ from .engine import _components
 
 
 def audit(eng):
-    """Raise AssertionError unless `intern` agrees with `roots` and
-    `children`, no two ids are bisimilar, and every id on a reference cycle
-    is listed in `cyclic` under its root.  The checks raise explicitly, so
-    they hold under `python -O` too."""
+    """Raise AssertionError unless `intern`, root -> {children: id}, agrees
+    with `roots` and `children`, no two ids are bisimilar, and every id on
+    a reference cycle is listed in `cyclic` under its root.  The checks
+    raise explicitly, so they hold under `python -O` too."""
     offset, n = [], 0
     for c, t in enumerate(eng.tables):
-        if not len(t.roots) == len(t.children) == len(t.intern):
+        keys = sum(map(len, t.intern.values()))
+        if not len(t.roots) == len(t.children) == keys:
             raise AssertionError(
-                f"class {c}: {len(t.roots)} ids but {len(t.intern)} keys")
-        for i, key in enumerate(zip(t.roots, t.children)):
-            if t.intern.get(key) != i:
+                f"class {c}: {len(t.roots)} ids but {keys} keys")
+        for i, (root, ch) in enumerate(zip(t.roots, t.children)):
+            if t.intern.get(root, {}).get(ch) != i:
                 raise AssertionError(
                     f"class {c}: intern disagrees with the tables at id {i}")
         offset.append(n)

@@ -20,8 +20,9 @@ class CatalogError(ValueError):
 
 
 def _validated(spec):
-    """The spec itself, or CatalogError naming its first failed check."""
-    report = validate(spec)
+    """The spec itself, its validation report kept as meta["validation"],
+    or CatalogError naming its first failed check."""
+    report = spec.meta["validation"] = validate(spec)
     if not report.ok:
         bad = report.failures()[0]
         raise CatalogError(f"{bad.check}: {bad.detail or 'check failed'}")
@@ -84,9 +85,8 @@ class SpinalData:
 
     def omega_at(self, k):
         p = len(self.omega_pre)
-        if k < p:
-            return self.omega_pre[k]
-        return self.omega_per[(k - p) % len(self.omega_per)]
+        return (self.omega_pre[k] if k < p
+                else self.omega_per[(k - p) % len(self.omega_per)])
 
 
 def _level_kernels(data):
@@ -106,10 +106,8 @@ def _level_kernels(data):
 
 def _depth(kernels):
     # every kernel holds the identity, so size 1 is trivial
-    for l, ker in enumerate(accumulate(kernels, set.__and__)):
-        if len(ker) == 1:
-            return l
-    return None
+    return next((l for l, ker in enumerate(accumulate(kernels, set.__and__))
+                 if len(ker) == 1), None)
 
 
 def kernel_depth(data):

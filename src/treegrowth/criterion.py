@@ -15,9 +15,8 @@ class PairData:
     small: list                  # indices with |h_i| <= 6/epsilon
     large: list
     leftover: int = None         # unpaired last factor id when count is odd
-    pairs_in_I: list = field(default_factory=list)  # violations: paired
-                                                    # factors still additive
-                                                    # to depth K
+    # violations: paired factors still additive to depth K
+    pairs_in_I: list = field(default_factory=list)
 
 
 def partition(table, N, n, epsilon):
@@ -25,16 +24,9 @@ def partition(table, N, n, epsilon):
     threshold; one absent from N (no additive factorization) is in neither
     part.  N is constant on the orbit of each (n >= 1 puts it outside A),
     so each part is a union of orbits."""
-    big, small = [], []
-    for g in table.sphere(n):
-        j = N.get(g)
-        if j is None:
-            continue
-        if j > epsilon * n:
-            big.append(g)
-        else:
-            small.append(g)
-    return big, small
+    reached = [g for g in table.sphere(n) if g in N]
+    return ([g for g in reached if N[g] > epsilon * n],
+            [g for g in reached if N[g] <= epsilon * n])
 
 
 def pair_factors(atlas, report, c, factors, epsilon):
@@ -103,10 +95,7 @@ def check_level_reduction(atlas, big, c, n, epsilon, level):
     if n <= 3 / epsilon:
         return None
     bound = (8 - epsilon) / 8 * n
-    for g in big:
-        if not level_section_sum(atlas, c, g, level) < bound:
-            return False
-    return True
+    return all(level_section_sum(atlas, c, g, level) < bound for g in big)
 
 
 @dataclass

@@ -40,6 +40,7 @@ class BudgetExceeded(RuntimeError):
 
 
 class _ClassTable:
+    # intern: root -> {children: id}, each key the tuple `children` holds
     __slots__ = ("roots", "children", "intern", "cyclic")
 
     def __init__(self):
@@ -86,7 +87,7 @@ class Engine:
         for t in self.tables:
             t.roots.append(ident)
             t.children.append(idch)
-            t.intern[(ident, idch)] = 0
+            t.intern[ident] = {idch: 0}
             t.cyclic[ident] = [0]   # the identity's sections are identities
             self.n_ids += 1
 
@@ -105,14 +106,15 @@ class Engine:
         # from a session settlement or a self-loop (_settle_loop), which
         # list them.
         t = self.tables[c]
-        i = t.intern.get((root, ch))
+        ids = t.intern.get(root)
+        i = None if ids is None else ids.get(ch)
         if i is None:
             self._check_ids(pending + 1)
             i = len(t.roots)
             root = self._pool_perm(root)
             t.roots.append(root)
             t.children.append(ch)
-            t.intern[(root, ch)] = i
+            t.intern.setdefault(root, {})[ch] = i
             self.n_ids += 1
         return i
 
@@ -475,9 +477,9 @@ class _Session:
             i = fresh[b]
             root = t.roots[i]
             t.children[i] = ch
-            key = (root, ch)
-            assert key not in t.intern, "cyclic class duplicates an interned key"
-            t.intern[key] = i
+            ids = t.intern.setdefault(root, {})
+            assert ch not in ids, "cyclic class duplicates an interned key"
+            ids[ch] = i
             t.cyclic.setdefault(root, []).append(i)
         for n in comp:
             n.id = fresh[block[n.seq]]

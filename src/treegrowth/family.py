@@ -80,16 +80,12 @@ class FamilySpec:
 
     def succ_class(self, c):
         """Class of the next level down the tree."""
-        if c + 1 < self.num_classes:
-            return c + 1
-        return len(self.preperiod)
+        return c + 1 if c + 1 < self.num_classes else len(self.preperiod)
 
     def level(self, c):
         """LevelSpec for class index c (0 <= c < num_classes)."""
         p = len(self.preperiod)
-        if c < p:
-            return self.preperiod[c]
-        return self.period[c - p]
+        return self.preperiod[c] if c < p else self.period[c - p]
 
     def classes(self):
         return range(self.num_classes)

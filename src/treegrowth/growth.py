@@ -169,12 +169,25 @@ class SphereTable:
     spheres: list                  # per-radius lists of representative ids
     orbits: list                   # per-radius lists of their orbit sizes
     lengths: dict                  # representative -> pseudolength
-    links: dict                    # representative -> (g, i1, ia, name, i3)
-    zero: ZeroGroup                # with rep = A[i1]·g·A[ia]·name·A[i3]
+    links: dict                    # representative of radius >= 1 -> the
+    zero: ZeroGroup                # product it was found as, as one int
     _located: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.sizes = [sum(orbit) for orbit in self.orbits]
+        level = self.zero.eng.spec.level(self.cls)
+        self.units = [g.name for g in level.unit_generators]
+
+    def link(self, rep):
+        """(g, i1, ia, name, i3) with rep = A[i1]·g·A[ia]·name·A[i3], name
+        the u-th unit-length generator, from links[rep] = (((g·|A| + i1)·|A|
+        + ia)·units + u)·|A| + i3."""
+        size = self.zero.size
+        rest, i3 = divmod(self.links[rep], size)
+        rest, u = divmod(rest, len(self.units))
+        rest, ia = divmod(rest, size)
+        g, i1 = divmod(rest, size)
+        return g, i1, ia, self.units[u], i3
 
     @property
     def max_radius(self):
@@ -226,7 +239,7 @@ class SphereTable:
         words = self.zero.words
         left, right = list(words[j1]), []   # a copy: += would extend A's word
         while rep != 0:
-            rep, i1, ia, name, i3 = self.links[rep]
+            rep, i1, ia, name, i3 = self.link(rep)
             left += words[i1]
             right.append(words[ia] + [name] + words[i3])
         for part in reversed(right):
@@ -318,12 +331,19 @@ def enumerate_spheres(atlas, c, max_radius):
     level = atlas.spec.level(c)
     zero = ZeroGroup(eng, c, [g.name for g in level.zero_generators])
     t, products, find = eng.tables[c], zero.products, zero.find
-    units = [(g.name, eng.gen_id(c, g.name)) for g in level.unit_generators]
-    steps = zero.steps(units)
-    pairs_total = zero.size ** 2
-    lengths, links = {0: 0}, {0: None}
-    spheres, orbits = [[0]], [[zero.size]]
-    elements = zero.size
+    units = list(enumerate(eng.gen_id(c, g.name)
+                           for g in level.unit_generators))
+    # links as SphereTable.link reads them: each step fixes the digits ia
+    # and u, and the last two, u·|A| + i3, index the kept steps
+    size = zero.size
+    suffixes = len(units) * size
+    lead = size * suffixes
+    steps = [step + (step[0] * suffixes + step[1] * size,)
+             for step in zero.steps(units)]
+    pairs_total = size * size
+    lengths, links = {0: 0}, {}
+    spheres, orbits = [[0]], [[size]]
+    elements = size
     kept, n = None, 0
     try:
         for n in range(1, max_radius + 1):
@@ -331,14 +351,15 @@ def enumerate_spheres(atlas, c, max_radius):
             if n == 3:
                 kept = _kept_steps(zero, units, steps, lengths)
             for g in spheres[n - 1]:
+                base = g * size * lead
                 for step, root, ch in products(
                         t.roots[g], t.children[g],
-                        steps if kept is None else kept[links[g][3:]]):
+                        steps if kept is None else kept[links[g] % suffixes]):
                     i, pairs, i1, i3 = find(root, ch)
                     if i in lengths:
                         continue
                     lengths[i] = n
-                    links[i] = (g, i1, step[0], step[1], i3)
+                    links[i] = base + step[5] + i1 * lead + i3
                     sphere.append(i)
                     orbit.append(pairs_total // pairs)
             spheres.append(sphere)
@@ -356,21 +377,21 @@ def enumerate_spheres(atlas, c, max_radius):
 
 
 def _kept_steps(zero, units, steps, lengths):
-    """For each link suffix (name, i3), the steps (a, s) for which
-    name·A[i3]·a·s is not provably of length at most 1.  That product is
-    name·(A[k]·s) with A[k] = A[i3]·a, of length at most 2, so its canonical
-    form is already in the radius-2 ball and finding it interns nothing; a
-    section product not yet cached is multiplied and counts against the
-    budget like any other.  A[k] is read off `zero.times`."""
+    """For each link suffix (u, i3), at index u·|A| + i3, the steps (a, s)
+    for which s_u·A[i3]·a·s, s_u the u-th unit-length generator, is not
+    provably of length at most 1.  That product is s_u·(A[k]·s) with
+    A[k] = A[i3]·a, of length at most 2, so its canonical form is already
+    in the radius-2 ball and finding it interns nothing; a section product
+    not yet cached is multiplied and counts against the budget like any
+    other.  A[k] is read off `zero.times`."""
     t = zero.eng.tables[zero.c]
-    kept = {}
-    for name, f in units:
+    kept = []
+    for u, f in units:
         short = {step[:2] for step, root, ch
                  in zero.products(t.roots[f], t.children[f], steps)
                  if lengths.get(zero.find(root, ch)[0], 2) <= 1}
-        for i3, row in enumerate(zero.times):
-            kept[name, i3] = [step for step in steps
-                              if (row[step[0]], step[1]) not in short]
+        kept += [[s for s in steps if (row[s[0]], s[1]) not in short]
+                 for row in zero.times]
     return kept
 
 
@@ -390,20 +411,15 @@ def build_atlas(spec, max_radius, levels=None, engine=None):
 def kappa_estimates(table):
     """Pointwise estimates |Omega(n)|^(1/n), None at n = 0."""
     sizes = table.sphere_sizes()
-    pointwise = [None]
-    for n in range(1, len(sizes)):
-        pointwise.append(sizes[n] ** (1.0 / n) if sizes[n] > 0 else 0.0)
-    return pointwise
+    return [None] + [s ** (1.0 / n) if s > 0 else 0.0
+                     for n, s in enumerate(sizes[1:], 1)]
 
 
 def check_submultiplicative(gamma):
     """gamma(n+m) <= gamma(n)*gamma(m) for all n+m within the table."""
     N = len(gamma) - 1
-    for n in range(N + 1):
-        for m in range(N + 1 - n):
-            if gamma[n + m] > gamma[n] * gamma[m]:
-                return False
-    return True
+    return all(gamma[n + m] <= gamma[n] * gamma[m]
+               for n in range(N + 1) for m in range(N + 1 - n))
 
 
 def convolve(a, b, upto):

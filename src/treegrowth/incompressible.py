@@ -147,11 +147,8 @@ def level_function(atlas, report, c, r):
     r_eff = min(int(r), table.max_radius)
     fails = [k for g, k in report.first_fail[c].items()
              if table.length(g) <= r_eff]
-    if not fails:
-        return LevelFunctionResult(1, r_eff, report.exact,
-                                   r_eff < int(r), empty_family=True)
-    return LevelFunctionResult(max(fails), r_eff, report.exact,
-                               r_eff < int(r))
+    return LevelFunctionResult(max(fails, default=1), r_eff, report.exact,
+                               r_eff < int(r), empty_family=not fails)
 
 
 def factorization_dp(atlas, report, c, max_n):
@@ -236,10 +233,7 @@ class TernaryGeodesicData:
     def two_run(self):
         """No zero differences and never a 1 followed by a 2."""
         dv = self.derivative
-        if any(x == 0 for x in dv):
-            return False
-        return all(not (dv[i] == 1 and dv[i + 1] == 2)
-                   for i in range(len(dv) - 1))
+        return 0 not in dv and (1, 2) not in zip(dv, dv[1:])
 
 
 def _rooted_exponent(spec, c, name):

@@ -41,7 +41,8 @@ def _custom_spec(degree, preperiod, period, name):
 # each kind's constructor and its parameters in call order: name, entry
 # type, number of lists around the entries (0 for a bare value) and, for a
 # parameter that may be left out, its default; type None leaves the value
-# unchecked (custom levels are checked against GENERATOR_FIELDS)
+# unchecked (custom levels are checked against GENERATOR_FIELDS).  A kind
+# takes no parameter that it does not list.
 KINDS = {
     "spinal": (lambda *args: catalog.spinal(catalog.SpinalData(*args)),
                (("degree", int, 0), ("orders", int, 1), ("a_perms", int, 2),
@@ -57,7 +58,7 @@ KINDS = {
     "neumann6": (catalog.neumann6, ()),
     "custom": (_custom_spec, (("degree", int, 0), ("preperiod", None, 0, ()),
                               ("period", None, 0, ()),
-                              ("name", None, 0, "custom"))),
+                              ("name", str, 0, "custom"))),
 }
 # each custom generator's fields: entry type, number of lists around entries
 GENERATOR_FIELDS = {"name": (str, 0), "pseudolength": (int, 0),
@@ -82,6 +83,9 @@ def _check_types(kind, params):
         raise ConfigError(
             f"malformed parameters for kind {kind}: parameters must be a "
             f"JSON object, got {json.dumps(params)}")
+    for key in params if kind in KINDS else ():
+        if key not in [name for name, *_ in KINDS[kind][1]]:
+            raise ConfigError(f"unknown parameter {key!r} for kind {kind}")
     fields = [(key, params[key], typ, depth)
               for key, typ, depth, *_ in KINDS.get(kind, (None, ()))[1]
               if key in params and typ is not None]
@@ -184,9 +188,8 @@ def load_table(path):
         header = json.loads(first[1:])
         if header.get("format_version") != FORMAT_VERSION:
             raise ConfigError(f"{path}: unsupported format version")
-        rows = []
-        for row in csv.DictReader(fh):
-            rows.append((int(row["id"]), int(row["radius"]),
-                         int(row["parent"]) if row["parent"] != "" else None,
-                         row["generator"], int(row["flags"])))
+        rows = [(int(row["id"]), int(row["radius"]),
+                 int(row["parent"]) if row["parent"] != "" else None,
+                 row["generator"], int(row["flags"]))
+                for row in csv.DictReader(fh)]
     return header, rows

@@ -460,7 +460,7 @@ def test_audit_finds_bisimilar_ids():
     root, ch = t.roots[w], (i, i)
     t.roots.append(root)
     t.children.append(ch)
-    t.intern[(root, ch)] = i
+    t.intern[root][ch] = i
     t.cyclic[root].append(i)
     with pytest.raises(AssertionError,
                        match=rf"bisimilar ids \[\(0, {w}\), \(0, {i}\)\]"):
@@ -469,9 +469,29 @@ def test_audit_finds_bisimilar_ids():
 
 def test_audit_finds_intern_disagreement():
     eng, t, w = _two_cycles_engine()
-    t.intern[(t.roots[w], t.children[w])] = 0
+    t.intern[t.roots[w]][t.children[w]] = 0
     with pytest.raises(AssertionError,
                        match=f"intern disagrees with the tables at id {w}"):
+        eng.audit()
+
+
+def test_audit_finds_id_under_wrong_root():
+    eng, t, w = _two_cycles_engine()
+    ch = t.children[w]
+    other = next(r for r in t.intern if r != t.roots[w])
+    t.intern[other][ch] = t.intern[t.roots[w]].pop(ch)
+    with pytest.raises(AssertionError,
+                       match=f"intern disagrees with the tables at id {w}"):
+        eng.audit()
+
+
+def test_audit_counts_every_key():
+    eng, t, w = _two_cycles_engine()
+    other = next(r for r in t.intern if r != t.roots[w])
+    t.intern[other][t.children[w]] = w
+    with pytest.raises(AssertionError,
+                       match=rf"class 0: {len(t.roots)} ids but "
+                             rf"{len(t.roots) + 1} keys"):
         eng.audit()
 
 
@@ -491,8 +511,9 @@ def test_intern_keys_share_pooled_roots(make_spec, radius):
     eng = build_atlas(make_spec(), radius).engine
     for t in eng.tables:
         assert len({id(p) for p in t.roots}) == len(set(t.roots))
-        for key, i in t.intern.items():
-            assert key[0] is t.roots[i]
+        for root, ids in t.intern.items():
+            for ch, i in ids.items():
+                assert root is t.roots[i] and ch is t.children[i]
 
 
 # -- action consistency with the independent truncated oracle ---------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from treegrowth import catalog, growth, shift
@@ -73,13 +75,16 @@ def test_skipped_steps_land_in_the_ball(monkeypatch, make_spec, radius, skips):
     for c, (steps, keep) in kept.items():
         table = atlas.table(c)
         dropped = {}
-        for key, left in keep.items():
+        for suffix, left in enumerate(keep):
+            # the list for unit u and i3 is at u·|A| + i3
+            u, i3 = divmod(suffix, table.zero.size)
             tried = {step[:2] for step in left}
-            dropped[key] = [(table.zero.ids[ia], eng.gen_id(c, name))
-                            for ia, name, *_ in steps if (ia, name) not in tried]
+            dropped[table.units[u], i3] = [
+                (table.zero.ids[ia], eng.gen_id(c, table.units[s]))
+                for ia, s, *_ in steps if (ia, s) not in tried]
         for m in range(2, radius + 1):
             for g in table.sphere(m):
-                for a, s in dropped[table.links[g][3:]]:
+                for a, s in dropped[table.link(g)[3:]]:
                     assert table.length(eng.mul(c, eng.mul(c, g, a), s)) <= m
                     skipped += 1
     assert skipped > 0 or not skips
@@ -116,6 +121,26 @@ def test_expansion_links_and_geodesics_multiply_back(make_spec, radius):
                 assert steps <= len(ball.lengths)
             assert x == 0
     atlas.engine.audit()
+
+
+@pytest.mark.parametrize("make_spec, radius, bound", [
+    (catalog.fabrykowski_gupta, 8, 340),
+    (catalog.first_grigorchuk, 10, 300),
+], ids=["fg-r8", "grigorchuk-r10"])
+def test_table_bytes_per_representative(make_spec, radius, bound):
+    # what the engine and the tables keep per representative: one int per
+    # link and no intern key beside the children tuple.  The sizes are
+    # CPython 3.11's; a 5-tuple per link and a (root, children) key per id
+    # cost 416 B on FG r8 and 373 B on first Grigorchuk r10.
+    spec = make_spec()
+    tracemalloc.start()
+    try:
+        atlas = build_atlas(spec, radius)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    reps = sum(len(s) for t in atlas.tables.values() for s in t.spheres)
+    assert held / reps <= bound
 
 
 def test_expansion_retried_after_budget_is_whole():

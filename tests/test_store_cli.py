@@ -1,11 +1,13 @@
 import json
 import re
+import sys
 
 import pytest
 
 from treegrowth import build_atlas, catalog, cli, growth, store
 from treegrowth import incompressible as inc
 from treegrowth.cli import main
+from treegrowth.family import validate
 from treegrowth.store import ConfigError
 
 
@@ -260,10 +262,14 @@ def test_cli_define_malformed_parameters_exit_2(tmp_path, capsys, config):
      "parameters must be a JSON object, got []"),
     ({"kind": "spinal", "parameters": dict(FG_SPINAL, name=5)},
      "name must be a string, got 5"),
+    ({"kind": "custom", "parameters": {
+        "degree": 2, "preperiod": [], "name": 5,
+        "period": [[_gen("a", 0, "a", [1, 0], [[], []])]]}},
+     "name must be a string, got 5"),
 ], ids=["sunic-coefficient-string", "grigorchuk_p-index-float",
         "custom-pseudolength-float", "custom-root-float",
         "custom-children-strings", "custom-name-int", "custom-inverse-int",
-        "custom-parameters-list", "spinal-name-int"])
+        "custom-parameters-list", "spinal-name-int", "custom-family-name-int"])
 def test_cli_define_names_the_non_integer_parameter(tmp_path, capsys, config,
                                                      message):
     path = tmp_path / "bad.json"
@@ -271,6 +277,38 @@ def test_cli_define_names_the_non_integer_parameter(tmp_path, capsys, config,
     assert main(["define", "--config", str(path)]) == 2
     assert capsys.readouterr().err == (
         f"error: malformed parameters for kind {config['kind']}: {message}\n")
+
+
+@pytest.mark.parametrize("config,key", [
+    ({"kind": "grigorchuk_p", "parameters": {"p": 2, "prep": [0],
+                                             "per": [0, 1, 2]}}, "prep"),
+    ({"kind": "ggs", "parameters": {"d": 3, "epsilon": [1, 0],
+                                    "extra": "x"}}, "extra"),
+    ({"kind": "neumann6", "parameters": {"x": 1}}, "x"),
+], ids=["grigorchuk_p-prep", "ggs-extra", "neumann6-x"])
+def test_cli_define_rejects_unknown_parameter(tmp_path, capsys, config, key):
+    # a misspelt optional parameter would otherwise take its default
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    assert main(["define", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: unknown parameter '{key}' for kind {config['kind']}\n")
+
+
+def test_cli_define_validates_once(fg_config_path, capsys, monkeypatch):
+    # define prints the report that build_spec's check made
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return validate(spec)
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("treegrowth")
+                and getattr(module, "validate", None) is validate):
+            monkeypatch.setattr(module, "validate", counted)
+    assert main(["define", "--config", fg_config_path]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == validate(calls[0]).summary() + "\n"
 
 
 @pytest.mark.parametrize("argv", [
