@@ -135,8 +135,9 @@ def test_table_bytes_per_representative(make_spec, radius, bound):
     spec = make_spec()
     tracemalloc.start()
     try:
+        before = tracemalloc.get_traced_memory()[0]
         atlas = build_atlas(spec, radius)
-        held = tracemalloc.get_traced_memory()[0]
+        held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     reps = sum(len(s) for t in atlas.tables.values() for s in t.spheres)
