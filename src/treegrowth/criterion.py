@@ -11,12 +11,11 @@ from .growth import check_wreath_inequality
 
 @dataclass
 class PairData:
-    h: list                      # ids of paired factors
+    h: list                      # representatives of the paired products
     small: list                  # indices with |h_i| <= 6/epsilon
     large: list
-    leftover: int = None         # unpaired last factor id when count is odd
-    # violations: paired factors still additive to depth K
-    pairs_in_I: list = field(default_factory=list)
+    leftover: tuple = None       # unpaired last factor (ia, h) when odd
+    pairs_in_I: list = field(default_factory=list)  # pairs still in I_K
 
 
 def partition(table, N, n, epsilon):
@@ -30,20 +29,22 @@ def partition(table, N, n, epsilon):
 
 
 def pair_factors(atlas, report, c, factors, epsilon):
-    """Pair consecutive factors of a minimal additive factorization and
-    classify the pairs by length.  A pair lying in the depth-K set would
-    contradict minimality; any such pair is reported."""
-    eng = atlas.engine
-    table = atlas.table(c)
-    npairs = len(factors) // 2
-    data = PairData([], [], [])
-    for i in range(npairs):
-        h = eng.mul(c, factors[2 * i], factors[2 * i + 1], store=False)
+    """Pair consecutive factors (ia, h) of a minimal additive factorization,
+    as `factors_of` gives them, and classify the pairs by length; a pair in
+    the depth-K set would contradict minimality and is reported.  The pair
+    (A[i1]·h1)·(A[i2]·h2) lies in the double coset of h1·A[i2]·h2, formed in
+    one wreath step; being additive it is in the ball, so finding its
+    representative interns nothing."""
+    table, t = atlas.table(c), atlas.engine.tables[c]
+    zero, data = table.zero, PairData([], [], [])
+    for i in range(len(factors) // 2):
+        (_, h1), (ia, h2) = factors[2 * i:2 * i + 2]
+        step = zero.steps([(h2, h2)])[ia]    # steps run over A in order
+        _, root, ch = next(zero.products(t.roots[h1], t.children[h1], [step]))
+        h = zero.find(root, ch)[0]
         data.h.append(h)
-        if table.length(h) <= 6 / epsilon:
-            data.small.append(i)
-        else:
-            data.large.append(i)
+        (data.small if table.lengths[h] <= 6 / epsilon
+         else data.large).append(i)
         if report.in_Ik(c, h, report.K):
             data.pairs_in_I.append(i)
     if len(factors) % 2:

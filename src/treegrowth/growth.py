@@ -39,12 +39,12 @@ class ZeroGroup:
     sections are g's permuted by α3 and the key needs no product.
     Otherwise they are formed at the successor class.
 
-    Enumeration, its skip table and the factorization DP each multiply an
-    element g by a·f with a in A and read the product modulo A×A:
-    `products` forms g·a·f in one wreath step, and `find(root, children)`
-    gives (id, pairs, i1, i3), the canonical form A[i1]·g·A[i3] of the
-    element g with that key, interned if absent, and how many of the |A|²
-    pairs reach it.
+    Enumeration, its skip table, the factorization DP and the criterion's
+    pairs multiply an element g by a·f, a in A, and read the product modulo
+    A×A.  `member` forms a·f and `products` g·a·f in one wreath step,
+    interning only section products, and `find(root, children)` gives
+    (id, pairs, i1, i3): the canonical form A[i1]·g·A[i3] of the element g
+    with that key, interned if absent, and how many |A|² pairs reach it.
     """
 
     def __init__(self, eng, c, names):
@@ -120,9 +120,9 @@ class ZeroGroup:
         eng = self.eng
         memo, mul, sc = eng.mul_memo, eng.mul, eng.succ[self.c]
         for step in steps:
-            get = step[3]
+            get = step[2]
             ch = []
-            for u, v in zip(get(children), step[4]):
+            for u, v in zip(get(children), step[3]):
                 if u and v:
                     r = memo.get((sc, u, v))
                     ch.append(mul(sc, u, v) if r is None else r)
@@ -131,25 +131,21 @@ class ZeroGroup:
             yield step, get(root), ch
 
     def steps(self, factors):
-        """(ia, label, a·f, getter of its root, its children) for each a =
-        A[ia] and each (label, f) in factors: what multiplying by a·f in one
-        wreath step reads."""
-        eng, c = self.eng, self.c
-        t, out = eng.tables[c], []
-        for ia, a in enumerate(self.ids):
+        """(ia, label, getter of a·f's root, a·f's sections) for each
+        a = A[ia] and (label, f) in factors, a·f formed by `member`."""
+        out = []
+        for ia in range(self.size):
             for label, f in factors:
-                h = eng.mul(c, a, f, store=False)
-                out.append((ia, label, h, itemgetter(*t.roots[h]),
-                            t.children[h]))
+                root, sections = self.member(ia, f, 0)
+                out.append((ia, label, itemgetter(*root), sections))
         return out
 
-    def act(self, i1, g, i3):
-        """Interned id of A[i1]·g·A[i3]."""
-        eng, c = self.eng, self.c
-        t = eng.tables[c]
-        root = perms.compose(self.perms[i1], self.getters[i3](t.roots[g]))
-        read = self._reader(t.roots[g], i1, i3)
-        return eng._intern(c, root, read(t.children[g]))
+    def member(self, i1, g, i3):
+        """(root, sections) of A[i1]·g·A[i3], not interned."""
+        t = self.eng.tables[self.c]
+        root = t.roots[g]
+        return (perms.compose(self.perms[i1], self.getters[i3](root)),
+                self._reader(root, i1, i3)(t.children[g]))
 
 
 @dataclass
@@ -249,9 +245,10 @@ class SphereTable:
     def orbit(self, rep):
         """Every member A[i1]·rep·A[i3] of a representative's orbit, repeats
         removed, in (i1, i3) order."""
-        act, size = self.zero.act, self.zero.size
-        return list(dict.fromkeys(act(i1, rep, i3) for i1 in range(size)
-                                  for i3 in range(size)))
+        zero, intern = self.zero, self.zero.eng._intern
+        return list(dict.fromkeys(
+            intern(self.cls, *zero.member(i1, rep, i3))
+            for i1 in range(zero.size) for i3 in range(zero.size)))
 
     def expand(self):
         """Ball of every element of the table, by one breadth-first pass:
@@ -359,7 +356,7 @@ def enumerate_spheres(atlas, c, max_radius):
                     if i in lengths:
                         continue
                     lengths[i] = n
-                    links[i] = base + step[5] + i1 * lead + i3
+                    links[i] = base + step[4] + i1 * lead + i3
                     sphere.append(i)
                     orbit.append(pairs_total // pairs)
             spheres.append(sphere)

@@ -11,7 +11,7 @@ ball elements stay inside the next ball.
 Everything here runs on the A×A double-coset representatives of the sphere
 tables.  The factorization DP multiplies through the table's ZeroGroup,
 which forms each product in one wreath step and finds its representative,
-so it reads no engine internals and interns no witness.
+so it reads no engine internals and interns no witness and no step factor.
 """
 
 from dataclasses import dataclass, field
@@ -167,9 +167,9 @@ def factorization_dp(atlas, report, c, max_n):
     coset of x·y for every x in w's double coset and y in the depth-K set.
     Only |w| + |h| <= R = min(max_n, table radius) can be additive in the
     ball, so every product is in the ball and its canonical form is
-    interned already, rooted A or not (ZeroGroup).  A witness is held as its
-    root and sections, not as an id.  back[q] = (p, a·h) with q's witness
-    equal to p's witness times a·h.
+    interned already, rooted A or not (ZeroGroup).  Witnesses and step
+    factors a·h are held as roots and sections, never interned, and
+    back[q] = (p, ia, h) when q's witness is p's witness times A[ia]·h.
     """
     table = atlas.table(c)
     R = min(max_n, table.max_radius)
@@ -192,19 +192,20 @@ def factorization_dp(atlas, report, c, max_n):
                     if q in N or lengths.get(q) != lp + lh:
                         continue
                     N[q] = j
-                    back[q] = (p, step[2])
+                    back[q] = (p, step[0], step[1])
                     nxt.append((q, wr, wch))
         frontier = nxt
     return N, back
 
 
 def factors_of(back, g):
+    """The factors of g's witness, in order, as (ia, h) for the factor
+    A[ia]·h with h a depth-K representative; none is interned."""
     out = []
     while g != 0:
-        g, h = back[g]
-        out.append(h)
-    out.reverse()
-    return out
+        g, ia, h = back[g]
+        out.append((ia, h))
+    return out[::-1]
 
 
 # -- ternary spinal geodesic data ------------------------------------------

@@ -1,9 +1,13 @@
 import pytest
+from hypothesis import assume, given, settings
 
 from treegrowth import build_atlas, catalog
 from treegrowth import criterion as cr
 from treegrowth import incompressible as inc
 from treegrowth.growth import SphereTable
+
+from test_engine import _hidden_root
+from test_incompressible import spinal_data
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +41,52 @@ def test_pair_factors(fg_atlas6, fg_report6, fg_dp):
             assert data.leftover is None
 
 
+def _element_pairs(atlas, report, c, factors, epsilon):
+    """(small, large, pairs_in_I) of the factors' pairs, each factor built
+    as the element A[ia]·h and each pair multiplied by Engine.mul."""
+    eng, table = atlas.engine, atlas.table(c)
+    elements = [eng.mul(c, table.zero.ids[ia], h, store=False)
+                for ia, h in factors]
+    small, large, in_I = [], [], []
+    for i in range(len(elements) // 2):
+        pair = eng.mul(c, elements[2 * i], elements[2 * i + 1], store=False)
+        (small if table.length(pair) <= 6 / epsilon else large).append(i)
+        if report.in_Ik(c, pair, report.K):
+            in_I.append(i)
+    return small, large, in_I
+
+
+# (id, family, radius, whole sphere): the pairs of the big part at n = 7 and
+# 8.  No non-rooted family has a big part there (_hidden_root and _cycle3
+# reach at most 3 factors at n = 8, _two_cycles has 4 elements), so
+# _hidden_root compares every reached representative instead.
+PAIR_CASES = [
+    ("fg-r8", catalog.fabrykowski_gupta, 8, False),
+    ("grigorchuk-r10", catalog.first_grigorchuk, 10, False),
+    ("hidden_root-r8", _hidden_root, 8, True),
+]
+
+
+@pytest.mark.parametrize("make,radius,whole",
+                         [case[1:] for case in PAIR_CASES],
+                         ids=[case[0] for case in PAIR_CASES])
+def test_pair_factors_match_element_products(make, radius, whole):
+    atlas = build_atlas(make(), radius)
+    report = inc.approximate_I_infty(atlas, 6)
+    table = atlas.table(0)
+    N, back = inc.factorization_dp(atlas, report, 0, 8)
+    pairs = 0
+    for n in (7, 8):
+        big, small = cr.partition(table, N, n, 0.45)
+        for g in big + small if whole else big:
+            factors = inc.factors_of(back, g)
+            data = cr.pair_factors(atlas, report, 0, factors, 0.45)
+            assert (data.small, data.large, data.pairs_in_I) == \
+                _element_pairs(atlas, report, 0, factors, 0.45)
+            pairs += len(data.h)
+    assert pairs
+
+
 def test_small_factor_bound_below_threshold(fg_atlas6, fg_report6, fg_dp):
     N, back = fg_dp
     big, _ = cr.partition(fg_atlas6.table(0), N, 3, 0.45)
@@ -52,7 +102,7 @@ def test_small_factor_bound_reports_non_minimal_pair(fg_atlas6, fg_report6):
     # hand-built chain g = b1 * b1, whose pair b1*b1 = b2 is a generator and
     # so lies in the depth-K set: the factorization cannot be minimal
     assert fg_report6.in_Ik(0, g, fg_report6.K)
-    back = {0: None, b1: (0, b1), g: (b1, b1)}
+    back = {0: None, b1: (0, 0, b1), g: (b1, 0, b1)}
     assert cr.check_small_factor_lower_bound(
         fg_atlas6, fg_report6, 0, back, [g], 7, 0.45) == (True, [g])
     # at n = 1000 both fail the bound, and the scan goes on past b1 to
@@ -117,6 +167,17 @@ def test_run_criterion_fg_asserted(fg_atlas10, fg_report10):
     assert res.failures == []
 
 
+def test_run_criterion_interns_nothing():
+    # the DP's products and the pairs checked at n = 7 and 8 all lie in the
+    # ball, so the criterion adds no id at its class
+    atlas = build_atlas(catalog.fabrykowski_gupta(), 8)
+    report = inc.approximate_I_infty(atlas, 6)
+    before = len(atlas.engine.tables[0].roots)
+    res = cr.run_criterion(atlas, report, 0, 8, 0.45)
+    assert res.small_factor_ok[7] is True and res.small_factor_ok[8] is True
+    assert len(atlas.engine.tables[0].roots) == before
+
+
 def test_criterion_never_expands_the_ball(monkeypatch):
     atlas = build_atlas(catalog.fabrykowski_gupta(), 7)
     report = inc.approximate_I_infty(atlas, 6)
@@ -153,3 +214,51 @@ def test_theorem_hypotheses_grig(grig_atlas8):
     assert hyp.generators_incompressible
     assert hyp.wreath_ok
     assert hyp.poly_bound is None    # not a ternary spinal family
+
+
+def _theorem_failures(spec):
+    """What the paper's theorem forbids on a ternary spinal family, at
+    radius 8 with K = 6 and epsilon = 0.45: a failure of run_criterion to
+    n = 8 or of theorem_hypotheses_report, a small-factor bound left
+    unasserted at n = 7 or 8, or a violated polynomial bound."""
+    atlas = build_atlas(spec, 8)
+    report = inc.approximate_I_infty(atlas, 6)
+    res = cr.run_criterion(atlas, report, 0, 8, 0.45)
+    hyp = cr.theorem_hypotheses_report(atlas, report, 8)
+    failures = res.failures + hyp.failures
+    failures += [f"small-factor bound not asserted at n={n}"
+                 for n in (7, 8) if res.small_factor_ok[n] is None]
+    if not inc.check_polynomial_bound(spec, report, 0).ok:
+        failures.append("polynomial bound violated")
+    return failures
+
+
+# The paper proves subexponential growth for these groups, and the harness
+# checks only inequalities proved for them, so any failure is a bug here.
+# Eight draws, preperiodic ones and periods up to 3 among them, take about
+# 11 s (2 cores, Python 3.11).
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(spinal_data(degrees=(3,)))
+def test_theorem_holds_on_ternary_spinal_draws(data):
+    try:
+        spec = catalog.spinal(data)
+    except catalog.CatalogError:
+        assume(False)
+    assert _theorem_failures(spec) == []
+
+
+def test_theorem_oracle_negative_control(monkeypatch):
+    # a DP that loses its deepest layer leaves elements without a
+    # factorization, and the oracle must report them
+    dp = inc.factorization_dp
+
+    def drop_last_layer(*args):
+        N, back = dp(*args)
+        top = max(N.values())
+        return {q: j for q, j in N.items() if j < top}, back
+
+    monkeypatch.setattr(inc, "factorization_dp", drop_last_layer)
+    spec = catalog.spinal(catalog.SpinalData(
+        3, (3,), ((1, 2, 0),), (), ((((0, 1, 2),), ((2, 0, 1),)),)))
+    assert any(f.startswith("no additive factorization")
+               for f in _theorem_failures(spec))

@@ -1,9 +1,11 @@
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from treegrowth import build_atlas, catalog
+from treegrowth import build_atlas, catalog, store
 from treegrowth import incompressible as inc
 from treegrowth.growth import TableExhausted
 
@@ -11,6 +13,7 @@ from oracle import oracle_spheres, reference_atlas, reference_filtration
 from test_engine import CYCLIC_FAMILIES
 
 FG_INCOMPRESSIBLE_COUNTS = [3, 18, 72, 216, 576, 1296, 2592]
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples_configs"
 
 
 def test_additive_on_generators(fg_atlas6, fg_report6):
@@ -101,12 +104,12 @@ NONZERO_Z2_HOMS = [((1, 0), (0, 1)), ((0, 1), (1, 0)), ((1, 0), (1, 0))]
 
 
 @st.composite
-def spinal_data(draw):
+def spinal_data(draw, degrees=(3, 2, 4)):
     """Degree 3 over B = Z/3 with images powers of the 3-cycle, degree 4
     over B = Z/4 with images powers of the 4-cycle, or degree 2 over
-    B = (Z/2)^2 with nonzero homomorphisms; up to one preperiod and one to
-    three period entries."""
-    degree = draw(st.sampled_from((3, 2, 4)))
+    B = (Z/2)^2 with nonzero homomorphisms, for the degrees asked for; up
+    to one preperiod and one to three period entries."""
+    degree = draw(st.sampled_from(degrees))
     if degree == 3:
         hom = st.tuples(st.sampled_from(CYCLE3_POWERS))
         orders, a, entry = (3,), (1, 2, 0), st.tuples(hom, hom)
@@ -198,11 +201,12 @@ def test_factorization_dp_histogram(fg_atlas6, fg_report6):
     assert sum(hist.values()) == table.gamma()[-1]
     assert hist == {0: 1, 1: 4772, 2: 13296, 3: 2736}
     # factorizations are additive and their factors are incompressible
+    # factors A[ia]·h have the length and depth of h
     for g in table.spheres[5][:100]:
         factors = inc.factors_of(back, g)
         assert len(factors) == N[g]
-        assert sum(table.length(h) for h in factors) == 5
-        assert all(fg_report6.in_Ik(0, h, 6) for h in factors)
+        assert sum(table.length(h) for _, h in factors) == 5
+        assert all(fg_report6.in_Ik(0, h, 6) for _, h in factors)
 
 
 def _reference_dp(atlas, report, c, max_n):
@@ -290,31 +294,43 @@ def test_factorization_dp_matches_reference(make, radius, max_n, classes,
             if rep(x) != 0:
                 assert N[rep(x)] == j
         assert set(N) == {rep(x) for x in ref_N}
+        # the witness multiplies back from its factors A[ia]·h, formed
+        # here as elements
         for q in N:
             factors = inc.factors_of(back, q)
             assert len(factors) == N[q]
-            assert sum(table.length(h) for h in factors) == table.lengths[q]
-            assert all(rep(h) in report.final[c] for h in factors)
+            assert sum(table.length(h) for _, h in factors) == \
+                table.lengths[q]
+            assert all(rep(h) in report.final[c] for _, h in factors)
             product = 0
-            for h in factors:
-                product = eng.mul(c, product, h, store=False)
+            for ia, h in factors:
+                member = eng.mul(c, table.zero.ids[ia], h, store=False)
+                product = eng.mul(c, product, member, store=False)
             assert rep(product) == q
 
 
+def spinal_z3sq():
+    """The B = (Z/3)^2 spinal draw of examples_configs/spinal_z3sq.json: 3
+    level classes, |A| = 3 and 8 unit-length generators."""
+    return store.build_spec(json.loads(
+        (EXAMPLES / "spinal_z3sq.json").read_text(encoding="utf-8")))
+
+
 def test_factorization_dp_interns_no_witness():
-    # the only ids the DP may add at class c are its step factors A[i]·h;
-    # at first Grigorchuk the section products land at the next class
-    atlas = build_atlas(catalog.first_grigorchuk(), 10)
-    eng = atlas.engine
-    report = inc.approximate_I_infty(atlas, 6)
-    for c, table in sorted(atlas.tables.items()):
-        before = len(eng.tables[c].roots)
-        inc.factorization_dp(atlas, report, c, 10)
-        added = set(range(before, len(eng.tables[c].roots)))
-        factors = {eng.mul(c, a, h, store=False) for a in table.zero.ids
-                   for h in report.final[c] if h != 0}
-        assert added <= factors, c
-    eng.audit()
+    # witnesses, step factors A[i]·h and products are formed without
+    # interning, and every product's canonical form is in the ball, so the
+    # DP adds no id at its class: every class of first Grigorchuk r10, and
+    # class 0 of the (Z/3)^2 draw at r4
+    for make, radius, classes in ((catalog.first_grigorchuk, 10, [0, 1, 2]),
+                                  (spinal_z3sq, 4, [0])):
+        atlas = build_atlas(make(), radius)
+        eng = atlas.engine
+        report = inc.approximate_I_infty(atlas, 6)
+        for c in classes:
+            before = len(eng.tables[c].roots)
+            inc.factorization_dp(atlas, report, c, radius)
+            assert len(eng.tables[c].roots) == before, (atlas.spec.name, c)
+        eng.audit()
 
 
 def test_witness_minimal_count(fg_atlas6, fg_report6):
@@ -324,7 +340,7 @@ def test_witness_minimal_count(fg_atlas6, fg_report6):
     q = fg_atlas6.table(0).find(g)[0]
     assert N[q] == 2
     assert sorted(fg_atlas6.table(0).length(h)
-                  for h in inc.factors_of(back, q)) == [1, 2]
+                  for _, h in inc.factors_of(back, q)) == [1, 2]
 
 
 def test_ternary_parse_single_letter(fg_atlas6):
