@@ -35,12 +35,12 @@ def pair_factors(atlas, report, c, factors, epsilon):
     (A[i1]·h1)·(A[i2]·h2) lies in the double coset of h1·A[i2]·h2, formed in
     one wreath step; being additive it is in the ball, so finding its
     representative interns nothing."""
-    table, t = atlas.table(c), atlas.engine.tables[c]
+    table = atlas.table(c)
     zero, data = table.zero, PairData([], [], [])
     for i in range(len(factors) // 2):
         (_, h1), (ia, h2) = factors[2 * i:2 * i + 2]
-        step = zero.steps([(h2, h2)])[ia]    # steps run over A in order
-        _, root, ch = next(zero.products(t.roots[h1], t.children[h1], [step]))
+        step = zero.steps([h2])[ia]    # steps run over A in order
+        _, root, ch = next(zero.products(h1, [step]))
         h = zero.find(root, ch)[0]
         data.h.append(h)
         (data.small if table.lengths[h] <= 6 / epsilon
@@ -54,6 +54,9 @@ def pair_factors(atlas, report, c, factors, epsilon):
 
 def check_small_factor_lower_bound(atlas, report, c, back, big, n, epsilon):
     """|S(g)| > (epsilon/8) n for every g in the big part, when n > 3/epsilon.
+    For n <= 6/epsilon it cannot be False: a pair is at most n long, so
+    small, and a big-part g has over epsilon·n > 3 factors, so two pairs,
+    against (epsilon/8)·n <= 3/4; it only says the big part has pairs.
 
     Returns the verdict (None below the threshold, where nothing is
     asserted) and every element of the big part whose factorization pairs

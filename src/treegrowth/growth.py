@@ -40,8 +40,8 @@ class ZeroGroup:
     Otherwise they are formed at the successor class.
 
     Enumeration, its skip table, the factorization DP and the criterion's
-    pairs multiply an element g by a·f, a in A, and read the product modulo
-    A×A.  `member` forms a·f and `products` g·a·f in one wreath step,
+    pairs multiply an id g by a·f, a in A, and read the product modulo A×A.
+    `member` forms a·f and `products` g·a·f from g's row in one wreath step,
     interning only section products, and `find(root, children)` gives
     (id, pairs, i1, i3): the canonical form A[i1]·g·A[i3] of the element g
     with that key, interned if absent, and how many |A|² pairs reach it.
@@ -63,7 +63,7 @@ class ZeroGroup:
         self.times = [[index[eng.mul(c, a, b, store=False)] for b in self.ids]
                       for a in self.ids]
         self.inverse = [row.index(0) for row in self.times]
-        t = eng.tables[c]
+        self.rows = t = eng.tables[c]    # every id's root and sections
         self.rooted = all(t.children[z] == (0,) * eng.d for z in gens)
         self.perms = [t.roots[a] for a in self.ids]
         self.sections = [t.children[a] for a in self.ids]
@@ -112,13 +112,14 @@ class ZeroGroup:
                 pairs += 1
         return self.eng._intern(self.c, least, best), pairs, i1, i3
 
-    def products(self, root, children, steps):
-        """(step, root, sections) of g·a·f for each step (as made by
-        `steps`), with g the element of this key: one wreath step, whose
-        section products at the successor class are read from the memo or
-        else multiplied."""
+    def products(self, g, steps):
+        """(step, root, sections) of g·a·f for the id g and each step (as
+        made by `steps`), read from g's own root and sections: one wreath
+        step, whose section products at the successor class are read from
+        the memo or else multiplied."""
         eng = self.eng
         memo, mul, sc = eng.mul_memo, eng.mul, eng.succ[self.c]
+        root, children = self.rows.roots[g], self.rows.children[g]
         for step in steps:
             get = step[2]
             ch = []
@@ -131,21 +132,20 @@ class ZeroGroup:
             yield step, get(root), ch
 
     def steps(self, factors):
-        """(ia, label, getter of a·f's root, a·f's sections) for each
-        a = A[ia] and (label, f) in factors, a·f formed by `member`."""
+        """(ia, f, getter of a·f's root, a·f's sections) for each a = A[ia],
+        then each id f in factors, a·f formed by `member`, not interned."""
         out = []
         for ia in range(self.size):
-            for label, f in factors:
+            for f in factors:
                 root, sections = self.member(ia, f, 0)
-                out.append((ia, label, itemgetter(*root), sections))
+                out.append((ia, f, itemgetter(*root), sections))
         return out
 
     def member(self, i1, g, i3):
         """(root, sections) of A[i1]·g·A[i3], not interned."""
-        t = self.eng.tables[self.c]
-        root = t.roots[g]
+        root = self.rows.roots[g]
         return (perms.compose(self.perms[i1], self.getters[i3](root)),
-                self._reader(root, i1, i3)(t.children[g]))
+                self._reader(root, i1, i3)(self.rows.children[g]))
 
 
 @dataclass
@@ -212,7 +212,7 @@ class SphereTable:
             return g, 0, 0
         if g not in self._located:
             zero, found = self.zero, None
-            t = zero.eng.tables[self.cls]
+            t = zero.rows
             if isinstance(g, int) and 0 <= g < len(t.roots):
                 rep, _, i1, i3 = zero.find(t.roots[g], t.children[g])
                 if rep in self.lengths:
@@ -327,16 +327,14 @@ def enumerate_spheres(atlas, c, max_radius):
     eng = atlas.engine
     level = atlas.spec.level(c)
     zero = ZeroGroup(eng, c, [g.name for g in level.zero_generators])
-    t, products, find = eng.tables[c], zero.products, zero.find
-    units = list(enumerate(eng.gen_id(c, g.name)
-                           for g in level.unit_generators))
-    # links as SphereTable.link reads them: each step fixes the digits ia
-    # and u, and the last two, u·|A| + i3, index the kept steps
+    products, find = zero.products, zero.find
+    units = [eng.gen_id(c, g.name) for g in level.unit_generators]
+    # links as SphereTable.link reads them: step k = ia·units + u fixes the
+    # digits ia and u as k·|A|, and the last two, u·|A| + i3, index kept
     size = zero.size
     suffixes = len(units) * size
     lead = size * suffixes
-    steps = [step + (step[0] * suffixes + step[1] * size,)
-             for step in zero.steps(units)]
+    steps = [step + (k * size,) for k, step in enumerate(zero.steps(units))]
     pairs_total = size * size
     lengths, links = {0: 0}, {}
     spheres, orbits = [[0]], [[size]]
@@ -349,9 +347,8 @@ def enumerate_spheres(atlas, c, max_radius):
                 kept = _kept_steps(zero, units, steps, lengths)
             for g in spheres[n - 1]:
                 base = g * size * lead
-                for step, root, ch in products(
-                        t.roots[g], t.children[g],
-                        steps if kept is None else kept[links[g] % suffixes]):
+                todo = steps if kept is None else kept[links[g] % suffixes]
+                for step, root, ch in products(g, todo):
                     i, pairs, i1, i3 = find(root, ch)
                     if i in lengths:
                         continue
@@ -381,11 +378,9 @@ def _kept_steps(zero, units, steps, lengths):
     in the radius-2 ball and finding it interns nothing; a section product
     not yet cached is multiplied and counts against the budget like any
     other.  A[k] is read off `zero.times`."""
-    t = zero.eng.tables[zero.c]
     kept = []
-    for u, f in units:
-        short = {step[:2] for step, root, ch
-                 in zero.products(t.roots[f], t.children[f], steps)
+    for f in units:
+        short = {step[:2] for step, root, ch in zero.products(f, steps)
                  if lengths.get(zero.find(root, ch)[0], 2) <= 1}
         kept += [[s for s in steps if (row[s[0]], s[1]) not in short]
                  for row in zero.times]

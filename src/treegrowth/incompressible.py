@@ -9,9 +9,9 @@ every enumerated ball the approximation is exact there, because sections of
 ball elements stay inside the next ball.
 
 Everything here runs on the A×A double-coset representatives of the sphere
-tables.  The factorization DP multiplies through the table's ZeroGroup,
-which forms each product in one wreath step and finds its representative,
-so it reads no engine internals and interns no witness and no step factor.
+tables.  The factorization DP expands each reached representative from its
+own row through the table's ZeroGroup, one wreath step a product, so it
+holds no witness, reads no engine internals and interns no step factor.
 """
 
 from dataclasses import dataclass, field
@@ -161,39 +161,40 @@ def factorization_dp(atlas, report, c, max_n):
     union of double cosets.  On A, N[0] = 0 stands for the identity alone.
 
     Layered BFS over double cosets: the j-th layer holds those of minimal
-    count j, each by one witness element, and every additive factorization
-    has additive prefixes.  From a witness w, the products w·a·h with a in
-    A and h a depth-K representative of positive length reach the double
-    coset of x·y for every x in w's double coset and y in the depth-K set.
-    Only |w| + |h| <= R = min(max_n, table radius) can be additive in the
-    ball, so every product is in the ball and its canonical form is
-    interned already, rooted A or not (ZeroGroup).  Witnesses and step
-    factors a·h are held as roots and sections, never interned, and
-    back[q] = (p, ia, h) when q's witness is p's witness times A[ia]·h.
+    count j, and every additive factorization has additive prefixes.  Each
+    reached representative p is expanded from its own row by p·a·h, a in A
+    and h a depth-K representative of positive length.  For w = A[x]·p·A[y],
+    w·A·h = A[x]·p·A·h, so these reach x·y's double coset for all x in p's
+    and y in the depth-K set.  Only |p| + |h| <= R = min(max_n, table
+    radius) is additive in the ball, so no representative found is new.
+    No witness is held: frontier entry (q, i3) has q = A[i1]·w_q·A[i3], w_q
+    the product of `factors_of(back, q)`.  If `find` gives q as
+    A[i1]·(p·A[ia]·h)·A[i3], back[q] = (p, times[i3_p][ia], h), for then
+    w_q = w_p·A[i3_p]·A[ia]·h = A[i1_p]⁻¹·p·A[ia]·h keeps i3.
     """
     table = atlas.table(c)
     R = min(max_n, table.max_radius)
     zero, lengths, final = table.zero, table.lengths, report.final[c]
-    products, find, eng = zero.products, zero.find, atlas.engine
-    steps = [zero.steps([(h, h) for h in sphere if h in final])
+    products, find, times = zero.products, zero.find, zero.times
+    steps = [zero.steps([h for h in sphere if h in final])
              for sphere in table.spheres[1:R + 1]]
 
     N, back = {0: 0}, {0: None}
-    frontier = [(0, eng.root(c, 0), eng.children(c, 0))]
+    frontier = [(0, 0)]
     j = 0
     while frontier:
         j += 1
         nxt = []
-        for p, root, children in frontier:
-            lp = lengths[p]
+        for p, i3p in frontier:
+            lp, row = lengths[p], times[i3p]
             for lh, bucket in enumerate(steps[:R - lp], 1):
-                for step, wr, wch in products(root, children, bucket):
-                    q = find(wr, wch)[0]
+                for step, root, ch in products(p, bucket):
+                    q, _, _, i3 = find(root, ch)
                     if q in N or lengths.get(q) != lp + lh:
                         continue
                     N[q] = j
-                    back[q] = (p, step[0], step[1])
-                    nxt.append((q, wr, wch))
+                    back[q] = (p, row[step[0]], step[1])
+                    nxt.append((q, i3))
         frontier = nxt
     return N, back
 

@@ -80,7 +80,7 @@ def test_skipped_steps_land_in_the_ball(monkeypatch, make_spec, radius, skips):
             u, i3 = divmod(suffix, table.zero.size)
             tried = {step[:2] for step in left}
             dropped[table.units[u], i3] = [
-                (table.zero.ids[ia], eng.gen_id(c, table.units[s]))
+                (table.zero.ids[ia], s)
                 for ia, s, *_ in steps if (ia, s) not in tried]
         for m in range(2, radius + 1):
             for g in table.sphere(m):

@@ -10,7 +10,7 @@ from treegrowth import incompressible as inc
 from treegrowth.growth import TableExhausted
 
 from oracle import oracle_spheres, reference_atlas, reference_filtration
-from test_engine import CYCLIC_FAMILIES
+from test_engine import CYCLIC_FAMILIES, _hidden_root
 
 FG_INCOMPRESSIBLE_COUNTS = [3, 18, 72, 216, 576, 1296, 2592]
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples_configs"
@@ -255,7 +255,11 @@ def _without_length_one(atlas, report):
 
 
 # (id, family, radius, max_n, classes or None for every class, edit of the
-# report or None); "fg-beyond" asks for a larger radius than the table has
+# report or None); "fg-beyond" asks for a larger radius than the table has.
+# "hidden_root-r8" reaches a third factor with A not rooted: only there
+# does the backpointer's A index compose with a frontier i3 other than 0
+# (find returns i3 = 0 on layer 1), and the cyclic families' radii stop
+# short of it.
 DP_CASES = [
     ("fg", catalog.fabrykowski_gupta, 6, 6, [0], None),
     ("grigorchuk", catalog.first_grigorchuk, 8, 8, None, None),
@@ -265,6 +269,7 @@ DP_CASES = [
      _without_length_one),
     *((name, make, radius, radius, None, None)
       for name, (make, radius) in CYCLIC_FAMILIES.items()),
+    ("hidden_root-r8", _hidden_root, 8, 8, None, None),
 ]
 
 
