@@ -39,8 +39,7 @@ def pair_factors(atlas, report, c, factors, epsilon):
     zero, data = table.zero, PairData([], [], [])
     for i in range(len(factors) // 2):
         (_, h1), (ia, h2) = factors[2 * i:2 * i + 2]
-        step = zero.steps([h2])[ia]    # steps run over A in order
-        _, root, ch = next(zero.products(h1, [step]))
+        _, root, ch = next(zero.products(h1, [zero.step(ia, h2)]))
         h = zero.find(root, ch)[0]
         data.h.append(h)
         (data.small if table.lengths[h] <= 6 / epsilon

@@ -114,7 +114,7 @@ class ZeroGroup:
 
     def products(self, g, steps):
         """(step, root, sections) of g·a·f for the id g and each step (as
-        made by `steps`), read from g's own root and sections: one wreath
+        made by `step`), read from g's own root and sections: one wreath
         step, whose section products at the successor class are read from
         the memo or else multiplied."""
         eng = self.eng
@@ -132,14 +132,14 @@ class ZeroGroup:
             yield step, get(root), ch
 
     def steps(self, factors):
-        """(ia, f, getter of a·f's root, a·f's sections) for each a = A[ia],
-        then each id f in factors, a·f formed by `member`, not interned."""
-        out = []
-        for ia in range(self.size):
-            for f in factors:
-                root, sections = self.member(ia, f, 0)
-                out.append((ia, f, itemgetter(*root), sections))
-        return out
+        """`step(ia, f)` for each a = A[ia], then each id f in factors."""
+        return [self.step(ia, f) for ia in range(self.size) for f in factors]
+
+    def step(self, ia, f):
+        """(ia, f, getter of a·f's root, a·f's sections), a = A[ia], a·f
+        formed by `member`, not interned."""
+        root, sections = self.member(ia, f, 0)
+        return ia, f, itemgetter(*root), sections
 
     def member(self, i1, g, i3):
         """(root, sections) of A[i1]·g·A[i3], not interned."""
@@ -167,6 +167,7 @@ class SphereTable:
     lengths: dict                  # representative -> pseudolength
     links: dict                    # representative of radius >= 1 -> the
     zero: ZeroGroup                # product it was found as, as one int
+    kept: list                     # _kept_steps, None below radius 3
     _located: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -313,8 +314,9 @@ def enumerate_spheres(atlas, c, max_radius):
     representative g of radius m was found as A[i1]·h·A[ia]·name·A[i3] with
     |h| = m-1, so when |name·A[i3]·a·s| ≤ 1 the product g·a·s has length at
     most m and would be discarded anyway; the table of such steps per suffix
-    (name, i3) is built once, from the radius-2 ball (_kept_steps).
-    Skipping changes no output, only which section products get cached.
+    (name, i3) is built once, from the radius-2 ball (_kept_steps), and
+    kept on the table for the factorization DP.  Skipping changes no
+    output, only which section products get cached.
 
     Deterministic: expansion follows stored sphere order, A's breadth-first
     order and the spec's generator order.  The engine's budget is the only
@@ -365,7 +367,7 @@ def enumerate_spheres(atlas, c, max_radius):
                              f"radius {n}, {elements} elements",
                              c, n, elements) from e
 
-    table = SphereTable(c, spheres, orbits, lengths, links, zero)
+    table = SphereTable(c, spheres, orbits, lengths, links, zero, kept)
     atlas.tables[c] = table
     return table
 

@@ -15,6 +15,7 @@ holds no witness, reads no engine internals and interns no step factor.
 """
 
 from dataclasses import dataclass, field
+from itertools import compress
 
 
 class NotTernarySpinal(ValueError):
@@ -163,21 +164,44 @@ def factorization_dp(atlas, report, c, max_n):
     Layered BFS over double cosets: the j-th layer holds those of minimal
     count j, and every additive factorization has additive prefixes.  Each
     reached representative p is expanded from its own row by p·a·h, a in A
-    and h a depth-K representative of positive length.  For w = A[x]·p·A[y],
-    w·A·h = A[x]·p·A·h, so these reach x·y's double coset for all x in p's
-    and y in the depth-K set.  Only |p| + |h| <= R = min(max_n, table
-    radius) is additive in the ball, so no representative found is new.
-    No witness is held: frontier entry (q, i3) has q = A[i1]·w_q·A[i3], w_q
-    the product of `factors_of(back, q)`.  If `find` gives q as
-    A[i1]·(p·A[ia]·h)·A[i3], back[q] = (p, times[i3_p][ia], h), for then
-    w_q = w_p·A[i3_p]·A[ia]·h = A[i1_p]⁻¹·p·A[ia]·h keeps i3.
+    and h a depth-K representative of positive length, shortest h first.
+    For w = A[x]·p·A[y], w·A·h = A[x]·p·A·h, so these reach x·y's double
+    coset for all x in p's and y in the depth-K set.  Only |p| + |h| <= R =
+    min(max_n, table radius) is additive in the ball, so no representative
+    found is new.  No witness is held: frontier entry (q, i3) has
+    q = A[i1]·w_q·A[i3], w_q the product of `factors_of(back, q)`.  If
+    `find` gives q as A[i1]·(p·A[ia]·h)·A[i3], back[q] =
+    (p, times[i3_p][ia], h), for then w_q = w_p·A[i3_p]·A[ia]·h =
+    A[i1_p]⁻¹·p·A[ia]·h keeps i3.
+
+    Prefix closure prunes the products that cannot be additive.  If
+    |p·x| = |p| + |x| and x = y·z with |x| = |y| + |z|, then
+    |p·y| >= |p·x| - |z| = |p| + |y|, so p·y is additive too.  Every
+    depth-K h of length at least 2 has a geodesic A[j]·s·(rest), s a
+    unit-length generator, and s = A[j1]·h1·A[j3] with h1 its
+    representative, so A[ia]·h = (A[ia·j·j1]·h1)·(A[j3]·rest) with lengths
+    1 and |h| - 1.  Hence p·A[ia]·h is formed only when the length-1
+    product p·A[ia·j·j1]·h1 was additive; where h1 is not depth-K that
+    product is never formed, and the step is always kept.  The length-1
+    products themselves skip what enumeration's skip table dropped for p's
+    link suffix (u, i3): a dropped (a, s) has |s_u·A[i3]·a·s| <= 1, so
+    |p·a·s| <= |p| and the step (a·j1, h1) is not additive.  Each bucket
+    is filtered in its own order, and a pruned product is one the loop
+    would have formed and then skipped as not additive, so N and back,
+    insertion order included, are those of the unpruned loop.
     """
     table = atlas.table(c)
     R = min(max_n, table.max_radius)
     zero, lengths, final = table.zero, table.lengths, report.final[c]
     products, find, times = zero.products, zero.find, zero.times
-    steps = [zero.steps([h for h in sphere if h in final])
-             for sphere in table.spheres[1:R + 1]]
+    factors = [[h for h in sphere if h in final]
+               for sphere in table.spheres[1:R + 1]]
+    steps = [zero.steps(hs) for hs in factors]
+    if steps:
+        first, by_suffix, deps = _prefix_filters(table, factors, steps[0])
+        # bits[b]: p times the b-th length-1 step is additive; the last
+        # bit, always set, keeps the steps that depend on none
+        bits0 = [False] * len(first) + [True]
 
     N, back = {0: 0}, {0: None}
     frontier = [(0, 0)]
@@ -187,16 +211,73 @@ def factorization_dp(atlas, report, c, max_n):
         nxt = []
         for p, i3p in frontier:
             lp, row = lengths[p], times[i3p]
-            for lh, bucket in enumerate(steps[:R - lp], 1):
-                for step, root, ch in products(p, bucket):
+            for lh in range(1, R - lp + 1):
+                if lh == 1:
+                    bits = bits0[:]
+                    todo = by_suffix[table.links[p] % len(by_suffix)] \
+                        if p else first
+                elif p:
+                    todo = compress(steps[lh - 1],
+                                    map(bits.__getitem__, deps[lh - 2]))
+                else:               # the identity: every A[ia]·h1 is additive
+                    todo = steps[lh - 1]
+                for step, root, ch in products(p, todo):
                     q, _, _, i3 = find(root, ch)
-                    if q in N or lengths.get(q) != lp + lh:
+                    if lengths.get(q) != lp + lh:
+                        continue
+                    if lh == 1:
+                        bits[step[4]] = True
+                    if q in N:
                         continue
                     N[q] = j
                     back[q] = (p, row[step[0]], step[1])
                     nxt.append((q, i3))
         frontier = nxt
     return N, back
+
+
+def _prefix_filters(table, factors, steps1):
+    """What factorization_dp prunes by: the length-1 steps, numbered
+    b = 0, 1, ... in their order as step[4]; per link suffix, those the
+    skip table leaves (all of them, as one list, without a skip table);
+    and for the buckets of length 2 to R - 1, the b each step depends on.
+    `after[name][x]` is the b of A[x]·name, or len(steps1), the always-set
+    bit, when the generator's representative is not depth-K."""
+    zero, times = table.zero, table.zero.times
+    place = {h: k for k, h in enumerate(factors[0])}
+    none, after, units = len(steps1), {}, []
+    for name in table.units:
+        s = zero.eng.gen_id(table.cls, name)
+        h1, j1, _ = table.find(s)           # s = A[j1]·h1·A[j3]
+        k = place.get(h1)
+        after[name] = [none if k is None else times[x][j1] * len(place) + k
+                       for x in range(zero.size)]
+        units.append((s, after[name]))
+
+    def letter(h):
+        # after[name] and j for h's geodesic A[j]·name⋯, read off its links
+        j = 0
+        while True:
+            h, i1, ia, name, _ = table.link(h)
+            j = times[j][i1]
+            if h == 0:
+                return after[name], times[j][ia]
+
+    deps = []
+    for hs in factors[1:-1]:        # only the identity takes the last bucket
+        lead = [letter(h) for h in hs]
+        deps.append([bs[times[ia][j]] for ia in range(zero.size)
+                     for bs, j in lead])
+    first = [step + (b,) for b, step in enumerate(steps1)]
+    if table.kept is None:
+        return first, [first], deps
+    by_suffix = []
+    for kept in table.kept:
+        tried = {step[:2] for step in kept}
+        dropped = {bs[a] for s, bs in units for a in range(zero.size)
+                   if (a, s) not in tried}
+        by_suffix.append([step for step in first if step[4] not in dropped])
+    return first, by_suffix, deps
 
 
 def factors_of(back, g):

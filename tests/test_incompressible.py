@@ -7,10 +7,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from treegrowth import build_atlas, catalog, store
 from treegrowth import incompressible as inc
-from treegrowth.growth import TableExhausted
+from treegrowth.growth import TableExhausted, ZeroGroup
 
 from oracle import oracle_spheres, reference_atlas, reference_filtration
-from test_engine import CYCLIC_FAMILIES, _hidden_root
+from test_engine import CYCLIC_FAMILIES, _hidden_root, _two_cycles
 
 FG_INCOMPRESSIBLE_COUNTS = [3, 18, 72, 216, 576, 1296, 2592]
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples_configs"
@@ -245,13 +245,19 @@ def _reference_dp(atlas, report, c, max_n):
     return N, back
 
 
-def _without_length_one(atlas, report):
-    """The report with the length-1 elements left out of the class-0 depth-K
-    set, so that the set is not closed under parent-link prefixes."""
-    lengths = atlas.table(0).lengths
+def _without_length_one(atlas, report, keep=0):
+    """The report with the class-0 length-1 representatives after the first
+    `keep` left out of the depth-K set, so that the set is not closed under
+    parent-link prefixes."""
     final = dict(report.final)
-    final[0] = {g for g in final[0] if lengths[g] != 1}
+    final[0] = set(final[0]).difference(atlas.table(0).spheres[1][keep:])
     return replace(report, final=final)
+
+
+def _with_one_letter(atlas, report):
+    """FG's depth-K set with b1 but not b2 at length 1: the DP keeps every
+    step whose first letter is b2 and prunes by those through b1."""
+    return _without_length_one(atlas, report, keep=1)
 
 
 # (id, family, radius, max_n, classes or None for every class, edit of the
@@ -267,6 +273,7 @@ DP_CASES = [
     ("fg-beyond", catalog.fabrykowski_gupta, 5, 7, [0], None),
     ("fg-not-prefix-closed", catalog.fabrykowski_gupta, 6, 6, [0],
      _without_length_one),
+    ("fg-one-letter", catalog.fabrykowski_gupta, 6, 6, [0], _with_one_letter),
     *((name, make, radius, radius, None, None)
       for name, (make, radius) in CYCLIC_FAMILIES.items()),
     ("hidden_root-r8", _hidden_root, 8, 8, None, None),
@@ -312,6 +319,100 @@ def test_factorization_dp_matches_reference(make, radius, max_n, classes,
                 member = eng.mul(c, table.zero.ids[ia], h, store=False)
                 product = eng.mul(c, product, member, store=False)
             assert rep(product) == q
+
+
+def _unpruned_dp(atlas, report, c, max_n):
+    """factorization_dp without its prefix-closure pruning: every step of
+    every bucket is formed for every reached representative."""
+    table = atlas.table(c)
+    R = min(max_n, table.max_radius)
+    zero, lengths, final = table.zero, table.lengths, report.final[c]
+    products, find, times = zero.products, zero.find, zero.times
+    steps = [zero.steps([h for h in sphere if h in final])
+             for sphere in table.spheres[1:R + 1]]
+    N, back = {0: 0}, {0: None}
+    frontier = [(0, 0)]
+    j = 0
+    while frontier:
+        j += 1
+        nxt = []
+        for p, i3p in frontier:
+            lp, row = lengths[p], times[i3p]
+            for lh, bucket in enumerate(steps[:R - lp], 1):
+                for step, root, ch in products(p, bucket):
+                    q, _, _, i3 = find(root, ch)
+                    if q in N or lengths.get(q) != lp + lh:
+                        continue
+                    N[q] = j
+                    back[q] = (p, row[step[0]], step[1])
+                    nxt.append((q, i3))
+        frontier = nxt
+    return N, back
+
+
+@pytest.mark.parametrize("make,radius,max_n,classes,edit", [
+    *(case[1:] for case in DP_CASES),
+    (catalog.fabrykowski_gupta, 8, 8, [0], None),
+    (lambda: catalog.sunic(3, 2, (0,)), 4, 4, [0], None),
+], ids=[*(case[0] for case in DP_CASES), "fg-r8", "sunic320-r4"])
+def test_factorization_dp_matches_unpruned_loop(make, radius, max_n, classes,
+                                                edit):
+    # pruning skips only products the loop would skip as not additive, so
+    # N and back are the unpruned loop's, insertion order included
+    atlas = build_atlas(make(), radius)
+    report = inc.approximate_I_infty(atlas, 6)
+    if edit is not None:
+        report = edit(atlas, report)
+    for c in classes or sorted(atlas.tables):
+        N, back = inc.factorization_dp(atlas, report, c, max_n)
+        ref_N, ref_back = _unpruned_dp(atlas, report, c, max_n)
+        assert list(N.items()) == list(ref_N.items())
+        assert list(back.items()) == list(ref_back.items())
+
+
+@pytest.mark.parametrize("make,radius,edit,most", [
+    (catalog.fabrykowski_gupta, 7, None, 40_000),        # 59,010 unpruned
+    (catalog.first_grigorchuk, 10, None, 68_000),        # 152,910 a class
+    (catalog.fabrykowski_gupta, 6, _without_length_one, None),
+    (catalog.fabrykowski_gupta, 6, _with_one_letter, None),
+    (_hidden_root, 8, None, None),
+    (_two_cycles, 5, None, None),
+], ids=["fg-r7", "grigorchuk-r10", "fg-not-prefix-closed", "fg-one-letter",
+        "hidden_root-r8", "two_cycles-r5"])
+def test_factorization_dp_prunes_only_products_not_additive(
+        monkeypatch, make, radius, edit, most):
+    # every step p·A[ia]·h the DP leaves out for a reached p, multiplied
+    # out element by element, is shorter than |p| + |h|
+    atlas = build_atlas(make(), radius)
+    eng = atlas.engine
+    report = inc.approximate_I_infty(atlas, 6)
+    if edit is not None:
+        report = edit(atlas, report)
+    formed = []
+    products = ZeroGroup.products
+
+    def recorded(zero, g, steps):
+        for out in products(zero, g, steps):
+            formed.append((g, out[0][:2]))
+            yield out
+    monkeypatch.setattr(ZeroGroup, "products", recorded)
+    for c in sorted(atlas.tables):
+        table = atlas.table(c)
+        formed.clear()
+        N, _ = inc.factorization_dp(atlas, report, c, radius)
+        assert most is None or len(formed) <= most
+        tried = set(formed)
+        depth_k = [[h for h in sphere if h in report.final[c]]
+                   for sphere in table.spheres[1:]]
+        for p in N:
+            lp = table.lengths[p]
+            for lh, hs in enumerate(depth_k[:radius - lp], 1):
+                for ia, a in enumerate(table.zero.ids):
+                    pa = eng.mul(c, p, a, store=False)
+                    for h in hs:
+                        if (p, (ia, h)) not in tried:
+                            q = eng.mul(c, pa, h, store=False)
+                            assert table.length(q) < lp + lh
 
 
 def spinal_z3sq():
