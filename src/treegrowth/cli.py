@@ -9,6 +9,7 @@ import argparse
 import csv
 import json
 import sys
+from itertools import accumulate
 
 from . import criterion as cr
 from . import growth
@@ -58,8 +59,8 @@ def _spec_from(args):
     return store.build_spec(store.load_config(args.config))
 
 
-def _atlas(args, spec, levels=None):
-    return growth.build_atlas(spec, args.max_radius, levels=levels,
+def _atlas(args, spec):
+    return growth.build_atlas(spec, args.max_radius,
                               engine=Engine(spec, budget=args.budget))
 
 
@@ -80,22 +81,32 @@ def cmd_define(args):
 
 
 def cmd_spheres(args):
+    """Writes the rows of every complete radius.  When the budget stops the
+    run, those are the earlier classes whole and the radii done at the
+    class it stopped in, and the budget error is raised after writing."""
     spec = _spec_from(args)
-    atlas = _atlas(args, spec, args.levels)
+    atlas = growth.Atlas(spec, Engine(spec, budget=args.budget))
+    stop = None
+    try:
+        atlas.enumerate(args.max_radius, args.levels)
+    except BudgetExceeded as e:
+        stop = e
+    sizes = {c: table.sizes for c, table in atlas.tables.items()}
+    if stop is not None and stop.sizes is not None:
+        sizes[stop.cls] = stop.sizes
     rows = []
-    for c in sorted(atlas.tables):
-        table = atlas.table(c)
-        gamma = table.gamma()
-        est = growth.kappa_estimates(table)
-        for n in range(table.max_radius + 1):
-            kp = est[n]
-            rows.append([c, n, table.sizes[n], gamma[n],
+    for c in sorted(sizes):
+        gamma = list(accumulate(sizes[c]))
+        for n, kp in enumerate(growth.kappa_estimates(sizes[c])):
+            rows.append([c, n, sizes[c][n], gamma[n],
                          f"{kp:.6f}" if kp is not None else ""])
     out = args.out or "spheres.csv"
     with open(out, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["level", "n", "sphere_size", "gamma", "kappa_pointwise"])
         w.writerows(rows)
+    if stop is not None:
+        raise stop
     return EXIT_OK
 
 

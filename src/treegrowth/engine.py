@@ -29,14 +29,17 @@ from . import perms
 class BudgetExceeded(RuntimeError):
     """The configured state-space budget was hit; raise it and retry.
 
-    From enumerate_spheres it carries the level class `cls` and the `radius`
-    being expanded, and the `elements` enumerated; from the engine alone
-    they are None.
+    From enumerate_spheres it carries the level class `cls`, the `radius`
+    being expanded, the `elements` enumerated and the `sizes` of the
+    spheres it completed, radii 0 to radius - 1; from the engine alone they
+    are None.
     """
 
-    def __init__(self, message, cls=None, radius=None, elements=None):
+    def __init__(self, message, cls=None, radius=None, elements=None,
+                 sizes=None):
         super().__init__(message)
         self.cls, self.radius, self.elements = cls, radius, elements
+        self.sizes = sizes
 
 
 class _ClassTable:

@@ -11,6 +11,8 @@ minimal pseudolength.  Every representative records the product it was
 found as, which gives one geodesic word for every ball element.
 """
 
+import sys
+from array import array
 from dataclasses import dataclass, field
 from itertools import accumulate
 from math import factorial
@@ -142,10 +144,12 @@ class ZeroGroup:
         return ia, f, itemgetter(*root), sections
 
     def member(self, i1, g, i3):
-        """(root, sections) of A[i1]·g·A[i3], not interned."""
-        root = self.rows.roots[g]
-        return (perms.compose(self.perms[i1], self.getters[i3](root)),
-                self._reader(root, i1, i3)(self.rows.children[g]))
+        """(root, sections) of A[i1]·g·A[i3], not interned.  With A rooted
+        and i3 = 0 the sections are g's own tuple, shared, not copied."""
+        root, children = self.rows.roots[g], self.rows.children[g]
+        if i3 or not self.rooted:
+            children = self._reader(root, i1, i3)(children)
+        return perms.compose(self.perms[i1], self.getters[i3](root)), children
 
 
 @dataclass
@@ -161,12 +165,16 @@ class Ball:
 
 @dataclass
 class SphereTable:
+    """The per-id columns (`_column`) are indexed by the class's engine id
+    and may run past the last id interned; an id past their end, or with
+    length -1, is no representative."""
     cls: int                       # level class index
     spheres: list                  # per-radius lists of representative ids
     orbits: list                   # per-radius lists of their orbit sizes
-    lengths: dict                  # representative -> pseudolength
-    links: dict                    # representative of radius >= 1 -> the
-    zero: ZeroGroup                # product it was found as, as one int
+    lengths: array                 # id -> pseudolength, -1 off the table
+    parents: array                 # id -> g of the product it was found
+    links: array                   # as, and that product's other digits
+    zero: ZeroGroup
     kept: list                     # _kept_steps, None below radius 3
     _located: dict = field(default_factory=dict, repr=False)
 
@@ -177,14 +185,13 @@ class SphereTable:
 
     def link(self, rep):
         """(g, i1, ia, name, i3) with rep = A[i1]·g·A[ia]·name·A[i3], name
-        the u-th unit-length generator, from links[rep] = (((g·|A| + i1)·|A|
-        + ia)·units + u)·|A| + i3."""
+        the u-th unit-length generator, from parents[rep] = g and
+        links[rep] = ((i1·|A| + ia)·units + u)·|A| + i3."""
         size = self.zero.size
         rest, i3 = divmod(self.links[rep], size)
         rest, u = divmod(rest, len(self.units))
-        rest, ia = divmod(rest, size)
-        g, i1 = divmod(rest, size)
-        return g, i1, ia, self.units[u], i3
+        i1, ia = divmod(rest, size)
+        return self.parents[rep], i1, ia, self.units[u], i3
 
     @property
     def max_radius(self):
@@ -209,14 +216,17 @@ class SphereTable:
         TableExhausted for any other value, -1 and non-ints included.  An id
         outside the ball has its canonical form interned.  Memoized: the ids
         looked up are mostly sections, and they are few."""
-        if g in self.lengths:
-            return g, 0, 0
+        try:
+            if g >= 0 and self.lengths[g] >= 0:
+                return g, 0, 0
+        except (TypeError, IndexError):     # no int, or past every column
+            pass
         if g not in self._located:
             zero, found = self.zero, None
             t = zero.rows
             if isinstance(g, int) and 0 <= g < len(t.roots):
                 rep, _, i1, i3 = zero.find(t.roots[g], t.children[g])
-                if rep in self.lengths:
+                if rep < len(self.lengths) and self.lengths[rep] >= 0:
                     found = rep, zero.inverse[i1], zero.inverse[i3]
             self._located[g] = found
         found = self._located[g]
@@ -297,6 +307,18 @@ class Atlas:
         except KeyError:
             raise TableExhausted(f"no table enumerated for level class {c}")
 
+    def enumerate(self, max_radius, levels=None):
+        """Enumerate tables for the first `levels` level classes (default
+        all), in order, so a BudgetExceeded leaves the earlier ones whole."""
+        if max_radius < 0:
+            raise ValueError(f"max radius must be at least 0, got {max_radius}")
+        if levels is not None and levels < 1:
+            raise ValueError(f"levels must be at least 1, got {levels}")
+        for c in range(min(levels or self.spec.num_classes,
+                           self.spec.num_classes)):
+            enumerate_spheres(self, c, max_radius)
+        return self
+
 
 def enumerate_spheres(atlas, c, max_radius):
     """Fill the atlas table for class c up to max_radius, one representative
@@ -321,7 +343,8 @@ def enumerate_spheres(atlas, c, max_radius):
     Deterministic: expansion follows stored sphere order, A's breadth-first
     order and the spec's generator order.  The engine's budget is the only
     limit: BudgetExceeded names the class, the radius being expanded and the
-    elements enumerated (summed orbit sizes) when it stops the run.
+    elements enumerated (summed orbit sizes) when it stops the run, and
+    carries the sizes of the spheres completed.
     """
     existing = atlas.tables.get(c)
     if existing is not None and existing.max_radius >= max_radius:
@@ -338,7 +361,14 @@ def enumerate_spheres(atlas, c, max_radius):
     lead = size * suffixes
     steps = [step + (k * size,) for k, step in enumerate(zero.steps(units))]
     pairs_total = size * size
-    lengths, links = {0: 0}, {}
+    # each column's typecode holds all it can receive: an id is below the
+    # budget, a length at most the radius and below the id count, and a
+    # link below |A|·lead
+    ids = min(eng.budget, sys.maxsize)
+    end = len(zero.rows.roots)
+    lengths = _column(min(max_radius, ids), end)
+    parents, links = _column(ids, end), _column(size * lead, end)
+    lengths[0] = 0
     spheres, orbits = [[0]], [[size]]
     elements = size
     kept, n = None, 0
@@ -348,14 +378,18 @@ def enumerate_spheres(atlas, c, max_radius):
             if n == 3:
                 kept = _kept_steps(zero, units, steps, lengths)
             for g in spheres[n - 1]:
-                base = g * size * lead
                 todo = steps if kept is None else kept[links[g] % suffixes]
                 for step, root, ch in products(g, todo):
                     i, pairs, i1, i3 = find(root, ch)
-                    if i in lengths:
+                    if i >= end:            # a new id: grow by a quarter
+                        end = i + 1 + (i >> 2)
+                        for column in lengths, parents, links:
+                            _pad(column, end)
+                    elif lengths[i] >= 0:
                         continue
                     lengths[i] = n
-                    links[i] = base + step[4] + i1 * lead + i3
+                    parents[i] = g
+                    links[i] = step[4] + i1 * lead + i3
                     sphere.append(i)
                     orbit.append(pairs_total // pairs)
             spheres.append(sphere)
@@ -365,11 +399,27 @@ def enumerate_spheres(atlas, c, max_radius):
         elements += sum(orbit)
         raise BudgetExceeded(f"{e}; stopped at level class {c} expanding "
                              f"radius {n}, {elements} elements",
-                             c, n, elements) from e
+                             c, n, elements, [sum(o) for o in orbits]) from e
 
-    table = SphereTable(c, spheres, orbits, lengths, links, zero, kept)
+    table = SphereTable(c, spheres, orbits, lengths, parents, links, zero,
+                        kept)
     atlas.tables[c] = table
     return table
+
+
+def _column(top, n):
+    """n slots of -1 in the narrowest signed array typecode that holds every
+    value up to top, or a list past 'q'."""
+    for code in "bhiq":
+        if top < 1 << 8 * array(code).itemsize - 1:
+            return array(code, [-1]) * n
+    return [-1] * n
+
+
+def _pad(column, n):
+    """Extend a column with -1 to n slots."""
+    fill = [-1] if isinstance(column, list) else array(column.typecode, [-1])
+    column.extend(fill * (n - len(column)))
 
 
 def _kept_steps(zero, units, steps, lengths):
@@ -383,28 +433,21 @@ def _kept_steps(zero, units, steps, lengths):
     kept = []
     for f in units:
         short = {step[:2] for step, root, ch in zero.products(f, steps)
-                 if lengths.get(zero.find(root, ch)[0], 2) <= 1}
+                 if lengths[zero.find(root, ch)[0]] <= 1}
         kept += [[s for s in steps if (row[s[0]], s[1]) not in short]
                  for row in zero.times]
     return kept
 
 
 def build_atlas(spec, max_radius, levels=None, engine=None):
-    """Enumerate tables for the first `levels` level classes (default all)."""
-    if max_radius < 0:
-        raise ValueError(f"max radius must be at least 0, got {max_radius}")
-    if levels is not None and levels < 1:
-        raise ValueError(f"levels must be at least 1, got {levels}")
-    atlas = Atlas(spec, engine=engine)
-    nclasses = spec.num_classes if levels is None else min(levels, spec.num_classes)
-    for c in range(nclasses):
-        enumerate_spheres(atlas, c, max_radius)
-    return atlas
+    """An atlas with tables for the first `levels` level classes (default
+    all)."""
+    return Atlas(spec, engine=engine).enumerate(max_radius, levels)
 
 
-def kappa_estimates(table):
-    """Pointwise estimates |Omega(n)|^(1/n), None at n = 0."""
-    sizes = table.sphere_sizes()
+def kappa_estimates(sizes):
+    """Pointwise estimates |Omega(n)|^(1/n) from the sphere sizes, None at
+    n = 0."""
     return [None] + [s ** (1.0 / n) if s > 0 else 0.0
                      for n, s in enumerate(sizes[1:], 1)]
 

@@ -81,18 +81,21 @@ def approximate_I_infty(atlas, K):
     first_fail, alive = {}, {}
     for c in classes:
         table, nxt = atlas.table(c), atlas.table(succ[c])
-        find, next_lengths = nxt.find, nxt.lengths
-        is_rep = next_lengths.__contains__
+        find, lengths = nxt.find, nxt.lengths
+        end = len(lengths)
         children = atlas.engine.tables[c].children
         first_fail[c], alive[c] = {}, {}
-        for g, n in table.lengths.items():
-            xs = children[g]
-            if not all(map(is_rep, xs)):
-                xs = tuple([find(x)[0] for x in xs])
-            if sum(map(next_lengths.__getitem__, xs)) == n:
-                alive[c][g] = xs
-            else:
-                first_fail[c][g] = 1
+        for n, sphere in enumerate(table.spheres):
+            for g in sphere:
+                xs = children[g]
+                ls = [lengths[x] if x < end else -1 for x in xs]
+                if -1 in ls:            # a section is no representative
+                    xs = tuple([find(x)[0] for x in xs])
+                    ls = map(lengths.__getitem__, xs)
+                if sum(ls) == n:
+                    alive[c][g] = xs
+                else:
+                    first_fail[c][g] = 1
 
     stab = None
     for k in range(2, K + 1):
@@ -172,7 +175,10 @@ def factorization_dp(atlas, report, c, max_n):
     q = A[i1]·w_q·A[i3], w_q the product of `factors_of(back, q)`.  If
     `find` gives q as A[i1]·(p·A[ia]·h)·A[i3], back[q] =
     (p, times[i3_p][ia], h), for then w_q = w_p·A[i3_p]·A[ia]·h =
-    A[i1_p]⁻¹·p·A[ia]·h keeps i3.
+    A[i1_p]⁻¹·p·A[ia]·h keeps i3.  The identity's layer is written, not
+    formed: A[ia]·h lies in h's own double coset and is first found at
+    ia = 0 as h itself, so layer 1 is the depth-K set in sphere order, each
+    h with back[h] = (0, 0, h) and frontier entry (h, 0).
 
     Prefix closure prunes the products that cannot be additive.  If
     |p·x| = |p| + |x| and x = y·z with |x| = |y| + |z|, then
@@ -192,20 +198,24 @@ def factorization_dp(atlas, report, c, max_n):
     """
     table = atlas.table(c)
     R = min(max_n, table.max_radius)
-    zero, lengths, final = table.zero, table.lengths, report.final[c]
+    zero, lengths, links = table.zero, table.lengths, table.links
     products, find, times = zero.products, zero.find, zero.times
+    final = report.final[c]
     factors = [[h for h in sphere if h in final]
                for sphere in table.spheres[1:R + 1]]
-    steps = [zero.steps(hs) for hs in factors]
+    layer = [h for hs in factors for h in hs]
+    N = {0: 0, **dict.fromkeys(layer, 1)}
+    back = {0: None, **{h: (0, 0, h) for h in layer}}
+    frontier = [(h, 0) for h in layer]
+    # every other p has |p| >= 1, so only buckets 1 to R - 1 are stepped
+    steps = [zero.steps(hs) for hs in factors[:-1]]
     if steps:
-        first, by_suffix, deps = _prefix_filters(table, factors, steps[0])
+        by_suffix, deps = _prefix_filters(table, factors, steps[0])
         # bits[b]: p times the b-th length-1 step is additive; the last
         # bit, always set, keeps the steps that depend on none
-        bits0 = [False] * len(first) + [True]
+        bits0 = [False] * len(steps[0]) + [True]
 
-    N, back = {0: 0}, {0: None}
-    frontier = [(0, 0)]
-    j = 0
+    j = 1
     while frontier:
         j += 1
         nxt = []
@@ -214,16 +224,14 @@ def factorization_dp(atlas, report, c, max_n):
             for lh in range(1, R - lp + 1):
                 if lh == 1:
                     bits = bits0[:]
-                    todo = by_suffix[table.links[p] % len(by_suffix)] \
-                        if p else first
-                elif p:
+                    todo = by_suffix[links[p] % len(by_suffix)]
+                else:
                     todo = compress(steps[lh - 1],
                                     map(bits.__getitem__, deps[lh - 2]))
-                else:               # the identity: every A[ia]·h1 is additive
-                    todo = steps[lh - 1]
                 for step, root, ch in products(p, todo):
                     q, _, _, i3 = find(root, ch)
-                    if lengths.get(q) != lp + lh:
+                    # |q| <= |p| + |h| <= R: q is a representative
+                    if lengths[q] != lp + lh:
                         continue
                     if lh == 1:
                         bits[step[4]] = True
@@ -237,10 +245,10 @@ def factorization_dp(atlas, report, c, max_n):
 
 
 def _prefix_filters(table, factors, steps1):
-    """What factorization_dp prunes by: the length-1 steps, numbered
-    b = 0, 1, ... in their order as step[4]; per link suffix, those the
-    skip table leaves (all of them, as one list, without a skip table);
-    and for the buckets of length 2 to R - 1, the b each step depends on.
+    """What factorization_dp prunes by: per link suffix, the length-1 steps
+    that the skip table leaves (all of them, as one list, without a skip
+    table), each numbered b = 0, 1, ... in its order as step[4]; and for
+    the buckets of length 2 to R - 1, the b each step depends on.
     `after[name][x]` is the b of A[x]·name, or len(steps1), the always-set
     bit, when the generator's representative is not depth-K."""
     zero, times = table.zero, table.zero.times
@@ -264,20 +272,20 @@ def _prefix_filters(table, factors, steps1):
                 return after[name], times[j][ia]
 
     deps = []
-    for hs in factors[1:-1]:        # only the identity takes the last bucket
+    for hs in factors[1:-1]:
         lead = [letter(h) for h in hs]
         deps.append([bs[times[ia][j]] for ia in range(zero.size)
                      for bs, j in lead])
     first = [step + (b,) for b, step in enumerate(steps1)]
     if table.kept is None:
-        return first, [first], deps
+        return [first], deps
     by_suffix = []
     for kept in table.kept:
         tried = {step[:2] for step in kept}
         dropped = {bs[a] for s, bs in units for a in range(zero.size)
                    if (a, s) not in tried}
         by_suffix.append([step for step in first if step[4] not in dropped])
-    return first, by_suffix, deps
+    return by_suffix, deps
 
 
 def factors_of(back, g):

@@ -124,14 +124,16 @@ def test_expansion_links_and_geodesics_multiply_back(make_spec, radius):
 
 
 @pytest.mark.parametrize("make_spec, radius, bound", [
-    (catalog.fabrykowski_gupta, 8, 340),
-    (catalog.first_grigorchuk, 10, 300),
-], ids=["fg-r8", "grigorchuk-r10"])
+    (catalog.fabrykowski_gupta, 8, 200),
+    (catalog.first_grigorchuk, 10, 190),
+    # A trivial and 354 unit generators: the widest link digits
+    (catalog.neumann6, 2, 220),
+], ids=["fg-r8", "grigorchuk-r10", "neumann6-r2"])
 def test_table_bytes_per_representative(make_spec, radius, bound):
-    # what the engine and the tables keep per representative: one int per
-    # link and no intern key beside the children tuple.  The sizes are
-    # CPython 3.11's; a 5-tuple per link and a (root, children) key per id
-    # cost 416 B on FG r8 and 373 B on first Grigorchuk r10.
+    # what the engine and the tables keep per representative: lengths and
+    # links in per-id arrays, and no intern key beside the children tuple.
+    # The sizes are CPython 3.11's: 192, 179 and 210 B.  With lengths and
+    # links in dicts keyed by representative they were 311, 268 and 334 B.
     spec = make_spec()
     tracemalloc.start()
     try:
@@ -142,6 +144,21 @@ def test_table_bytes_per_representative(make_spec, radius, bound):
         tracemalloc.stop()
     reps = sum(len(s) for t in atlas.tables.values() for s in t.spheres)
     assert held / reps <= bound
+
+
+def test_per_id_columns_hold_every_value():
+    # each column's typecode is the narrowest that holds its values, a
+    # list past 'q'; _two_cycles has 4 elements a sphere, so radii past
+    # 127, which 'b' cannot hold, are cheap
+    assert [growth._column(top, 2).typecode
+            for top in (127, 128, 2 ** 15, 2 ** 31, 2 ** 63 - 1)] == \
+        ["b", "h", "i", "q", "q"]
+    assert growth._column(2 ** 63, 2) == [-1, -1]
+    table = build_atlas(_two_cycles(), 140).table(0)
+    assert table.lengths.typecode == "h"
+    for n, sphere in enumerate(table.spheres):
+        assert all(table.length(g) == n for g in sphere)
+    assert table.geodesic(table.spheres[140][0]).count("b") == 140
 
 
 def test_expansion_retried_after_budget_is_whole():
@@ -163,10 +180,18 @@ def test_ids_outside_the_ball():
     for x in (g, -1, "b1", 1.5, None):
         with pytest.raises(TableExhausted):
             table.find(x)
-    with pytest.raises(TableExhausted):
-        table.length(g)
-    with pytest.raises(TableExhausted):
-        table.geodesic(g)
+    # ids never interned, past the engine's rows: the first lies within
+    # the table's per-id arrays, which grow ahead of the ids, the second
+    # past them
+    rows = len(atlas.engine.tables[0].roots)
+    assert rows < len(table.lengths) < rows + 10
+    for x in (g, rows, rows + 10):
+        with pytest.raises(TableExhausted):
+            table.find(x)
+        with pytest.raises(TableExhausted):
+            table.length(x)
+        with pytest.raises(TableExhausted):
+            table.geodesic(x)
 
 
 def test_shift_into_preperiod():
@@ -237,7 +262,7 @@ def test_enumeration_order_deterministic(run_fresh):
 
 
 def test_kappa_estimates(fg_atlas6):
-    est = kappa_estimates(fg_atlas6.table(0))
+    est = kappa_estimates(fg_atlas6.table(0).sizes)
     assert est[0] is None
     assert est[1] == pytest.approx(18.0)
     assert est[2] == pytest.approx(72 ** 0.5)

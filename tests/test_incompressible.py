@@ -341,7 +341,7 @@ def _unpruned_dp(atlas, report, c, max_n):
             for lh, bucket in enumerate(steps[:R - lp], 1):
                 for step, root, ch in products(p, bucket):
                     q, _, _, i3 = find(root, ch)
-                    if q in N or lengths.get(q) != lp + lh:
+                    if q in N or lengths[q] != lp + lh:
                         continue
                     N[q] = j
                     back[q] = (p, row[step[0]], step[1])
@@ -381,7 +381,8 @@ def test_factorization_dp_matches_unpruned_loop(make, radius, max_n, classes,
         "hidden_root-r8", "two_cycles-r5"])
 def test_factorization_dp_prunes_only_products_not_additive(
         monkeypatch, make, radius, edit, most):
-    # every step p·A[ia]·h the DP leaves out for a reached p, multiplied
+    # the identity's layer is written without forming a product, and every
+    # step p·A[ia]·h the DP leaves out for any other reached p, multiplied
     # out element by element, is shorter than |p| + |h|
     atlas = build_atlas(make(), radius)
     eng = atlas.engine
@@ -399,12 +400,18 @@ def test_factorization_dp_prunes_only_products_not_additive(
     for c in sorted(atlas.tables):
         table = atlas.table(c)
         formed.clear()
-        N, _ = inc.factorization_dp(atlas, report, c, radius)
+        N, back = inc.factorization_dp(atlas, report, c, radius)
         assert most is None or len(formed) <= most
         tried = set(formed)
         depth_k = [[h for h in sphere if h in report.final[c]]
                    for sphere in table.spheres[1:]]
-        for p in N:
+        layer = [h for hs in depth_k[:radius] for h in hs]
+        assert layer and not any(g == 0 for g, _ in formed)
+        assert list(N.items())[:len(layer) + 1] == \
+            [(0, 0)] + [(h, 1) for h in layer]
+        assert [q for q, j in N.items() if j == 1] == layer
+        assert all(back[h] == (0, 0, h) for h in layer)
+        for p in list(N)[len(layer) + 1:]:
             lp = table.lengths[p]
             for lh, hs in enumerate(depth_k[:radius - lp], 1):
                 for ia, a in enumerate(table.zero.ids):

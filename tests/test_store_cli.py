@@ -383,6 +383,29 @@ def test_cli_spheres_budget_exit(tmp_path, fg_config_path, capsys):
     ids, products = re.search(
         r"\((\d+) elements, (\d+) cached products\)", err).groups()
     assert int(ids) + int(products) <= 2000
+    # the radii completed before the stop are written, as an unbounded run
+    # to radius 5 writes them
+    assert main(["spheres", "--config", fg_config_path, "--max-radius", "5",
+                 "--out", str(tmp_path / "r5.csv")]) == 0
+    assert (tmp_path / "s.csv").read_text() == \
+        (tmp_path / "r5.csv").read_text()
+
+
+def test_cli_spheres_budget_keeps_earlier_classes(tmp_path, capsys):
+    # first Grigorchuk at budget 800 stops at class 2, radius 4: classes 0
+    # and 1 are written whole, class 2 to radius 3
+    path = tmp_path / "grig.json"
+    path.write_text(json.dumps({"kind": "grigorchuk_p", "parameters": {
+        "p": 2, "per": [0, 1, 2]}}))
+    args = ["spheres", "--config", str(path), "--max-radius", "5"]
+    assert main(args + ["--budget", "800",
+                        "--out", str(tmp_path / "s.csv")]) == 3
+    assert "stopped at level class 2 expanding radius 4" in \
+        capsys.readouterr().err
+    assert main(args + ["--out", str(tmp_path / "r5.csv")]) == 0
+    whole = (tmp_path / "r5.csv").read_text().splitlines()
+    assert (tmp_path / "s.csv").read_text().splitlines() == \
+        whole[:1 + 6 + 6 + 4]
 
 
 def test_cli_incompressible(tmp_path, fg_config_path):
