@@ -59,9 +59,12 @@ def _spec_from(args):
     return store.build_spec(store.load_config(args.config))
 
 
-def _atlas(args, spec):
-    return growth.build_atlas(spec, args.max_radius,
-                              engine=Engine(spec, budget=args.budget))
+def _setup(args):
+    """The spec, its atlas to --max-radius and its depth-K filtration."""
+    spec = _spec_from(args)
+    atlas = growth.build_atlas(spec, args.max_radius,
+                               engine=Engine(spec, budget=args.budget))
+    return spec, atlas, inc.approximate_I_infty(atlas, args.k_depth)
 
 
 def _emit(args, payload):
@@ -111,9 +114,7 @@ def cmd_spheres(args):
 
 
 def cmd_incompressible(args):
-    spec = _spec_from(args)
-    atlas = _atlas(args, spec)
-    report = inc.approximate_I_infty(atlas, args.k_depth)
+    spec, atlas, report = _setup(args)
     out = args.out or "incompressible"
     with open(out + ".csv", "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
@@ -158,9 +159,7 @@ def cmd_incompressible(args):
 
 
 def cmd_criterion(args):
-    spec = _spec_from(args)
-    atlas = _atlas(args, spec)
-    report = inc.approximate_I_infty(atlas, args.k_depth)
+    _, atlas, report = _setup(args)
     res = cr.run_criterion(atlas, report, 0, args.max_radius, args.epsilon)
     hyp = cr.theorem_hypotheses_report(atlas, report, args.max_radius)
     payload = {
@@ -190,9 +189,7 @@ def cmd_criterion(args):
 
 
 def cmd_report(args):
-    spec = _spec_from(args)
-    atlas = _atlas(args, spec)
-    report = inc.approximate_I_infty(atlas, args.k_depth)
+    spec, atlas, report = _setup(args)
     payload = {
         "group": spec.name,
         "degree": spec.degree,

@@ -9,15 +9,6 @@ from . import incompressible as inc
 from .growth import check_wreath_inequality
 
 
-@dataclass
-class PairData:
-    h: list                      # representatives of the paired products
-    small: list                  # indices with |h_i| <= 6/epsilon
-    large: list
-    leftover: tuple = None       # unpaired last factor (ia, h) when odd
-    pairs_in_I: list = field(default_factory=list)  # pairs still in I_K
-
-
 def partition(table, N, n, epsilon):
     """Split the radius-n representatives by the factorization-count
     threshold; one absent from N (no additive factorization) is in neither
@@ -28,48 +19,44 @@ def partition(table, N, n, epsilon):
             [g for g in reached if N[g] <= epsilon * n])
 
 
-def pair_factors(atlas, report, c, factors, epsilon):
-    """Pair consecutive factors (ia, h) of a minimal additive factorization,
-    as `factors_of` gives them, and classify the pairs by length; a pair in
-    the depth-K set would contradict minimality and is reported.  The pair
-    (A[i1]·h1)·(A[i2]·h2) lies in the double coset of h1·A[i2]·h2, formed in
-    one wreath step; being additive it is in the ball, so finding its
-    representative interns nothing."""
-    table = atlas.table(c)
-    zero, data = table.zero, PairData([], [], [])
-    for i in range(len(factors) // 2):
-        (_, h1), (ia, h2) = factors[2 * i:2 * i + 2]
+def pair_factors(atlas, c, factors):
+    """Representatives of the products of consecutive factors (ia, h) of a
+    minimal additive factorization, as `factors_of` gives them; an odd last
+    factor is left unpaired.  The pair (A[i1]·h1)·(A[i2]·h2) lies in the
+    double coset of h1·A[i2]·h2, formed in one wreath step; being additive
+    it is in the ball, so finding its representative interns nothing."""
+    zero = atlas.table(c).zero
+    pairs = []
+    for (_, h1), (ia, h2) in zip(factors[::2], factors[1::2]):
         _, root, ch = next(zero.products(h1, [zero.step(ia, h2)]))
-        h = zero.find(root, ch)[0]
-        data.h.append(h)
-        (data.small if table.lengths[h] <= 6 / epsilon
-         else data.large).append(i)
-        if report.in_Ik(c, h, report.K):
-            data.pairs_in_I.append(i)
-    if len(factors) % 2:
-        data.leftover = factors[-1]
-    return data
+        pairs.append(zero.find(root, ch)[0])
+    return pairs
 
 
-def check_small_factor_lower_bound(atlas, report, c, back, big, n, epsilon):
-    """|S(g)| > (epsilon/8) n for every g in the big part, when n > 3/epsilon.
-    For n <= 6/epsilon it cannot be False: a pair is at most n long, so
-    small, and a big-part g has over epsilon·n > 3 factors, so two pairs,
-    against (epsilon/8)·n <= 3/4; it only says the big part has pairs.
+def check_small_factor_lower_bound(atlas, report, c, N, back, big, n,
+                                   epsilon):
+    """|S(g)| > (epsilon/8) n for every g in the big part, when n > 3/epsilon;
+    S(g) holds g's pairs of factors no longer than 6/epsilon.  What is
+    checked is what the bound follows from: g's witness has N[g] factors,
+    and its pairs' lengths plus the unpaired last factor's sum to n.  Then
+    g has floor(N/2) > (epsilon·n - 1)/2 pairs, fewer than epsilon·n/6 of
+    them longer than 6/epsilon, so |S(g)| > epsilon·n/3 - 1/2 >=
+    epsilon·n/8, as epsilon·n > 3.
 
     Returns the verdict (None below the threshold, where nothing is
-    asserted) and every element of the big part whose factorization pairs
-    two factors into a product still in the depth-K set, which contradicts
-    the minimality of that factorization."""
+    asserted) and every g of the big part whose factorization pairs two
+    factors into the depth-K set, against its minimality."""
     if n <= 3 / epsilon:
         return None, []
-    ok, not_minimal = True, []
+    lengths, ok, not_minimal = atlas.table(c).lengths, True, []
     for g in big:
         factors = inc.factors_of(back, g)
-        data = pair_factors(atlas, report, c, factors, epsilon)
-        if data.pairs_in_I:
+        pairs = pair_factors(atlas, c, factors)
+        if any(report.in_Ik(c, h, report.K) for h in pairs):
             not_minimal.append(g)
-        ok = ok and len(data.small) > (epsilon / 8) * n
+        left = lengths[factors[-1][1]] if len(factors) % 2 else 0
+        ok = ok and len(factors) == N[g] and \
+            sum(map(lengths.__getitem__, pairs)) + left == n
     return ok, not_minimal
 
 
@@ -93,8 +80,13 @@ def level_section_sum(atlas, c, g, depth):
 
 def check_level_reduction(atlas, big, c, n, epsilon, level):
     """Section lengths at the given level sum below (8-epsilon)/8 * n for
-    every g in the big part.  Passing at a shallow level implies passing at
-    any deeper one, because section sums never increase with depth."""
+    every g in the big part; section sums never increase with depth, so a
+    pass at one level holds at every deeper one.  While n < 8/epsilon it
+    follows from the filtration, given `first_fail(g)` <= level: a big-part
+    g has N > 1, so it is not depth-K, and its section sum at depth
+    `first_fail(g)` is at most n - 1 (below n at depth 1; at depth k > 1
+    the depth-1 sums add up and one section fails at k - 1), while
+    (8 - epsilon)·n/8 > n - 1."""
     if n <= 3 / epsilon:
         return None
     bound = (8 - epsilon) / 8 * n
@@ -128,7 +120,8 @@ def run_criterion(atlas, report, c, n_max, epsilon):
     which is a union of double cosets, and it is no longer than the
     minimum, which is the same on the orbit.  Its pairs are a1·(h1·h2),
     ..., (h_{m-1}·hm)·a3, with the same lengths and depth-K membership as
-    g's, so the small-factor and not-minimal checks read the same.
+    g's, and its unpaired last factor hm·a3 has hm's length, so the count,
+    exact-sum and not-minimal checks read the same.
     Section sums at a fixed level are the same on the orbit too, because
     zero-length generators have zero-length sections."""
     if not 0 < epsilon < 0.5:
@@ -149,7 +142,7 @@ def run_criterion(atlas, report, c, n_max, epsilon):
                 f"no additive factorization into depth-{report.K} elements "
                 f"for {unreached} elements at n={n}")
         sf, not_minimal = check_small_factor_lower_bound(
-            atlas, report, c, back, big, n, epsilon)
+            atlas, report, c, N, back, big, n, epsilon)
         out.small_factor_ok[n] = sf
         if sf is False:
             out.failures.append(f"small-factor bound fails at n={n}")

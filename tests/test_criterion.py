@@ -30,30 +30,25 @@ def test_pair_factors(fg_atlas6, fg_report6, fg_dp):
     table = fg_atlas6.table(0)
     for g in table.spheres[6][:200]:
         factors = inc.factors_of(back, g)
-        data = cr.pair_factors(fg_atlas6, fg_report6, 0, factors, 0.45)
-        assert len(data.h) == len(factors) // 2
-        assert len(data.small) + len(data.large) == len(data.h)
+        pairs = cr.pair_factors(fg_atlas6, 0, factors)
+        assert len(pairs) == len(factors) // 2
         # a pair still additive to depth K would contradict minimality
-        assert data.pairs_in_I == []
-        if len(factors) % 2:
-            assert data.leftover == factors[-1]
-        else:
-            assert data.leftover is None
+        assert not any(fg_report6.in_Ik(0, h, fg_report6.K) for h in pairs)
+        # the pairs and the unpaired last factor add up to g's length
+        left = table.length(factors[-1][1]) if len(factors) % 2 else 0
+        assert sum(map(table.length, pairs)) + left == 6
 
 
-def _element_pairs(atlas, report, c, factors, epsilon):
-    """(small, large, pairs_in_I) of the factors' pairs, each factor built
-    as the element A[ia]·h and each pair multiplied by Engine.mul."""
+def _element_pairs(atlas, report, c, factors):
+    """(length, depth-K membership) of each of the factors' pairs, each
+    factor built as the element A[ia]·h and each pair multiplied by
+    Engine.mul."""
     eng, table = atlas.engine, atlas.table(c)
     elements = [eng.mul(c, table.zero.ids[ia], h, store=False)
                 for ia, h in factors]
-    small, large, in_I = [], [], []
-    for i in range(len(elements) // 2):
-        pair = eng.mul(c, elements[2 * i], elements[2 * i + 1], store=False)
-        (small if table.length(pair) <= 6 / epsilon else large).append(i)
-        if report.in_Ik(c, pair, report.K):
-            in_I.append(i)
-    return small, large, in_I
+    pairs = [eng.mul(c, x, y, store=False)
+             for x, y in zip(elements[::2], elements[1::2])]
+    return [(table.length(h), report.in_Ik(c, h, report.K)) for h in pairs]
 
 
 # (id, family, radius, whole sphere): the pairs of the big part at n = 7 and
@@ -80,10 +75,10 @@ def test_pair_factors_match_element_products(make, radius, whole):
         big, small = cr.partition(table, N, n, 0.45)
         for g in big + small if whole else big:
             factors = inc.factors_of(back, g)
-            data = cr.pair_factors(atlas, report, 0, factors, 0.45)
-            assert (data.small, data.large, data.pairs_in_I) == \
-                _element_pairs(atlas, report, 0, factors, 0.45)
-            pairs += len(data.h)
+            got = cr.pair_factors(atlas, 0, factors)
+            assert [(table.length(h), report.in_Ik(0, h, report.K))
+                    for h in got] == _element_pairs(atlas, report, 0, factors)
+            pairs += len(got)
     assert pairs
 
 
@@ -92,7 +87,7 @@ def test_small_factor_bound_below_threshold(fg_atlas6, fg_report6, fg_dp):
     big, _ = cr.partition(fg_atlas6.table(0), N, 3, 0.45)
     # n = 3 <= 3/epsilon: the bound is not asserted there
     assert cr.check_small_factor_lower_bound(
-        fg_atlas6, fg_report6, 0, back, big, 3, 0.45) == (None, [])
+        fg_atlas6, fg_report6, 0, N, back, big, 3, 0.45) == (None, [])
 
 
 def test_small_factor_bound_reports_non_minimal_pair(fg_atlas6, fg_report6):
@@ -102,13 +97,68 @@ def test_small_factor_bound_reports_non_minimal_pair(fg_atlas6, fg_report6):
     # hand-built chain g = b1 * b1, whose pair b1*b1 = b2 is a generator and
     # so lies in the depth-K set: the factorization cannot be minimal
     assert fg_report6.in_Ik(0, g, fg_report6.K)
+    N = {0: 0, b1: 1, g: 2}
     back = {0: None, b1: (0, 0, b1), g: (b1, 0, b1)}
+    # g has length 1, so at n = 7 its pair does not add up to n
     assert cr.check_small_factor_lower_bound(
-        fg_atlas6, fg_report6, 0, back, [g], 7, 0.45) == (True, [g])
-    # at n = 1000 both fail the bound, and the scan goes on past b1 to
+        fg_atlas6, fg_report6, 0, N, back, [g], 7, 0.45) == (False, [g])
+    # at n = 1000 both fail the exact sum, and the scan goes on past b1 to
     # report g
     assert cr.check_small_factor_lower_bound(
-        fg_atlas6, fg_report6, 0, back, [b1, g], 1000, 0.45) == (False, [g])
+        fg_atlas6, fg_report6, 0, N, back, [b1, g], 1000, 0.45) == \
+        (False, [g])
+
+
+def _criterion_with_faulty_dp(monkeypatch, fault):
+    """run_criterion on the FG radius-8 ball to n = 8 at epsilon = 0.45,
+    after fault(atlas, report, N, back, big) has changed the DP's output.
+    big is the big part at n = 8, the top radius, so no other element's
+    witness runs through an element of it."""
+    dp = inc.factorization_dp
+
+    def faulty_dp(atlas, report, c, max_n):
+        N, back = dp(atlas, report, c, max_n)
+        fault(atlas, report, N, back,
+              cr.partition(atlas.table(c), N, 8, 0.45)[0])
+        return N, back
+
+    monkeypatch.setattr(inc, "factorization_dp", faulty_dp)
+    atlas = build_atlas(catalog.fabrykowski_gupta(), 8)
+    report = inc.approximate_I_infty(atlas, 6)
+    return cr.run_criterion(atlas, report, 0, 8, 0.45)
+
+
+def test_small_factor_bound_catches_a_wrong_count(monkeypatch):
+    # N one too high: the witness no longer has N factors, though the
+    # element stays in the big part
+    def one_too_high(atlas, report, N, back, big):
+        N[big[0]] += 1
+
+    res = _criterion_with_faulty_dp(monkeypatch, one_too_high)
+    assert res.small_factor_ok[8] is False
+    assert res.failures == ["small-factor bound fails at n=8"]
+
+
+def test_small_factor_bound_catches_a_misread_length(monkeypatch):
+    # the last backpointer of a big-part element names a depth-K
+    # representative one shorter than its factor, picked so that no pair
+    # lands in the depth-K set, where the not-minimal check would see it
+    def misread(atlas, report, N, back, big):
+        table = atlas.table(0)
+        for g in big:
+            p, ia, h = back[g]
+            head = inc.factors_of(back, g)[:-1]
+            for h2 in report.final[0]:
+                if table.length(h2) == table.length(h) - 1 and not any(
+                        in_I for _, in_I in
+                        _element_pairs(atlas, report, 0, head + [(ia, h2)])):
+                    back[g] = (p, ia, h2)
+                    return
+        raise AssertionError("no big-part factor can be misread")
+
+    res = _criterion_with_faulty_dp(monkeypatch, misread)
+    assert res.small_factor_ok[8] is False
+    assert res.failures == ["small-factor bound fails at n=8"]
 
 
 def test_sections_at_depth(fg_atlas6):
