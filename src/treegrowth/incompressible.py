@@ -15,7 +15,9 @@ holds no witness, reads no engine internals and interns no step factor.
 """
 
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, filterfalse
+
+from .growth import _column
 
 
 class NotTernarySpinal(ValueError):
@@ -26,7 +28,7 @@ class NotTernarySpinal(ValueError):
 class IncompressibilityReport:
     K: int
     counts: dict                 # class -> list over k of per-radius counts
-    first_fail: dict             # class -> {rep: least k with rep outside I_k}
+    first_fail: dict             # class -> id column: least k out of I_k or -1
     final: dict                  # class -> {rep still in I_K: its sections}
     stabilization_depth: int = None   # least k with I_k = I_{k+1} on all balls
     tables: dict = None          # class -> SphereTable the reps belong to
@@ -38,22 +40,21 @@ class IncompressibilityReport:
         return self.stabilization_depth is not None
 
     def fail_depth(self, c, g):
-        """first_fail of a ball id, read through its representative; None
+        """first_fail of a ball id, read at its representative's slot; None
         when the id is in every depth-k set computed.  TableExhausted for
         an id outside the table's ball, whose depth is unknown."""
-        return self.first_fail[c].get(self.tables[c].find(g)[0])
+        return max(self.first_fail[c][self.tables[c].find(g)[0]], 0) or None
 
     def in_Ik(self, c, g, k):
         if k > self.K and not self.exact:
             raise ValueError(f"membership only known up to depth {self.K}")
-        depth = self.fail_depth(c, g)
-        return depth is None or depth > k
+        return (self.fail_depth(c, g) or k + 1) > k
 
 
 def approximate_I_infty(atlas, K):
     """The depth-k filtration of every enumerated table, k = 1..K, held as
-    first_fail[c]: representative -> least k with it outside the depth-k
-    set.
+    first_fail[c], a column over class c's ids: a representative's least k
+    with it outside the depth-k set, -1 for one in all of them or no rep.
 
     It runs on representatives.  With A rooted the sections of a1·g·a3 are
     those of g permuted, and in general they are b·g_x·b' with b, b' in the
@@ -62,12 +63,15 @@ def approximate_I_infty(atlas, K):
     every depth-k set, are the same on the whole orbit, and a section's
     depth is read through its own representative.
 
-    Round 1 drops the representatives whose section lengths do not add up.
-    Round k drops those still alive with a section no longer alive, and the
-    first round that drops nothing gives stabilization_depth = k-1.
+    Round 1 drops the representatives whose section lengths do not add up,
+    resolving each distinct section id once, in the order first met.  Round
+    k drops those still alive with a section no longer alive, which only a
+    section dropped at round k-1 can be, so it skips the classes with none.
+    The first round that drops nothing gives stabilization_depth = k-1.
     counts[c][k][n] is the radius-n sphere size less the orbit sizes of the
     radius-n representatives with first_fail at most k; final[c] maps each
-    representative still alive to its sections' representatives.
+    representative still alive to its sections' representatives, as the
+    engine's own children tuple when every section is one.
     """
     if K < 1:
         raise ValueError(f"depth K must be at least 1, got {K}")
@@ -78,50 +82,56 @@ def approximate_I_infty(atlas, K):
             raise ValueError(
                 f"class {succ[c]} needed for sections of class {c}")
 
-    first_fail, alive = {}, {}
+    first_fail, alive, sections = {}, {}, {}
     for c in classes:
         table, nxt = atlas.table(c), atlas.table(succ[c])
-        find, lengths = nxt.find, nxt.lengths
-        end = len(lengths)
         children = atlas.engine.tables[c].children
-        first_fail[c], alive[c] = {}, {}
+        rep = sections[c] = {}  # section id -> its representative
+        size, moved = {}, set()  # -> the rep's length; the ids no rep
+        ff, live = first_fail[c], alive[c] = _column(K, len(table.lengths)), {}
         for n, sphere in enumerate(table.spheres):
             for g in sphere:
                 xs = children[g]
-                ls = [lengths[x] if x < end else -1 for x in xs]
-                if -1 in ls:            # a section is no representative
-                    xs = tuple([find(x)[0] for x in xs])
-                    ls = map(lengths.__getitem__, xs)
-                if sum(ls) == n:
-                    alive[c][g] = xs
+                try:
+                    total = sum(map(size.__getitem__, xs))
+                except KeyError:
+                    for x in filterfalse(size.__contains__, xs):
+                        rep[x] = r = nxt.find(x)[0]
+                        size[x] = nxt.lengths[r]
+                        if r != x:
+                            moved.add(x)
+                    total = sum(map(size.__getitem__, xs))
+                if total != n:
+                    ff[g] = 1
+                elif moved and not moved.isdisjoint(xs):
+                    live[g] = tuple(map(rep.__getitem__, xs))
                 else:
-                    first_fail[c][g] = 1
+                    live[g] = xs
 
     stab = None
     for k in range(2, K + 1):
         # every class is checked against the round k-1 sets before any drop
-        dropped = {}
+        dropped = dict.fromkeys(classes, ())
         for c in classes:
-            live_next = alive[succ[c]]
-            dropped[c] = [g for g, xs in alive[c].items()
-                          if not all(map(live_next.__contains__, xs))]
+            if k - 1 in map(first_fail[succ[c]].__getitem__,
+                            sections[c].values()):
+                dropped[c] = [g for g, xs in alive[c].items() if not all(
+                    map(alive[succ[c]].__contains__, xs))]
         if not any(dropped.values()):
             stab = k - 1
             break
         for c in classes:
             for g in dropped[c]:
                 del alive[c][g]
-            first_fail[c].update(dict.fromkeys(dropped[c], k))
+                first_fail[c][g] = k
 
     counts = {}
     for c in classes:
         table, ff = atlas.table(c), first_fail[c]
-        drops = [[0] * len(table.spheres) for _ in range(K + 1)]
+        drops = [[0] * len(table.spheres) for _ in range(-1, K + 1)]
         for n, (sphere, orbit) in enumerate(zip(table.spheres, table.orbits)):
             for g, size in zip(sphere, orbit):
-                k = ff.get(g)
-                if k is not None:
-                    drops[k][n] += size
+                drops[ff[g]][n] += size
         counts[c] = [table.sphere_sizes()]
         for k in range(1, K + 1):
             counts[c].append([m - d for m, d in zip(counts[c][-1], drops[k])])
@@ -147,12 +157,12 @@ def level_function(atlas, report, c, r):
     computed on the available ball is a lower bound for the true one; any
     check monotone in the level stays conclusive with it.
     """
-    table = atlas.table(c)
+    table, ff = atlas.table(c), report.first_fail[c]
     r_eff = min(int(r), table.max_radius)
-    fails = [k for g, k in report.first_fail[c].items()
-             if table.length(g) <= r_eff]
-    return LevelFunctionResult(max(fails, default=1), r_eff, report.exact,
-                               r_eff < int(r), empty_family=not fails)
+    top = max((ff[g] for sphere in table.spheres[:max(r_eff + 1, 0)]
+               for g in sphere), default=-1)
+    return LevelFunctionResult(max(top, 1), r_eff, report.exact,
+                               r_eff < int(r), empty_family=top < 0)
 
 
 def factorization_dp(atlas, report, c, max_n):

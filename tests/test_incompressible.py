@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -7,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from treegrowth import build_atlas, catalog, store
 from treegrowth import incompressible as inc
-from treegrowth.growth import TableExhausted, ZeroGroup
+from treegrowth.growth import SphereTable, TableExhausted, ZeroGroup
 
 from oracle import oracle_spheres, reference_atlas, reference_filtration
 from test_engine import CYCLIC_FAMILIES, _hidden_root, _two_cycles
@@ -69,6 +70,31 @@ def _assert_matches_reference(spec, radius):
             for g in table.lengths:
                 assert report.fail_depth(c, g) == first_fail[c].get(g)
                 assert report.in_Ik(c, g, K) == (g in final[c])
+            _assert_final_sections(atlas, report, c)
+            _assert_level_function(atlas, report, c, table, first_fail[c])
+
+
+def _assert_final_sections(atlas, report, c):
+    """Each live representative maps to its sections' representatives, and
+    to the engine's own children tuple exactly when those are the same."""
+    nxt = atlas.table(atlas.engine.succ[c])
+    for g, xs in report.final[c].items():
+        children = atlas.engine.children(c, g)
+        reps = tuple(nxt.find(x)[0] for x in children)
+        assert xs == reps
+        assert (xs is children) == (reps == children)
+
+
+def _assert_level_function(atlas, report, c, ref_table, first_fail):
+    """level_function at every radius up to one past the table's, against
+    the reference first_fail over every ball element."""
+    top = atlas.table(c).max_radius
+    for r in range(top + 2):
+        fails = [k for g, k in first_fail.items()
+                 if ref_table.length(g) <= r]
+        lf = inc.level_function(atlas, report, c, r)
+        assert (lf.value, lf.radius, lf.lower_bound_only, lf.empty_family) \
+            == (max(fails, default=1), min(r, top), r > top, not fails)
 
 
 @pytest.mark.parametrize("name", CYCLIC_FAMILIES)
@@ -151,6 +177,26 @@ def test_counts_nested_in_k(fg_report6):
     for k in range(1, len(per_k) - 1):
         for n in range(len(per_k[k])):
             assert per_k[k + 1][n] <= per_k[k][n]
+
+
+@pytest.mark.parametrize("name", ["fg_atlas6", "grig_atlas8"])
+def test_filtration_resolves_each_section_once(name, request, monkeypatch):
+    """One filtration looks up each distinct (class, section id) at most
+    once, though most representatives share their sections."""
+    atlas = request.getfixturevalue(name)
+    calls, find = Counter(), SphereTable.find
+
+    def counted(table, g):
+        calls[table.cls, g] += 1
+        return find(table, g)
+
+    monkeypatch.setattr(SphereTable, "find", counted)
+    report = inc.approximate_I_infty(atlas, 6)
+    assert calls and max(calls.values()) == 1
+    eng = atlas.engine
+    assert set(calls) == {(eng.succ[c], x) for c in report.counts
+                          for sphere in atlas.table(c).spheres
+                          for g in sphere for x in eng.children(c, g)}
 
 
 def test_membership_and_first_fail(fg_atlas6, fg_report6):
