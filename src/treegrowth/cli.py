@@ -142,11 +142,11 @@ def cmd_incompressible(args):
         # the geodesic of a1·g·a3 is a1·geodesic(g)·a3, which shifts every
         # conjugation exponent by one constant, so the derivative and its
         # verdict are the same on the whole orbit
-        table = atlas.table(0)
+        table, ff = atlas.table(0), report.first_fail[0]
         violations = checked = 0
         for n in range(1, table.max_radius + 1):
             for g, size in zip(table.spheres[n], table.orbits[n]):
-                if g in report.final[0]:
+                if ff[g] < 0:
                     checked += size
                     if not inc.extract_ternary_data(spec, table, 0, g).two_run:
                         violations += size

@@ -86,7 +86,11 @@ def check_level_reduction(atlas, big, c, n, epsilon, level):
     g has N > 1, so it is not depth-K, and its section sum at depth
     `first_fail(g)` is at most n - 1 (below n at depth 1; at depth k > 1
     the depth-1 sums add up and one section fails at k - 1), while
-    (8 - epsilon)·n/8 > n - 1."""
+    (8 - epsilon)·n/8 > n - 1.  run_criterion passes as level the largest
+    first_fail in the ball of radius min(6/epsilon, table radius), so the
+    check cannot fail at n up to it, only at n > 6/epsilon: n >= 14 at
+    epsilon = 0.45, which of the reference jobs first Grigorchuk r14 alone
+    reaches."""
     if n <= 3 / epsilon:
         return None
     bound = (8 - epsilon) / 8 * n

@@ -29,7 +29,6 @@ class IncompressibilityReport:
     K: int
     counts: dict                 # class -> list over k of per-radius counts
     first_fail: dict             # class -> id column: least k out of I_k or -1
-    final: dict                  # class -> {rep still in I_K: its sections}
     stabilization_depth: int = None   # least k with I_k = I_{k+1} on all balls
     tables: dict = None          # class -> SphereTable the reps belong to
 
@@ -64,14 +63,14 @@ def approximate_I_infty(atlas, K):
     depth is read through its own representative.
 
     Round 1 drops the representatives whose section lengths do not add up,
-    resolving each distinct section id once, in the order first met.  Round
-    k drops those still alive with a section no longer alive, which only a
-    section dropped at round k-1 can be, so it skips the classes with none.
+    resolving each distinct section id once, in the order first met, and
+    lists the rest per class.  Round k drops a listed g with a section out
+    of the depth-(k-1) set; as g's sections were all in the depth-(k-2)
+    set, that is one with first_fail k-1.  So a class with none is
+    skipped, and the k that a drop writes is read by no test of round k.
     The first round that drops nothing gives stabilization_depth = k-1.
     counts[c][k][n] is the radius-n sphere size less the orbit sizes of the
-    radius-n representatives with first_fail at most k; final[c] maps each
-    representative still alive to its sections' representatives, as the
-    engine's own children tuple when every section is one.
+    radius-n representatives with first_fail at most k.
     """
     if K < 1:
         raise ValueError(f"depth K must be at least 1, got {K}")
@@ -82,48 +81,43 @@ def approximate_I_infty(atlas, K):
             raise ValueError(
                 f"class {succ[c]} needed for sections of class {c}")
 
-    first_fail, alive, sections = {}, {}, {}
+    first_fail, live, sections, children = {}, {}, {}, {}
     for c in classes:
         table, nxt = atlas.table(c), atlas.table(succ[c])
-        children = atlas.engine.tables[c].children
+        ch = children[c] = atlas.engine.tables[c].children
         rep = sections[c] = {}  # section id -> its representative
-        size, moved = {}, set()  # -> the rep's length; the ids no rep
-        ff, live = first_fail[c], alive[c] = _column(K, len(table.lengths)), {}
+        size = {}               # section id -> the representative's length
+        ff, alive = first_fail[c], live[c] = _column(K, len(table.lengths)), []
         for n, sphere in enumerate(table.spheres):
             for g in sphere:
-                xs = children[g]
+                xs = ch[g]
                 try:
                     total = sum(map(size.__getitem__, xs))
                 except KeyError:
                     for x in filterfalse(size.__contains__, xs):
                         rep[x] = r = nxt.find(x)[0]
                         size[x] = nxt.lengths[r]
-                        if r != x:
-                            moved.add(x)
                     total = sum(map(size.__getitem__, xs))
                 if total != n:
                     ff[g] = 1
-                elif moved and not moved.isdisjoint(xs):
-                    live[g] = tuple(map(rep.__getitem__, xs))
                 else:
-                    live[g] = xs
+                    alive.append(g)
 
     stab = None
     for k in range(2, K + 1):
-        # every class is checked against the round k-1 sets before any drop
-        dropped = dict.fromkeys(classes, ())
+        dropped = False
         for c in classes:
-            if k - 1 in map(first_fail[succ[c]].__getitem__,
-                            sections[c].values()):
-                dropped[c] = [g for g, xs in alive[c].items() if not all(
-                    map(alive[succ[c]].__contains__, xs))]
-        if not any(dropped.values()):
+            out, ff = first_fail[succ[c]], first_fail[c]
+            dead = {x for x, r in sections[c].items() if out[r] == k - 1}
+            if dead:
+                for g in live[c]:
+                    if not dead.isdisjoint(children[c][g]):
+                        ff[g] = k
+                        dropped = True
+                live[c] = [g for g in live[c] if ff[g] < 0]
+        if not dropped:
             stab = k - 1
             break
-        for c in classes:
-            for g in dropped[c]:
-                del alive[c][g]
-                first_fail[c][g] = k
 
     counts = {}
     for c in classes:
@@ -135,7 +129,7 @@ def approximate_I_infty(atlas, K):
         counts[c] = [table.sphere_sizes()]
         for k in range(1, K + 1):
             counts[c].append([m - d for m, d in zip(counts[c][-1], drops[k])])
-    return IncompressibilityReport(K, counts, first_fail, alive, stab,
+    return IncompressibilityReport(K, counts, first_fail, stab,
                                    {c: atlas.table(c) for c in classes})
 
 
@@ -210,8 +204,8 @@ def factorization_dp(atlas, report, c, max_n):
     R = min(max_n, table.max_radius)
     zero, lengths, links = table.zero, table.lengths, table.links
     products, find, times = zero.products, zero.find, zero.times
-    final = report.final[c]
-    factors = [[h for h in sphere if h in final]
+    ff = report.first_fail[c]
+    factors = [[h for h in sphere if ff[h] < 0]
                for sphere in table.spheres[1:R + 1]]
     layer = [h for hs in factors for h in hs]
     N = {0: 0, **dict.fromkeys(layer, 1)}

@@ -205,10 +205,13 @@ def reference_filtration(atlas, K):
     with `incompressible.approximate_I_infty`: a fresh set per class and
     round, and one recount of every set by radius.
 
-    Returns (counts, first_fail, final, stabilization_depth) in the layout
-    of IncompressibilityReport, over every element.  It reads the sphere
-    tables of a `reference_atlas` and the engine's section ids, not the
-    truncated action above.
+    Returns (counts, first_fail, depth_K, stabilization_depth) over every
+    element: counts and stabilization_depth in the layout of
+    IncompressibilityReport, first_fail per class as a dict holding only the
+    elements that leave some depth-k set, and depth_K per class as the set
+    of elements in the depth-K set.  It reads the sphere tables of a
+    `reference_atlas` and the engine's section ids, not the truncated
+    action above.
     """
     spec = atlas.spec
     eng = atlas.engine

@@ -144,7 +144,7 @@ def test_criterion_04_filtration(fg_atlas10, fg_report10, grig_atlas8,
     cases += [(atlas, rep) for _, atlas, rep in small_groups.values()]
     for atlas, rep in cases:
         for c in atlas.spec.classes():
-            if c not in rep.final:
+            if c not in rep.first_fail:
                 continue
             for g in atlas.spec.level(c).generators:
                 gid = atlas.engine.gen_id(c, g.name)
@@ -162,9 +162,9 @@ def test_criterion_05_two_run_law(fg_atlas10, fg_report10, sunic_data):
     # a1·geodesic(g)·a3, which shifts every conjugation exponent by one
     # constant and leaves the derivative unchanged
     for spec, table, rep in audits:
-        for g in rep.final[0]:
-            if g == 0:
-                continue
+        ff = rep.first_fail[0]
+        for g in (g for sphere in table.spheres[1:] for g in sphere
+                  if ff[g] < 0):
             ok = ok and inc.extract_ternary_data(spec, table, 0, g).two_run
     # explicit witness: b * b^a * b has length 3 but child lengths 2
     eng = fg_atlas10.engine

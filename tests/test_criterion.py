@@ -148,7 +148,8 @@ def test_small_factor_bound_catches_a_misread_length(monkeypatch):
         for g in big:
             p, ia, h = back[g]
             head = inc.factors_of(back, g)[:-1]
-            for h2 in report.final[0]:
+            for h2 in (h2 for sphere in table.spheres for h2 in sphere
+                       if report.first_fail[0][h2] < 0):
                 if table.length(h2) == table.length(h) - 1 and not any(
                         in_I for _, in_I in
                         _element_pairs(atlas, report, 0, head + [(ia, h2)])):
@@ -173,15 +174,19 @@ def test_sections_at_depth(fg_atlas6):
     assert s2 <= s1 <= fg_atlas6.table(0).length(g)
 
 
-def test_level_reduction_monotone(fg_atlas6, fg_report6, fg_dp):
-    N, _ = fg_dp
-    for n in (5, 6):
-        big, _ = cr.partition(fg_atlas6.table(0), N, n, 0.45)
-        for level in (2, 3):
-            # section sums never increase with depth, so a pass at the
-            # level-function level persists below it
-            assert cr.check_level_reduction(
-                fg_atlas6, big, 0, n, 0.45, level) is not False
+def test_level_reduction_monotone(fg_spec):
+    # n = 7 and 8 exceed 3/epsilon, so the check is asserted there.  The
+    # depth-0 "section" of g is g itself, of length n, not below
+    # (8-epsilon)·n/8; from level 1 on the big part passes, and section
+    # sums never increase with depth, so the pass persists below it
+    atlas = build_atlas(fg_spec, 8)
+    report = inc.approximate_I_infty(atlas, 6)
+    N, _ = inc.factorization_dp(atlas, report, 0, 8)
+    for n in (7, 8):
+        big, _ = cr.partition(atlas.table(0), N, n, 0.45)
+        assert big
+        assert [cr.check_level_reduction(atlas, big, 0, n, 0.45, level)
+                for level in range(5)] == [False, True, True, True, True]
 
 
 def test_run_criterion_fg(fg_atlas6, fg_report6):
@@ -213,6 +218,8 @@ def test_run_criterion_fg_asserted(fg_atlas10, fg_report10):
     # n = 7 and 8 exceed 3/epsilon, so the small-factor bound is asserted
     assert res.small_factor_ok[7] is True
     assert res.small_factor_ok[8] is True
+    assert res.level_reduction_ok[7] is True
+    assert res.level_reduction_ok[8] is True
     assert res.level_used == 2
     assert res.failures == []
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -63,26 +64,14 @@ def _assert_matches_reference(spec, radius):
     atlas.engine.audit()
     for K in (1, 2, 6):
         report = inc.approximate_I_infty(atlas, K)
-        counts, first_fail, final, stab = reference_filtration(ref, K)
+        counts, first_fail, depth_K, stab = reference_filtration(ref, K)
         assert report.counts == counts
         assert report.stabilization_depth == stab
         for c, table in ref.tables.items():
             for g in table.lengths:
                 assert report.fail_depth(c, g) == first_fail[c].get(g)
-                assert report.in_Ik(c, g, K) == (g in final[c])
-            _assert_final_sections(atlas, report, c)
+                assert report.in_Ik(c, g, K) == (g in depth_K[c])
             _assert_level_function(atlas, report, c, table, first_fail[c])
-
-
-def _assert_final_sections(atlas, report, c):
-    """Each live representative maps to its sections' representatives, and
-    to the engine's own children tuple exactly when those are the same."""
-    nxt = atlas.table(atlas.engine.succ[c])
-    for g, xs in report.final[c].items():
-        children = atlas.engine.children(c, g)
-        reps = tuple(nxt.find(x)[0] for x in children)
-        assert xs == reps
-        assert (xs is children) == (reps == children)
 
 
 def _assert_level_function(atlas, report, c, ref_table, first_fail):
@@ -103,10 +92,13 @@ def test_filtration_matches_reference_on_cyclic_families(name):
     _assert_matches_reference(make_spec(), radius)
 
 
-# (family, radius) of the catalog, each class enumerated
+# (family, radius) of the catalog, each class enumerated.  First
+# Grigorchuk's r9 is the least ball with a representative whose sections
+# leave the filtration at two consecutive depths, so that a representative
+# dropped at round k would be dropped again at k+1 if kept in the live list.
 CATALOG = [
     (catalog.fabrykowski_gupta(), 6),
-    (catalog.first_grigorchuk(), 8),
+    (catalog.first_grigorchuk(), 9),
     (catalog.sunic(3, 2, (0,)), 3),
     (catalog.gupta_sidki(), 5),
     (catalog.ggs(5, (1, 2, 0, 0)), 3),
@@ -264,7 +256,7 @@ def _reference_dp(atlas, report, c, max_n):
     by_len = [[] for _ in range(max_n + 1)]
     for h, n in ref.lengths.items():
         if h != 0 and n <= max_n and \
-                table.find(h)[0] in report.final[c]:
+                report.first_fail[c][table.find(h)[0]] < 0:
             by_len[n].append(h)
     for bucket in by_len:
         bucket.sort()
@@ -295,9 +287,10 @@ def _without_length_one(atlas, report, keep=0):
     """The report with the class-0 length-1 representatives after the first
     `keep` left out of the depth-K set, so that the set is not closed under
     parent-link prefixes."""
-    final = dict(report.final)
-    final[0] = set(final[0]).difference(atlas.table(0).spheres[1][keep:])
-    return replace(report, final=final)
+    ff = report.first_fail[0][:]
+    for h in atlas.table(0).spheres[1][keep:]:
+        ff[h] = report.K
+    return replace(report, first_fail={**report.first_fail, 0: ff})
 
 
 def _with_one_letter(atlas, report):
@@ -359,7 +352,7 @@ def test_factorization_dp_matches_reference(make, radius, max_n, classes,
             assert len(factors) == N[q]
             assert sum(table.length(h) for _, h in factors) == \
                 table.lengths[q]
-            assert all(rep(h) in report.final[c] for _, h in factors)
+            assert all(report.first_fail[c][rep(h)] < 0 for _, h in factors)
             product = 0
             for ia, h in factors:
                 member = eng.mul(c, table.zero.ids[ia], h, store=False)
@@ -372,9 +365,9 @@ def _unpruned_dp(atlas, report, c, max_n):
     every bucket is formed for every reached representative."""
     table = atlas.table(c)
     R = min(max_n, table.max_radius)
-    zero, lengths, final = table.zero, table.lengths, report.final[c]
+    zero, lengths, ff = table.zero, table.lengths, report.first_fail[c]
     products, find, times = zero.products, zero.find, zero.times
-    steps = [zero.steps([h for h in sphere if h in final])
+    steps = [zero.steps([h for h in sphere if ff[h] < 0])
              for sphere in table.spheres[1:R + 1]]
     N, back = {0: 0}, {0: None}
     frontier = [(0, 0)]
@@ -449,7 +442,7 @@ def test_factorization_dp_prunes_only_products_not_additive(
         N, back = inc.factorization_dp(atlas, report, c, radius)
         assert most is None or len(formed) <= most
         tried = set(formed)
-        depth_k = [[h for h in sphere if h in report.final[c]]
+        depth_k = [[h for h in sphere if report.first_fail[c][h] < 0]
                    for sphere in table.spheres[1:]]
         layer = [h for hs in depth_k[:radius] for h in hs]
         assert layer and not any(g == 0 for g, _ in formed)
@@ -492,6 +485,27 @@ def test_factorization_dp_interns_no_witness():
         eng.audit()
 
 
+@pytest.mark.parametrize("make_spec, radius", [
+    (catalog.neumann6, 2), (spinal_z3sq, 4)], ids=["neumann6-r2", "z3sq-r4"])
+def test_filtration_bytes_per_representative(make_spec, radius):
+    # what one filtration leaves held: the first_fail columns, a byte per
+    # id, and the tables' find memo of the section ids that are not
+    # representatives, 1.2 and 4.0 B on CPython 3.11.  A dict keyed by
+    # representative costs about 50 B an entry, so the bound fails if the
+    # report keeps one.
+    atlas = build_atlas(make_spec(), radius)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = inc.approximate_I_infty(atlas, 6)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert report.counts
+    reps = sum(len(s) for t in atlas.tables.values() for s in t.spheres)
+    assert held / reps <= 6
+
+
 def test_witness_minimal_count(fg_atlas6, fg_report6):
     eng = fg_atlas6.engine
     g = eng.element_from_word(0, ["b1", "a120", "b1", "a201", "b1"])
@@ -532,9 +546,8 @@ def test_two_run_law_on_incompressibles(fg_atlas6, fg_report6):
     table = fg_atlas6.table(0)
     # representatives cover every element: the geodesic of a1·g·a3 is
     # a1·geodesic(g)·a3, which leaves the derivative unchanged
-    for g in fg_report6.final[0]:
-        if g == 0:
-            continue
+    ff = fg_report6.first_fail[0]
+    for g in (g for sphere in table.spheres[1:] for g in sphere if ff[g] < 0):
         data = inc.extract_ternary_data(spec, table, 0, g)
         assert data.two_run
         assert 1 <= data.m_c <= len(data.derivative) + 1
