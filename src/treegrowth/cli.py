@@ -84,19 +84,20 @@ def cmd_define(args):
 
 
 def cmd_spheres(args):
-    """Writes the rows of every complete radius.  When the budget stops the
-    run, those are the earlier classes whole and the radii done at the
+    """Writes the rows of every complete radius, counted by
+    `growth.count_spheres`, which builds no table.  When the budget stops
+    the run, those are the earlier classes whole and the radii done at the
     class it stopped in, and the budget error is raised after writing."""
     spec = _spec_from(args)
-    atlas = growth.Atlas(spec, Engine(spec, budget=args.budget))
-    stop = None
+    eng = Engine(spec, budget=args.budget)
+    sizes, stop = {}, None
     try:
-        atlas.enumerate(args.max_radius, args.levels)
+        for c in growth.level_classes(spec, args.max_radius, args.levels):
+            sizes[c] = growth.count_spheres(eng, c, args.max_radius)
     except BudgetExceeded as e:
         stop = e
-    sizes = {c: table.sizes for c, table in atlas.tables.items()}
-    if stop is not None and stop.sizes is not None:
-        sizes[stop.cls] = stop.sizes
+        if e.sizes is not None:
+            sizes[e.cls] = e.sizes
     rows = []
     for c in sorted(sizes):
         gamma = list(accumulate(sizes[c]))

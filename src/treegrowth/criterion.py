@@ -26,9 +26,10 @@ def pair_factors(atlas, c, factors):
     double coset of h1·A[i2]·h2, formed in one wreath step; being additive
     it is in the ball, so finding its representative interns nothing."""
     zero = atlas.table(c).zero
-    pairs = []
+    t, pairs = zero.rows, []
     for (_, h1), (ia, h2) in zip(factors[::2], factors[1::2]):
-        _, root, ch = next(zero.products(h1, [zero.step(ia, h2)]))
+        _, root, ch = next(zero.products(t.roots[h1], t.children[h1],
+                                         [zero.step(ia, h2)]))
         pairs.append(zero.find(root, ch)[0])
     return pairs
 

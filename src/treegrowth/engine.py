@@ -20,7 +20,8 @@ root-keyed index of the ids on reference cycles.  The invariant maintained
 throughout is minimality: no two distinct ids at the same level class are
 equal as automorphisms.  One budget bounds the state: interned ids plus
 cached products, with the nodes of a running session counted as products to
-come.
+come, plus the entries a caller holds outside the engine and counts in
+`held` (the packed sphere keys of `growth.count_spheres`).
 """
 
 from . import perms
@@ -29,10 +30,10 @@ from . import perms
 class BudgetExceeded(RuntimeError):
     """The configured state-space budget was hit; raise it and retry.
 
-    From enumerate_spheres it carries the level class `cls`, the `radius`
-    being expanded, the `elements` enumerated and the `sizes` of the
-    spheres it completed, radii 0 to radius - 1; from the engine alone they
-    are None.
+    From enumerate_spheres and count_spheres it carries the level class
+    `cls`, the `radius` being expanded, the `elements` enumerated and the
+    `sizes` of the spheres it completed, radii 0 to radius - 1; from the
+    engine alone they are None.
     """
 
     def __init__(self, message, cls=None, radius=None, elements=None,
@@ -78,6 +79,7 @@ class Engine:
         self.d = spec.degree
         self.nclasses = spec.num_classes
         self.budget = budget
+        self.held = 0       # entries held outside the engine, budgeted
         self.n_ids = 0
         self.tables = [_ClassTable() for _ in range(self.nclasses)]
         self.mul_memo = {}
@@ -124,10 +126,12 @@ class Engine:
     def _check_ids(self, n):
         # runs before any table or memo is mutated, so a raise leaves no
         # partial row
-        if self.n_ids + len(self.mul_memo) + n > self.budget:
+        if self.n_ids + len(self.mul_memo) + self.held + n > self.budget:
+            held = f" and {self.held} sphere keys" if self.held else ""
             raise BudgetExceeded(
                 f"engine state-space budget of {self.budget} exceeded "
-                f"({self.n_ids} elements, {len(self.mul_memo)} cached products)")
+                f"({self.n_ids} elements, {len(self.mul_memo)} cached "
+                f"products){held}")
 
     def _pool_perm(self, p):
         q = self._perm_pool.get(p)

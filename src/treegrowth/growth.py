@@ -9,6 +9,8 @@ radius-n representatives g with a in A and unit-length generators s, each
 brought to its canonical form, so each double coset is found exactly at its
 minimal pseudolength.  Every representative records the product it was
 found as, which gives one geodesic word for every ball element.
+`count_spheres` forms the same products for sizes only, holding each
+representative as a packed int key and three spheres at a time.
 """
 
 import sys
@@ -42,11 +44,12 @@ class ZeroGroup:
     Otherwise they are formed at the successor class.
 
     Enumeration, its skip table, the factorization DP and the criterion's
-    pairs multiply an id g by a·f, a in A, and read the product modulo A×A.
-    `member` forms a·f and `products` g·a·f from g's row in one wreath step,
-    interning only section products, and `find(root, children)` gives
-    (id, pairs, i1, i3): the canonical form A[i1]·g·A[i3] of the element g
-    with that key, interned if absent, and how many |A|² pairs reach it.
+    pairs multiply an element g by a·f, a in A, and read the product modulo
+    A×A.  `member` forms a·f and `products` g·a·f from g's root and
+    sections in one wreath step, interning only section products.
+    `canonical(root, children)` gives the key of the canonical form
+    A[i1]·g·A[i3] of the element g with that key, with i1, i3 and how many
+    |A|² pairs reach it, and `find` interns that form.
     """
 
     def __init__(self, eng, c, names):
@@ -98,12 +101,13 @@ class ZeroGroup:
             mul(sc, mul(sc, a, u), b)
             for a, u, b in zip(left, get(children), right)])
 
-    def find(self, root, children):
-        """(id, pairs, i1, i3) with id the canonical form A[i1]·g·A[i3] of
-        the element g with this key, the member with the least key,
-        interned if absent, and `pairs` of the |A|² pairs reaching it."""
+    def canonical(self, root, children):
+        """(root, sections, pairs, i1, i3) of the canonical form
+        A[i1]·g·A[i3] of the element g with this key, the member with the
+        least key, not interned, and `pairs` of the |A|² pairs reaching
+        it."""
         if self.size == 1:
-            return self.eng._intern(self.c, root, tuple(children)), 1, 0, 0
+            return root, tuple(children), 1, 0, 0
         least, cands = self._plans.get(root) or self._plan(root)
         best = None
         for get, j1, j3 in cands:
@@ -112,16 +116,20 @@ class ZeroGroup:
                 best, pairs, i1, i3 = ch, 1, j1, j3
             elif ch == best:
                 pairs += 1
-        return self.eng._intern(self.c, least, best), pairs, i1, i3
+        return least, best, pairs, i1, i3
 
-    def products(self, g, steps):
-        """(step, root, sections) of g·a·f for the id g and each step (as
-        made by `step`), read from g's own root and sections: one wreath
+    def find(self, root, children):
+        """(id, pairs, i1, i3): the `canonical` form, interned if absent."""
+        root, children, pairs, i1, i3 = self.canonical(root, children)
+        return self.eng._intern(self.c, root, children), pairs, i1, i3
+
+    def products(self, root, children, steps):
+        """(step, root, sections) of g·a·f for the element g with this root
+        and these sections and each step (as made by `step`): one wreath
         step, whose section products at the successor class are read from
         the memo or else multiplied."""
         eng = self.eng
         memo, mul, sc = eng.mul_memo, eng.mul, eng.succ[self.c]
-        root, children = self.rows.roots[g], self.rows.children[g]
         for step in steps:
             get = step[2]
             ch = []
@@ -310,14 +318,20 @@ class Atlas:
     def enumerate(self, max_radius, levels=None):
         """Enumerate tables for the first `levels` level classes (default
         all), in order, so a BudgetExceeded leaves the earlier ones whole."""
-        if max_radius < 0:
-            raise ValueError(f"max radius must be at least 0, got {max_radius}")
-        if levels is not None and levels < 1:
-            raise ValueError(f"levels must be at least 1, got {levels}")
-        for c in range(min(levels or self.spec.num_classes,
-                           self.spec.num_classes)):
+        for c in level_classes(self.spec, max_radius, levels):
             enumerate_spheres(self, c, max_radius)
         return self
+
+
+def level_classes(spec, max_radius, levels=None):
+    """The first `levels` level classes (default all), in order, to be
+    enumerated to max_radius; ValueError for a negative radius or fewer
+    than one level."""
+    if max_radius < 0:
+        raise ValueError(f"max radius must be at least 0, got {max_radius}")
+    if levels is not None and levels < 1:
+        raise ValueError(f"levels must be at least 1, got {levels}")
+    return range(min(levels or spec.num_classes, spec.num_classes))
 
 
 def enumerate_spheres(atlas, c, max_radius):
@@ -328,8 +342,9 @@ def enumerate_spheres(atlas, c, max_radius):
     h = a·s (a in A, s a unit-length generator) in one wreath step
     (ZeroGroup.products): only the section products at the successor class
     go through the engine, and they are memoized, being few.  The product's
-    canonical form (ZeroGroup.find) is a new radius-(n+1) representative,
-    whose orbit has |A|² / pairs members, unless it is in the ball already.
+    canonical form (ZeroGroup.canonical), interned, is a new radius-(n+1)
+    representative, whose orbit has |A|² / pairs members, unless it is in
+    the ball already.
     Radius 0 is the one double coset A, with the identity as representative.
 
     From radius 3 on, steps that provably land in the ball are skipped.  A
@@ -352,7 +367,8 @@ def enumerate_spheres(atlas, c, max_radius):
     eng = atlas.engine
     level = atlas.spec.level(c)
     zero = ZeroGroup(eng, c, [g.name for g in level.zero_generators])
-    products, find = zero.products, zero.find
+    products, canonical = zero.products, zero.canonical
+    roots, children, intern = zero.rows.roots, zero.rows.children, eng._intern
     units = [eng.gen_id(c, g.name) for g in level.unit_generators]
     # links as SphereTable.link reads them: step k = ia·units + u fixes the
     # digits ia and u as k·|A|, and the last two, u·|A| + i3, index kept
@@ -376,11 +392,13 @@ def enumerate_spheres(atlas, c, max_radius):
         for n in range(1, max_radius + 1):
             sphere, orbit = [], []
             if n == 3:
-                kept = _kept_steps(zero, units, steps, lengths)
+                kept = _kept_steps(zero, units, steps, lambda root, ch:
+                                   lengths[zero.find(root, ch)[0]] <= 1)
             for g in spheres[n - 1]:
                 todo = steps if kept is None else kept[links[g] % suffixes]
-                for step, root, ch in products(g, todo):
-                    i, pairs, i1, i3 = find(root, ch)
+                for step, root, ch in products(roots[g], children[g], todo):
+                    root, ch, pairs, i1, i3 = canonical(root, ch)
+                    i = intern(c, root, ch)
                     if i >= end:            # a new id: grow by a quarter
                         end = i + 1 + (i >> 2)
                         for column in lengths, parents, links:
@@ -407,6 +425,87 @@ def enumerate_spheres(atlas, c, max_radius):
     return table
 
 
+def count_spheres(eng, c, max_radius):
+    """The sizes of class c's spheres, radii 0 to max_radius, from the
+    products, canonical forms and skip table of `enumerate_spheres`.
+
+    A representative is one int key: its root's index, then its section
+    ids, each in a field `eng.budget.bit_length()` bits wide, which holds
+    any id.  Only sections are interned, so equal keys are equal elements.
+    Every product g·a·s from sphere n lies on sphere n-1, n or n+1, the
+    generating set being symmetric, so only those three are held, each a
+    dict from key to the link suffix u·|A| + i3 that the skip table reads.
+
+    The keys held count against the budget (`Engine.held`).  BudgetExceeded
+    is raised as `enumerate_spheres` raises it, before the key that would
+    exceed the budget is stored, and leaves the engine minimal and holding
+    no key, so it can be retried with a larger budget.
+    """
+    level = eng.spec.level(c)
+    zero = ZeroGroup(eng, c, [g.name for g in level.zero_generators])
+    products, canonical, check = zero.products, zero.canonical, eng._check_ids
+    units = [eng.gen_id(c, g.name) for g in level.unit_generators]
+    size = zero.size
+    # step k = ia·units + u ends a link with the suffix u·|A| + i3
+    steps = [step + (k % len(units) * size,)
+             for k, step in enumerate(zero.steps(units))]
+    pairs_total = size * size
+    width = eng.budget.bit_length()
+    mask, top = (1 << width) - 1, eng.d * width
+    shifts = range(top - width, -1, -width)
+    # roots by index and indices by root; the identity, A's canonical
+    # form, has key 0
+    perms_at, index = [zero.perms[0]], {zero.perms[0]: 0}
+
+    def pack(root, children):
+        key = index.get(root)
+        if key is None:
+            key = index[root] = len(perms_at)
+            perms_at.append(root)
+        for x in children:
+            key = key << width | x
+        return key
+
+    # nxt is the sphere being expanded into, with its orbit sizes summed in
+    # total; the identity's link is never read
+    prev, cur, nxt = {}, {}, {0: -1}
+    sizes, total, kept, n = [], size, None, 0
+    held = eng.held
+    try:
+        check(1)
+        eng.held += 1
+        for n in range(1, max_radius + 1):
+            sizes.append(total)
+            eng.held -= len(prev)
+            prev, cur, nxt, total = cur, nxt, {}, 0
+            if n == 3:      # prev is the radius-1 sphere, cur radius 2
+                low = {*prev, 0}
+                kept = _kept_steps(zero, units, steps, lambda root, ch:
+                                   pack(*canonical(root, ch)[:2]) in low)
+            for g, suffix in cur.items():
+                todo = steps if kept is None else kept[suffix]
+                for step, root, ch in products(
+                        perms_at[g >> top], [g >> s & mask for s in shifts],
+                        todo):
+                    least, best, pairs, _, i3 = canonical(root, ch)
+                    key = pack(least, best)
+                    if key in nxt or key in cur or key in prev:
+                        continue
+                    check(1)
+                    nxt[key] = step[4] + i3
+                    eng.held += 1
+                    total += pairs_total // pairs
+        sizes.append(total)
+    except BudgetExceeded as e:
+        elements = sum(sizes) + total
+        raise BudgetExceeded(f"{e}; stopped at level class {c} expanding "
+                             f"radius {n}, {elements} elements",
+                             c, n, elements, sizes) from e
+    finally:
+        eng.held = held
+    return sizes
+
+
 def _column(top, n):
     """n slots of -1 in the narrowest signed array typecode that holds every
     value up to top, or a list past 'q'."""
@@ -422,19 +521,20 @@ def _pad(column, n):
     column.extend(fill * (n - len(column)))
 
 
-def _kept_steps(zero, units, steps, lengths):
+def _kept_steps(zero, units, steps, short):
     """For each link suffix (u, i3), at index u·|A| + i3, the steps (a, s)
     for which s_u·A[i3]·a·s, s_u the u-th unit-length generator, is not
-    provably of length at most 1.  That product is s_u·(A[k]·s) with
-    A[k] = A[i3]·a, of length at most 2, so its canonical form is already
-    in the radius-2 ball and finding it interns nothing; a section product
-    not yet cached is multiplied and counts against the budget like any
-    other.  A[k] is read off `zero.times`."""
-    kept = []
+    provably of length at most 1, as `short(root, sections)` tells of the
+    product s_u·a·s.  That product is s_u·(A[k]·s) with A[k] = A[i3]·a, of
+    length at most 2, so its canonical form is already in the radius-2
+    ball; a section product not yet cached is multiplied and counts against
+    the budget like any other.  A[k] is read off `zero.times`."""
+    kept, t = [], zero.rows
     for f in units:
-        short = {step[:2] for step, root, ch in zero.products(f, steps)
-                 if lengths[zero.find(root, ch)[0]] <= 1}
-        kept += [[s for s in steps if (row[s[0]], s[1]) not in short]
+        drop = {step[:2] for step, root, ch
+                in zero.products(t.roots[f], t.children[f], steps)
+                if short(root, ch)}
+        kept += [[s for s in steps if (row[s[0]], s[1]) not in drop]
                  for row in zero.times]
     return kept
 

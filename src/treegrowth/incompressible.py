@@ -177,7 +177,7 @@ def factorization_dp(atlas, report, c, max_n):
     min(max_n, table radius) is additive in the ball, so no representative
     found is new.  No witness is held: frontier entry (q, i3) has
     q = A[i1]·w_q·A[i3], w_q the product of `factors_of(back, q)`.  If
-    `find` gives q as A[i1]·(p·A[ia]·h)·A[i3], back[q] =
+    the canonical form gives q as A[i1]·(p·A[ia]·h)·A[i3], back[q] =
     (p, times[i3_p][ia], h), for then w_q = w_p·A[i3_p]·A[ia]·h =
     A[i1_p]⁻¹·p·A[ia]·h keeps i3.  The identity's layer is written, not
     formed: A[ia]·h lies in h's own double coset and is first found at
@@ -203,7 +203,9 @@ def factorization_dp(atlas, report, c, max_n):
     table = atlas.table(c)
     R = min(max_n, table.max_radius)
     zero, lengths, links = table.zero, table.lengths, table.links
-    products, find, times = zero.products, zero.find, zero.times
+    products, canonical, times = zero.products, zero.canonical, zero.times
+    roots, children = zero.rows.roots, zero.rows.children
+    intern = atlas.engine._intern
     ff = report.first_fail[c]
     factors = [[h for h in sphere if ff[h] < 0]
                for sphere in table.spheres[1:R + 1]]
@@ -232,8 +234,9 @@ def factorization_dp(atlas, report, c, max_n):
                 else:
                     todo = compress(steps[lh - 1],
                                     map(bits.__getitem__, deps[lh - 2]))
-                for step, root, ch in products(p, todo):
-                    q, _, _, i3 = find(root, ch)
+                for step, root, ch in products(roots[p], children[p], todo):
+                    root, ch, _, _, i3 = canonical(root, ch)
+                    q = intern(c, root, ch)
                     # |q| <= |p| + |h| <= R: q is a representative
                     if lengths[q] != lp + lh:
                         continue

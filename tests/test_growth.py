@@ -1,16 +1,19 @@
 import tracemalloc
 
 import pytest
+from hypothesis import assume, given, settings
 
 from treegrowth import catalog, growth, shift
 from treegrowth.engine import BudgetExceeded, Engine
 from treegrowth.growth import (Atlas, TableExhausted, build_atlas,
                                check_submultiplicative,
                                check_wreath_inequality, convolve,
-                               enumerate_spheres, kappa_estimates)
+                               count_spheres, enumerate_spheres,
+                               kappa_estimates, level_classes)
 
 from oracle import oracle_spheres
 from test_engine import CYCLIC_FAMILIES, _two_cycles
+from test_incompressible import spinal_data, spinal_z3sq
 
 FG_SPHERES = [3, 18, 72, 288, 1152, 4296]
 GRIG_SPHERES = [2, 12, 34, 80, 190, 432, 976]
@@ -53,6 +56,70 @@ def test_budget_exceeded_names_class_radius_and_elements():
         "; stopped at level class 0 expanding radius 6, 14064 elements")
 
 
+def _counted(spec, radius, levels=None):
+    """count_spheres' sizes for each class `spheres` counts, and the
+    engine it used."""
+    eng = Engine(spec)
+    return {c: count_spheres(eng, c, radius)
+            for c in level_classes(spec, radius, levels)}, eng
+
+
+def _assert_counts_match_tables(spec, radius):
+    # with only sections interned, keys must still tell elements apart:
+    # the engine stays minimal and the sizes are the tables'
+    for levels in None, 1:
+        sizes, eng = _counted(spec, radius, levels)
+        assert eng.held == 0
+        eng.audit()
+        atlas = build_atlas(spec, radius, levels)
+        assert sizes == {c: t.sizes for c, t in atlas.tables.items()}
+
+
+@pytest.mark.parametrize("make_spec, radius", [
+    (catalog.fabrykowski_gupta, 7),
+    (catalog.first_grigorchuk, 10),
+    (lambda: catalog.sunic(3, 2, (0,)), 4),
+    (catalog.neumann6, 2),
+    (lambda: catalog.grigorchuk_p(2, (0,), (0, 1, 2)), 6),
+    (lambda: catalog.nekrashevych_D((1,), (0, 1)), 7),
+    (spinal_z3sq, 4),
+    *CYCLIC_FAMILIES.values(),
+], ids=["fg-r7", "grigorchuk-r10", "sunic320-r4", "neumann6-r2",
+        "grigorchuk_preperiod-r6", "nekrashevych_preperiod-r7", "z3sq-r4",
+        *CYCLIC_FAMILIES])
+def test_counted_sizes_match_tables(make_spec, radius):
+    _assert_counts_match_tables(make_spec(), radius)
+
+
+# the draws of test_theorem_holds_on_ternary_spinal_draws
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(spinal_data(degrees=(3,)))
+def test_counted_sizes_match_tables_on_ternary_spinal_draws(data):
+    try:
+        spec = catalog.spinal(data)
+    except catalog.CatalogError:
+        assume(False)
+    _assert_counts_match_tables(spec, 8)
+
+
+def test_counting_retried_after_budget_is_whole():
+    # the stop leaves the engine minimal and holding no key, and the same
+    # engine with a larger budget counts what an unbounded run counts
+    spec = catalog.fabrykowski_gupta()
+    eng = Engine(spec, budget=2000)
+    with pytest.raises(BudgetExceeded) as exc:
+        count_spheres(eng, 0, 8)
+    e = exc.value
+    assert (e.cls, e.radius, e.elements) == (0, 6, 14208)
+    assert e.sizes == FG_SPHERES
+    assert eng.held == 0
+    eng.audit()
+    eng.budget = 10_000_000
+    assert count_spheres(eng, 0, 8) == \
+        build_atlas(spec, 8, levels=1).table(0).sizes
+    eng.audit()
+
+
 @pytest.mark.parametrize("make_spec, radius, skips", [
     (catalog.fabrykowski_gupta, 7, True),
     (catalog.first_grigorchuk, 9, True),
@@ -66,8 +133,8 @@ def test_skipped_steps_land_in_the_ball(monkeypatch, make_spec, radius, skips):
     kept = {}
     find = growth._kept_steps
 
-    def recorded(zero, units, steps, lengths):
-        kept[zero.c] = steps, find(zero, units, steps, lengths)
+    def recorded(zero, units, steps, short):
+        kept[zero.c] = steps, find(zero, units, steps, short)
         return kept[zero.c][1]
     monkeypatch.setattr(growth, "_kept_steps", recorded)
     atlas = build_atlas(make_spec(), radius)
@@ -144,6 +211,28 @@ def test_table_bytes_per_representative(make_spec, radius, bound):
         tracemalloc.stop()
     reps = sum(len(s) for t in atlas.tables.values() for s in t.spheres)
     assert held / reps <= bound
+
+
+@pytest.mark.parametrize("make_spec, radius", [
+    (catalog.fabrykowski_gupta, 8),
+    (catalog.first_grigorchuk, 10),
+], ids=["fg-r8", "grigorchuk-r10"])
+def test_counting_bytes_per_representative(make_spec, radius):
+    # the traced peak of counting every class, engine included, per
+    # representative: a key in a three-sphere window instead of an engine
+    # row and table columns for each.  CPython 3.11 gives 73 and 35 B; the
+    # peak of build_atlas on the same runs is 187 and 172 B.
+    spec = make_spec()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _counted(spec, radius)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    reps = sum(len(s) for t in build_atlas(spec, radius).tables.values()
+               for s in t.spheres)
+    assert peak / reps <= 100
 
 
 def test_per_id_columns_hold_every_value():

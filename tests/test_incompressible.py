@@ -367,6 +367,7 @@ def _unpruned_dp(atlas, report, c, max_n):
     R = min(max_n, table.max_radius)
     zero, lengths, ff = table.zero, table.lengths, report.first_fail[c]
     products, find, times = zero.products, zero.find, zero.times
+    roots, children = zero.rows.roots, zero.rows.children
     steps = [zero.steps([h for h in sphere if ff[h] < 0])
              for sphere in table.spheres[1:R + 1]]
     N, back = {0: 0}, {0: None}
@@ -378,7 +379,7 @@ def _unpruned_dp(atlas, report, c, max_n):
         for p, i3p in frontier:
             lp, row = lengths[p], times[i3p]
             for lh, bucket in enumerate(steps[:R - lp], 1):
-                for step, root, ch in products(p, bucket):
+                for step, root, ch in products(roots[p], children[p], bucket):
                     q, _, _, i3 = find(root, ch)
                     if q in N or lengths[q] != lp + lh:
                         continue
@@ -431,8 +432,9 @@ def test_factorization_dp_prunes_only_products_not_additive(
     formed = []
     products = ZeroGroup.products
 
-    def recorded(zero, g, steps):
-        for out in products(zero, g, steps):
+    def recorded(zero, root, children, steps):
+        g = zero.rows.intern[root][children]    # the DP passes an id's row
+        for out in products(zero, root, children, steps):
             formed.append((g, out[0][:2]))
             yield out
     monkeypatch.setattr(ZeroGroup, "products", recorded)

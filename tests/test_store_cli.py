@@ -378,8 +378,9 @@ def test_cli_spheres_budget_exit(tmp_path, fg_config_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "budget of 2000 exceeded" in err
-    assert "stopped at level class 0 expanding radius 6, 14064 elements" in err
-    # the budget bounds ids plus cached products, session memo writes included
+    assert "stopped at level class 0 expanding radius 6, 14208 elements" in err
+    # the budget bounds ids plus cached products, session memo writes
+    # included, plus the sphere keys held
     ids, products = re.search(
         r"\((\d+) elements, (\d+) cached products\)", err).groups()
     assert int(ids) + int(products) <= 2000
@@ -392,20 +393,20 @@ def test_cli_spheres_budget_exit(tmp_path, fg_config_path, capsys):
 
 
 def test_cli_spheres_budget_keeps_earlier_classes(tmp_path, capsys):
-    # first Grigorchuk at budget 800 stops at class 2, radius 4: classes 0
-    # and 1 are written whole, class 2 to radius 3
+    # first Grigorchuk at budget 600 stops at class 2, radius 5: classes 0
+    # and 1 are written whole, class 2 to radius 4
     path = tmp_path / "grig.json"
     path.write_text(json.dumps({"kind": "grigorchuk_p", "parameters": {
         "p": 2, "per": [0, 1, 2]}}))
     args = ["spheres", "--config", str(path), "--max-radius", "5"]
-    assert main(args + ["--budget", "800",
+    assert main(args + ["--budget", "600",
                         "--out", str(tmp_path / "s.csv")]) == 3
-    assert "stopped at level class 2 expanding radius 4" in \
+    assert "stopped at level class 2 expanding radius 5" in \
         capsys.readouterr().err
     assert main(args + ["--out", str(tmp_path / "r5.csv")]) == 0
     whole = (tmp_path / "r5.csv").read_text().splitlines()
     assert (tmp_path / "s.csv").read_text().splitlines() == \
-        whole[:1 + 6 + 6 + 4]
+        whole[:1 + 6 + 6 + 5]
 
 
 def test_cli_incompressible(tmp_path, fg_config_path):
