@@ -146,11 +146,11 @@ def cmd_incompressible(args):
         table, ff = atlas.table(0), report.first_fail[0]
         violations = checked = 0
         for n in range(1, table.max_radius + 1):
-            for g, size in zip(table.spheres[n], table.orbits[n]):
+            for g in table.spheres[n]:
                 if ff[g] < 0:
-                    checked += size
+                    checked += table.orbits[g]
                     if not inc.extract_ternary_data(spec, table, 0, g).two_run:
-                        violations += size
+                        violations += table.orbits[g]
         audit = {"applicable": True, "checked": checked,
                  "violations": violations}
     payload["derivative_audit"] = audit

@@ -24,13 +24,13 @@ def pair_factors(atlas, c, factors):
     minimal additive factorization, as `factors_of` gives them; an odd last
     factor is left unpaired.  The pair (A[i1]·h1)·(A[i2]·h2) lies in the
     double coset of h1·A[i2]·h2, formed in one wreath step; being additive
-    it is in the ball, so finding its representative interns nothing."""
-    zero = atlas.table(c).zero
-    t, pairs = zero.rows, []
+    it is in the ball, so its canonical key is a representative's."""
+    table = atlas.table(c)
+    zero, pairs = table.zero, []
     for (_, h1), (ia, h2) in zip(factors[::2], factors[1::2]):
-        _, root, ch = next(zero.products(t.roots[h1], t.children[h1],
-                                         [zero.step(ia, h2)]))
-        pairs.append(zero.find(root, ch)[0])
+        _, root, ch = next(zero.products(*table.element(h1), [
+            zero.step(ia, h2, *table.element(h2))]))
+        pairs.append(table.index[table.key(*zero.canonical(root, ch)[:2])])
     return pairs
 
 
@@ -50,10 +50,11 @@ def check_small_factor_lower_bound(atlas, report, c, N, back, big, n,
     if n <= 3 / epsilon:
         return None, []
     lengths, ok, not_minimal = atlas.table(c).lengths, True, []
+    ff = report.first_fail[c]
     for g in big:
         factors = inc.factors_of(back, g)
         pairs = pair_factors(atlas, c, factors)
-        if any(report.in_Ik(c, h, report.K) for h in pairs):
+        if any(ff[h] < 0 for h in pairs):
             not_minimal.append(g)
         left = lengths[factors[-1][1]] if len(factors) % 2 else 0
         ok = ok and len(factors) == N[g] and \
@@ -62,19 +63,20 @@ def check_small_factor_lower_bound(atlas, report, c, N, back, big, n,
 
 
 def sections_at_depth(atlas, c, g, depth):
-    """Ids and classes of all level-`depth` sections of g."""
-    spec = atlas.spec
-    cur = [(c, g)]
-    for _ in range(depth):
-        nxt = []
-        for cc, x in cur:
-            sc = spec.succ_class(cc)
-            nxt.extend((sc, y) for y in atlas.engine.children(cc, x))
-        cur = nxt
+    """Classes and engine ids of all level-`depth` sections of the
+    representative g, depth >= 1."""
+    eng = atlas.engine
+    cur = [(eng.succ[c], x) for x in atlas.table(c).element(g)[1]]
+    for _ in range(depth - 1):
+        cur = [(eng.succ[cc], y) for cc, x in cur for y in eng.children(cc, x)]
     return cur
 
 
 def level_section_sum(atlas, c, g, depth):
+    """The summed lengths of the representative g's level-`depth`
+    sections, its own length at depth 0."""
+    if depth == 0:
+        return atlas.table(c).lengths[g]
     return sum(atlas.table(cc).length(x)
                for cc, x in sections_at_depth(atlas, c, g, depth))
 
@@ -136,11 +138,10 @@ def run_criterion(atlas, report, c, n_max, epsilon):
     table = atlas.table(c)
     out = CriterionReport(epsilon, list(range(1, n_max + 1)),
                           lf.value, lf.exact and not lf.lower_bound_only)
+    size = table.orbits.__getitem__
     for n in out.n_range:
         big, small = partition(table, N, n, epsilon)
-        size = dict(zip(table.sphere(n), table.orbits[n]))
-        out.partition_sizes[n] = (sum(map(size.get, big)),
-                                  sum(map(size.get, small)))
+        out.partition_sizes[n] = (sum(map(size, big)), sum(map(size, small)))
         unreached = table.sizes[n] - sum(out.partition_sizes[n])
         if unreached:
             out.failures.append(
@@ -154,7 +155,7 @@ def run_criterion(atlas, report, c, n_max, epsilon):
         if not_minimal:
             out.failures.append(
                 f"factorization not minimal at n={n}: "
-                f"{sum(map(size.get, not_minimal))} "
+                f"{sum(map(size, not_minimal))} "
                 f"elements pair two factors into the depth-{report.K} set")
         lr = check_level_reduction(atlas, big, c, n, epsilon, lf.value)
         out.level_reduction_ok[n] = lr

@@ -21,7 +21,7 @@ throughout is minimality: no two distinct ids at the same level class are
 equal as automorphisms.  One budget bounds the state: interned ids plus
 cached products, with the nodes of a running session counted as products to
 come, plus the entries a caller holds outside the engine and counts in
-`held` (the packed sphere keys of `growth.count_spheres`).
+`held` (the packed representative keys of `growth`'s sphere tables).
 """
 
 from . import perms

@@ -3,20 +3,21 @@ counting inequalities tied to growth rates.
 
 The zero-length generators have pseudolength 0, so every sphere is a union
 of double cosets A·g·A of the finite subgroup A they generate.  A table
-keeps one interned representative per double coset, with the size of its
-orbit under A×A: radius-(n+1) representatives come from products g·a·s of
-radius-n representatives g with a in A and unit-length generators s, each
-brought to its canonical form, so each double coset is found exactly at its
+keeps one representative per double coset, a packed int key of its root
+and interned sections, with the size of its orbit under A×A:
+radius-(n+1) representatives come from products g·a·s of radius-n
+representatives g with a in A and unit-length generators s, each brought
+to its canonical form, so each double coset is found exactly at its
 minimal pseudolength.  Every representative records the product it was
-found as, which gives one geodesic word for every ball element.
-`count_spheres` forms the same products for sizes only, holding each
-representative as a packed int key and three spheres at a time.
+found as, which gives one geodesic word for every ball element.  One loop
+does this for `enumerate_spheres`, which keeps every sphere, and for
+`count_spheres`, which keeps three spheres at a time and only the sizes.
 """
 
 import sys
 from array import array
-from dataclasses import dataclass, field
-from itertools import accumulate
+from dataclasses import dataclass
+from itertools import accumulate, chain, count, islice
 from math import factorial
 from operator import itemgetter
 
@@ -30,7 +31,7 @@ class TableExhausted(LookupError):
 
 class ZeroGroup:
     """The subgroup A generated by the zero-length generators at one level
-    class, acting on ids from both sides.
+    class, acting on elements from both sides.
 
     A is listed breadth first from the identity under right multiplication
     by the zero-length generators, and `words[i]` is the generator names
@@ -43,13 +44,14 @@ class ZeroGroup:
     sections are g's permuted by α3 and the key needs no product.
     Otherwise they are formed at the successor class.
 
-    Enumeration, its skip table, the factorization DP and the criterion's
-    pairs multiply an element g by a·f, a in A, and read the product modulo
-    A×A.  `member` forms a·f and `products` g·a·f from g's root and
-    sections in one wreath step, interning only section products.
+    Elements are given by their root and sections, as a sphere table
+    decodes them from its keys.  Enumeration, its skip table, the
+    factorization DP and the criterion's pairs multiply an element g by
+    a·f, a in A, and read the product modulo A×A.  `member` forms a·f and
+    `products` g·a·f in one wreath step, interning only section products.
     `canonical(root, children)` gives the key of the canonical form
     A[i1]·g·A[i3] of the element g with that key, with i1, i3 and how many
-    |A|² pairs reach it, and `find` interns that form.
+    |A|² pairs reach it.
     """
 
     def __init__(self, eng, c, names):
@@ -68,7 +70,7 @@ class ZeroGroup:
         self.times = [[index[eng.mul(c, a, b, store=False)] for b in self.ids]
                       for a in self.ids]
         self.inverse = [row.index(0) for row in self.times]
-        self.rows = t = eng.tables[c]    # every id's root and sections
+        t = eng.tables[c]
         self.rooted = all(t.children[z] == (0,) * eng.d for z in gens)
         self.perms = [t.roots[a] for a in self.ids]
         self.sections = [t.children[a] for a in self.ids]
@@ -118,11 +120,6 @@ class ZeroGroup:
                 pairs += 1
         return least, best, pairs, i1, i3
 
-    def find(self, root, children):
-        """(id, pairs, i1, i3): the `canonical` form, interned if absent."""
-        root, children, pairs, i1, i3 = self.canonical(root, children)
-        return self.eng._intern(self.c, root, children), pairs, i1, i3
-
     def products(self, root, children, steps):
         """(step, root, sections) of g·a·f for the element g with this root
         and these sections and each step (as made by `step`): one wreath
@@ -142,19 +139,21 @@ class ZeroGroup:
             yield step, get(root), ch
 
     def steps(self, factors):
-        """`step(ia, f)` for each a = A[ia], then each id f in factors."""
-        return [self.step(ia, f) for ia in range(self.size) for f in factors]
+        """`step(ia, *f)` for each a = A[ia], then each (label, root,
+        sections) f in factors."""
+        return [self.step(ia, *f) for ia in range(self.size) for f in factors]
 
-    def step(self, ia, f):
-        """(ia, f, getter of a·f's root, a·f's sections), a = A[ia], a·f
-        formed by `member`, not interned."""
-        root, sections = self.member(ia, f, 0)
-        return ia, f, itemgetter(*root), sections
+    def step(self, ia, label, root, sections):
+        """(ia, label, getter of a·f's root, a·f's sections) for a = A[ia]
+        and the element f with this root and these sections, a·f formed by
+        `member`, not interned."""
+        root, sections = self.member(ia, root, sections, 0)
+        return ia, label, itemgetter(*root), sections
 
-    def member(self, i1, g, i3):
-        """(root, sections) of A[i1]·g·A[i3], not interned.  With A rooted
-        and i3 = 0 the sections are g's own tuple, shared, not copied."""
-        root, children = self.rows.roots[g], self.rows.children[g]
+    def member(self, i1, root, children, i3):
+        """(root, sections) of A[i1]·g·A[i3] for the element g with this
+        root and these sections, not interned.  With A rooted and i3 = 0
+        the sections are g's own, shared, not copied."""
         if i3 or not self.rooted:
             children = self._reader(root, i1, i3)(children)
         return perms.compose(self.perms[i1], self.getters[i3](root)), children
@@ -171,25 +170,178 @@ class Ball:
     parents: dict
 
 
-@dataclass
 class SphereTable:
-    """The per-id columns (`_column`) are indexed by the class's engine id
-    and may run past the last id interned; an id past their end, or with
-    length -1, is no representative."""
-    cls: int                       # level class index
-    spheres: list                  # per-radius lists of representative ids
-    orbits: list                   # per-radius lists of their orbit sizes
-    lengths: array                 # id -> pseudolength, -1 off the table
-    parents: array                 # id -> g of the product it was found
-    links: array                   # as, and that product's other digits
-    zero: ZeroGroup
-    kept: list                     # _kept_steps, None below radius 3
-    _located: dict = field(default_factory=dict, repr=False)
+    """One representative per A×A double coset of a level class, each a
+    dense index i in sphere order: `spheres[n]` is the range of radius n,
+    and `sizes[n]` the sum of its orbit sizes.  A representative is one
+    int key: its root's index in `roots`, then its section ids, each in a
+    field `width` bits wide, the bit length of the engine budget, which
+    holds any id interned under it.  Only sections are interned, so equal
+    keys are equal elements.  `keys[i]` is i's key, `index[key]` is i, and
+    the columns (`_column`) `lengths`, `parents` (the index of the g whose
+    product found i), `links` (that product's digits, read by `link`) and
+    `orbits` are indexed by i.  `find` and `length` take engine ids; every
+    other reader takes an index."""
 
-    def __post_init__(self):
-        self.sizes = [sum(orbit) for orbit in self.orbits]
-        level = self.zero.eng.spec.level(self.cls)
+    def __init__(self, eng, c):
+        level = eng.spec.level(c)
+        self.zero = ZeroGroup(eng, c, [g.name for g in level.zero_generators])
+        self.cls = c
         self.units = [g.name for g in level.unit_generators]
+        self.width = eng.budget.bit_length()
+        self._mask = (1 << self.width) - 1
+        self._top = eng.d * self.width
+        self._shifts = range(self._top - self.width, -1, -self.width)
+        # the identity, A's canonical form, has key 0
+        self.roots, self._root_index = [self.zero.perms[0]], {}
+        self._root_index[self.roots[0]] = 0
+        self.keys, self.index, self.spheres, self.sizes = [], {}, [], []
+        self.kept = None               # _kept_steps, None below radius 3
+
+    def key(self, root, sections):
+        """The key of the element with this root and these sections."""
+        key = self._root_index.get(root)
+        if key is None:
+            key = self._root_index[root] = len(self.roots)
+            self.roots.append(root)
+        width = self.width
+        for x in sections:
+            key = key << width | x
+        return key
+
+    def element(self, i):
+        """(root, sections) of representative i, decoded from its key."""
+        return next(self.elements([i]))
+
+    def elements(self, reps):
+        """`element` of each representative in reps, in order."""
+        keys, top = [self.keys[i] for i in reps], self._top
+        return zip([self.roots[k >> top] for k in keys], self._unpack(keys))
+
+    def sections(self, reps):
+        """The section tuples of the representatives reps, in order."""
+        return self._unpack(map(self.keys.__getitem__, reps))
+
+    def _unpack(self, keys):
+        # field by field, 4096 keys at a time: fast, and holding little
+        keys, mask, shifts = iter(keys), self._mask, self._shifts
+        return chain.from_iterable(map(
+            lambda chunk: zip(*[[k >> s & mask for k in chunk]
+                                for s in shifts]),
+            iter(lambda: list(islice(keys, 4096)), [])))
+
+    def _grow(self, max_radius, keep):
+        """Expand to max_radius, keeping every sphere with `keep`
+        (enumerate_spheres) and only the sizes without (count_spheres).
+
+        Each representative g of sphere n is multiplied by every h = a·s (a
+        in A, s a unit-length generator) in one wreath step
+        (ZeroGroup.products), whose section products are memoized, being
+        few.  The product's canonical form (ZeroGroup.canonical) is a new
+        radius-(n+1) representative, with |A|² / pairs orbit members,
+        unless it is in the ball already.  It lies on sphere n-1, n or n+1,
+        the generating set being symmetric, so only those are tested, each
+        a dict from key to the link suffix u·|A| + i3.  Radius 0 is A, with
+        the identity as representative.
+
+        From radius 3 on, steps that provably land in the ball are skipped:
+        g of radius m was found as A[i1]·h·A[ia]·s_u·A[i3] with |h| = m-1,
+        so if |s_u·A[i3]·a·s| ≤ 1 then |g·a·s| ≤ m.  The steps kept per
+        suffix (_kept_steps) are built once, from the radius-2 ball, and
+        kept for the factorization DP; skipping changes no output.
+
+        Deterministic: sphere order, then A's and the spec's generator
+        order.  Every key held counts against the budget (`Engine.held`):
+        the three spheres, or with `keep` every sphere, counted while the
+        table lives.  BudgetExceeded is raised before a key would exceed
+        it, leaves the engine minimal and `held` as before the call, so it
+        can be retried with a larger budget, and names the class, the
+        radius being expanded and the elements enumerated, carrying the
+        sizes of the spheres completed.
+        """
+        zero, c, eng = self.zero, self.cls, self.zero.eng
+        products, canonical, check = zero.products, zero.canonical, eng._check_ids
+        key, roots, top = self.key, self.roots, self._top
+        units = [eng.gen_id(c, nm) for nm in self.units]
+        size = zero.size
+        suffixes = len(units) * size
+        lead = size * suffixes
+        # step k = ia·units + u fixes the link digits k·|A|, of which the
+        # suffix u·|A| is read by the skip table
+        steps = [step + (k * size, k % len(units) * size)
+                 for k, step in enumerate(zero.steps(
+                     [(f, eng.root(c, f), eng.children(c, f)) for f in units]))]
+        pairs_total = size * size
+        if keep:
+            # each column's typecode holds all it can receive: an index is
+            # below the budget, which counts its key, a length at most the
+            # radius, a link below |A|·lead and an orbit at most |A|²
+            ids = min(eng.budget, sys.maxsize)
+            self.lengths = _column(min(max_radius, ids), 0)
+            self.parents, self.links = _column(ids, 1), _column(size * lead, 1)
+            self.orbits = _column(pairs_total, 1)
+            self.orbits[0] = size
+            parents, links, orbits = (self.parents.append, self.links.append,
+                                      self.orbits.append)
+
+        def close(sphere, total):
+            # sphere is the next radius, whole, in the order found
+            self.sizes.append(total)
+            if keep:
+                n, start = len(self.spheres), len(self.keys)
+                self.spheres.append(range(start, start + len(sphere)))
+                self.keys.extend(sphere)
+                self.lengths.extend(array(self.lengths.typecode, [n])
+                                    * len(sphere))
+
+        # nxt is the sphere being expanded into, with its orbit sizes summed
+        # in total; the identity's link is never read
+        prev, cur, nxt = {}, {}, {0: -1}
+        total, kept, n = size, None, 0
+        held = eng.held
+        try:
+            check(1)
+            eng.held += 1
+            for n in range(1, max_radius + 1):
+                close(nxt, total)
+                if not keep:
+                    eng.held -= len(prev)
+                prev, cur, nxt, total = cur, nxt, {}, 0
+                if n == 3:      # prev is the radius-1 sphere, cur radius 2
+                    low = {*prev, 0}
+                    kept = self.kept = _kept_steps(
+                        zero, units, steps, lambda root, ch:
+                        key(*canonical(root, ch)[:2]) in low)
+                for g, (k, suffix), ch in zip(
+                        count(len(self.keys) - len(cur)), cur.items(),
+                        self._unpack(cur)):
+                    todo = steps if kept is None else kept[suffix]
+                    for step, root, ch in products(roots[k >> top], ch, todo):
+                        least, best, pairs, i1, i3 = canonical(root, ch)
+                        new = key(least, best)
+                        if new in nxt or new in cur or new in prev:
+                            continue
+                        check(1)
+                        nxt[new] = step[5] + i3
+                        eng.held += 1
+                        orbit = pairs_total // pairs
+                        total += orbit
+                        if keep:
+                            parents(g)
+                            links(step[4] + i1 * lead + i3)
+                            orbits(orbit)
+            close(nxt, total)
+        except BudgetExceeded as e:
+            eng.held = held
+            elements = sum(self.sizes) + total
+            raise BudgetExceeded(f"{e}; stopped at level class {c} expanding "
+                                 f"radius {n}, {elements} elements",
+                                 c, n, elements, self.sizes) from e
+        if keep:
+            prev = cur = nxt = None
+            self.index = dict(zip(self.keys, range(len(self.keys))))
+        else:
+            eng.held = held
 
     def link(self, rep):
         """(g, i1, ia, name, i3) with rep = A[i1]·g·A[ia]·name·A[i3], name
@@ -220,37 +372,28 @@ class SphereTable:
         return out if n is None else out[n]
 
     def find(self, g):
-        """(rep, j1, j3) with g = A[j1]·rep·A[j3] for a ball id g;
-        TableExhausted for any other value, -1 and non-ints included.  An id
-        outside the ball has its canonical form interned.  Memoized: the ids
-        looked up are mostly sections, and they are few."""
-        try:
-            if g >= 0 and self.lengths[g] >= 0:
-                return g, 0, 0
-        except (TypeError, IndexError):     # no int, or past every column
-            pass
-        if g not in self._located:
-            zero, found = self.zero, None
-            t = zero.rows
-            if isinstance(g, int) and 0 <= g < len(t.roots):
-                rep, _, i1, i3 = zero.find(t.roots[g], t.children[g])
-                if rep < len(self.lengths) and self.lengths[rep] >= 0:
-                    found = rep, zero.inverse[i1], zero.inverse[i3]
-            self._located[g] = found
-        found = self._located[g]
-        if found is None:
-            raise TableExhausted(
-                f"element not within enumerated radius {self.max_radius}")
-        return found
+        """(rep, j1, j3) with g = A[j1]·rep·A[j3] for an engine id g of the
+        table's ball; TableExhausted for any other value, -1 and non-ints
+        included.  A section id wider than the key fields is no
+        section of a representative."""
+        zero, t = self.zero, self.zero.eng.tables[self.cls]
+        if isinstance(g, int) and 0 <= g < len(t.roots):
+            root, ch, _, i1, i3 = zero.canonical(t.roots[g], t.children[g])
+            if max(ch) <= self._mask:
+                rep = self.index.get(self.key(root, ch))
+                if rep is not None:
+                    return rep, zero.inverse[i1], zero.inverse[i3]
+        raise TableExhausted(
+            f"element not within enumerated radius {self.max_radius}")
 
     def length(self, g):
         return self.lengths[self.find(g)[0]]
 
-    def geodesic(self, g):
-        """Generator-name word for the ball id g: rep = A[i1]·h·A[ia]·s·A[i3]
+    def geodesic(self, rep, j1=0, j3=0):
+        """Generator-name word of A[j1]·rep·A[j3], so that
+        `geodesic(*find(g))` is the ball id g's: rep = A[i1]·h·A[ia]·s·A[i3]
         unrolls to A[i1]·geodesic(h)·A[ia]·s·A[i3], down to the identity,
         with A's words read from `zero.words`."""
-        rep, j1, j3 = self.find(g)
         words = self.zero.words
         left, right = list(words[j1]), []   # a copy: += would extend A's word
         while rep != 0:
@@ -262,11 +405,13 @@ class SphereTable:
         return left + words[j3]
 
     def orbit(self, rep):
-        """Every member A[i1]·rep·A[i3] of a representative's orbit, repeats
-        removed, in (i1, i3) order."""
+        """The engine ids of every member A[i1]·rep·A[i3] of a
+        representative's orbit, interned, repeats removed, in (i1, i3)
+        order."""
         zero, intern = self.zero, self.zero.eng._intern
+        root, ch = self.element(rep)
         return list(dict.fromkeys(
-            intern(self.cls, *zero.member(i1, rep, i3))
+            intern(self.cls, *zero.member(i1, root, ch, i3))
             for i1 in range(zero.size) for i3 in range(zero.size)))
 
     def expand(self):
@@ -335,175 +480,26 @@ def level_classes(spec, max_radius, levels=None):
 
 
 def enumerate_spheres(atlas, c, max_radius):
-    """Fill the atlas table for class c up to max_radius, one representative
-    per A×A double coset.
-
-    Each representative g of the radius-n sphere is multiplied by every
-    h = a·s (a in A, s a unit-length generator) in one wreath step
-    (ZeroGroup.products): only the section products at the successor class
-    go through the engine, and they are memoized, being few.  The product's
-    canonical form (ZeroGroup.canonical), interned, is a new radius-(n+1)
-    representative, whose orbit has |A|² / pairs members, unless it is in
-    the ball already.
-    Radius 0 is the one double coset A, with the identity as representative.
-
-    From radius 3 on, steps that provably land in the ball are skipped.  A
-    representative g of radius m was found as A[i1]·h·A[ia]·name·A[i3] with
-    |h| = m-1, so when |name·A[i3]·a·s| ≤ 1 the product g·a·s has length at
-    most m and would be discarded anyway; the table of such steps per suffix
-    (name, i3) is built once, from the radius-2 ball (_kept_steps), and
-    kept on the table for the factorization DP.  Skipping changes no
-    output, only which section products get cached.
-
-    Deterministic: expansion follows stored sphere order, A's breadth-first
-    order and the spec's generator order.  The engine's budget is the only
-    limit: BudgetExceeded names the class, the radius being expanded and the
-    elements enumerated (summed orbit sizes) when it stops the run, and
-    carries the sizes of the spheres completed.
-    """
+    """The atlas table for class c to max_radius (`SphereTable._grow`),
+    unless one that deep exists already."""
     existing = atlas.tables.get(c)
     if existing is not None and existing.max_radius >= max_radius:
         return existing
-    eng = atlas.engine
-    level = atlas.spec.level(c)
-    zero = ZeroGroup(eng, c, [g.name for g in level.zero_generators])
-    products, canonical = zero.products, zero.canonical
-    roots, children, intern = zero.rows.roots, zero.rows.children, eng._intern
-    units = [eng.gen_id(c, g.name) for g in level.unit_generators]
-    # links as SphereTable.link reads them: step k = ia·units + u fixes the
-    # digits ia and u as k·|A|, and the last two, u·|A| + i3, index kept
-    size = zero.size
-    suffixes = len(units) * size
-    lead = size * suffixes
-    steps = [step + (k * size,) for k, step in enumerate(zero.steps(units))]
-    pairs_total = size * size
-    # each column's typecode holds all it can receive: an id is below the
-    # budget, a length at most the radius and below the id count, and a
-    # link below |A|·lead
-    ids = min(eng.budget, sys.maxsize)
-    end = len(zero.rows.roots)
-    lengths = _column(min(max_radius, ids), end)
-    parents, links = _column(ids, end), _column(size * lead, end)
-    lengths[0] = 0
-    spheres, orbits = [[0]], [[size]]
-    elements = size
-    kept, n = None, 0
-    try:
-        for n in range(1, max_radius + 1):
-            sphere, orbit = [], []
-            if n == 3:
-                kept = _kept_steps(zero, units, steps, lambda root, ch:
-                                   lengths[zero.find(root, ch)[0]] <= 1)
-            for g in spheres[n - 1]:
-                todo = steps if kept is None else kept[links[g] % suffixes]
-                for step, root, ch in products(roots[g], children[g], todo):
-                    root, ch, pairs, i1, i3 = canonical(root, ch)
-                    i = intern(c, root, ch)
-                    if i >= end:            # a new id: grow by a quarter
-                        end = i + 1 + (i >> 2)
-                        for column in lengths, parents, links:
-                            _pad(column, end)
-                    elif lengths[i] >= 0:
-                        continue
-                    lengths[i] = n
-                    parents[i] = g
-                    links[i] = step[4] + i1 * lead + i3
-                    sphere.append(i)
-                    orbit.append(pairs_total // pairs)
-            spheres.append(sphere)
-            orbits.append(orbit)
-            elements += sum(orbit)
-    except BudgetExceeded as e:
-        elements += sum(orbit)
-        raise BudgetExceeded(f"{e}; stopped at level class {c} expanding "
-                             f"radius {n}, {elements} elements",
-                             c, n, elements, [sum(o) for o in orbits]) from e
-
-    table = SphereTable(c, spheres, orbits, lengths, parents, links, zero,
-                        kept)
+    table = SphereTable(atlas.engine, c)
+    table._grow(max_radius, keep=True)
+    if existing is not None:
+        atlas.engine.held -= len(existing.keys)
     atlas.tables[c] = table
     return table
 
 
 def count_spheres(eng, c, max_radius):
-    """The sizes of class c's spheres, radii 0 to max_radius, from the
-    products, canonical forms and skip table of `enumerate_spheres`.
-
-    A representative is one int key: its root's index, then its section
-    ids, each in a field `eng.budget.bit_length()` bits wide, which holds
-    any id.  Only sections are interned, so equal keys are equal elements.
-    Every product g·a·s from sphere n lies on sphere n-1, n or n+1, the
-    generating set being symmetric, so only those three are held, each a
-    dict from key to the link suffix u·|A| + i3 that the skip table reads.
-
-    The keys held count against the budget (`Engine.held`).  BudgetExceeded
-    is raised as `enumerate_spheres` raises it, before the key that would
-    exceed the budget is stored, and leaves the engine minimal and holding
-    no key, so it can be retried with a larger budget.
-    """
-    level = eng.spec.level(c)
-    zero = ZeroGroup(eng, c, [g.name for g in level.zero_generators])
-    products, canonical, check = zero.products, zero.canonical, eng._check_ids
-    units = [eng.gen_id(c, g.name) for g in level.unit_generators]
-    size = zero.size
-    # step k = ia·units + u ends a link with the suffix u·|A| + i3
-    steps = [step + (k % len(units) * size,)
-             for k, step in enumerate(zero.steps(units))]
-    pairs_total = size * size
-    width = eng.budget.bit_length()
-    mask, top = (1 << width) - 1, eng.d * width
-    shifts = range(top - width, -1, -width)
-    # roots by index and indices by root; the identity, A's canonical
-    # form, has key 0
-    perms_at, index = [zero.perms[0]], {zero.perms[0]: 0}
-
-    def pack(root, children):
-        key = index.get(root)
-        if key is None:
-            key = index[root] = len(perms_at)
-            perms_at.append(root)
-        for x in children:
-            key = key << width | x
-        return key
-
-    # nxt is the sphere being expanded into, with its orbit sizes summed in
-    # total; the identity's link is never read
-    prev, cur, nxt = {}, {}, {0: -1}
-    sizes, total, kept, n = [], size, None, 0
-    held = eng.held
-    try:
-        check(1)
-        eng.held += 1
-        for n in range(1, max_radius + 1):
-            sizes.append(total)
-            eng.held -= len(prev)
-            prev, cur, nxt, total = cur, nxt, {}, 0
-            if n == 3:      # prev is the radius-1 sphere, cur radius 2
-                low = {*prev, 0}
-                kept = _kept_steps(zero, units, steps, lambda root, ch:
-                                   pack(*canonical(root, ch)[:2]) in low)
-            for g, suffix in cur.items():
-                todo = steps if kept is None else kept[suffix]
-                for step, root, ch in products(
-                        perms_at[g >> top], [g >> s & mask for s in shifts],
-                        todo):
-                    least, best, pairs, _, i3 = canonical(root, ch)
-                    key = pack(least, best)
-                    if key in nxt or key in cur or key in prev:
-                        continue
-                    check(1)
-                    nxt[key] = step[4] + i3
-                    eng.held += 1
-                    total += pairs_total // pairs
-        sizes.append(total)
-    except BudgetExceeded as e:
-        elements = sum(sizes) + total
-        raise BudgetExceeded(f"{e}; stopped at level class {c} expanding "
-                             f"radius {n}, {elements} elements",
-                             c, n, elements, sizes) from e
-    finally:
-        eng.held = held
-    return sizes
+    """The sizes of class c's spheres, radii 0 to max_radius, from the loop
+    of `enumerate_spheres` keeping only the three spheres it reads
+    (`SphereTable._grow`)."""
+    table = SphereTable(eng, c)
+    table._grow(max_radius, keep=False)
+    return table.sizes
 
 
 def _column(top, n):
@@ -515,12 +511,6 @@ def _column(top, n):
     return [-1] * n
 
 
-def _pad(column, n):
-    """Extend a column with -1 to n slots."""
-    fill = [-1] if isinstance(column, list) else array(column.typecode, [-1])
-    column.extend(fill * (n - len(column)))
-
-
 def _kept_steps(zero, units, steps, short):
     """For each link suffix (u, i3), at index u·|A| + i3, the steps (a, s)
     for which s_u·A[i3]·a·s, s_u the u-th unit-length generator, is not
@@ -529,10 +519,11 @@ def _kept_steps(zero, units, steps, short):
     length at most 2, so its canonical form is already in the radius-2
     ball; a section product not yet cached is multiplied and counts against
     the budget like any other.  A[k] is read off `zero.times`."""
-    kept, t = [], zero.rows
+    kept, eng = [], zero.eng
     for f in units:
         drop = {step[:2] for step, root, ch
-                in zero.products(t.roots[f], t.children[f], steps)
+                in zero.products(eng.root(zero.c, f), eng.children(zero.c, f),
+                                 steps)
                 if short(root, ch)}
         kept += [[s for s in steps if (row[s[0]], s[1]) not in drop]
                  for row in zero.times]

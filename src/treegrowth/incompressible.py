@@ -9,11 +9,13 @@ every enumerated ball the approximation is exact there, because sections of
 ball elements stay inside the next ball.
 
 Everything here runs on the A×A double-coset representatives of the sphere
-tables.  The factorization DP expands each reached representative from its
-own row through the table's ZeroGroup, one wreath step a product, so it
-holds no witness, reads no engine internals and interns no step factor.
+tables, by their dense index.  The factorization DP expands each reached
+representative from its decoded key through the table's ZeroGroup, one
+wreath step a product, so it holds no witness, reads no engine internals
+and interns no step factor.
 """
 
+from array import array
 from dataclasses import dataclass, field
 from itertools import compress, filterfalse
 
@@ -28,7 +30,7 @@ class NotTernarySpinal(ValueError):
 class IncompressibilityReport:
     K: int
     counts: dict                 # class -> list over k of per-radius counts
-    first_fail: dict             # class -> id column: least k out of I_k or -1
+    first_fail: dict             # class -> index column: least k out of I_k
     stabilization_depth: int = None   # least k with I_k = I_{k+1} on all balls
     tables: dict = None          # class -> SphereTable the reps belong to
 
@@ -52,8 +54,8 @@ class IncompressibilityReport:
 
 def approximate_I_infty(atlas, K):
     """The depth-k filtration of every enumerated table, k = 1..K, held as
-    first_fail[c], a column over class c's ids: a representative's least k
-    with it outside the depth-k set, -1 for one in all of them or no rep.
+    first_fail[c], a column over class c's representatives: the least k
+    with it outside the depth-k set, -1 for one in all of them.
 
     It runs on representatives.  With A rooted the sections of a1·g·a3 are
     those of g permuted, and in general they are b·g_x·b' with b, b' in the
@@ -81,16 +83,15 @@ def approximate_I_infty(atlas, K):
             raise ValueError(
                 f"class {succ[c]} needed for sections of class {c}")
 
-    first_fail, live, sections, children = {}, {}, {}, {}
+    first_fail, live, sections = {}, {}, {}
     for c in classes:
         table, nxt = atlas.table(c), atlas.table(succ[c])
-        ch = children[c] = atlas.engine.tables[c].children
         rep = sections[c] = {}  # section id -> its representative
         size = {}               # section id -> the representative's length
-        ff, alive = first_fail[c], live[c] = _column(K, len(table.lengths)), []
+        ff = first_fail[c] = _column(K, len(table.keys))
+        alive = live[c] = _column(len(table.keys), 0)  # no int per index
         for n, sphere in enumerate(table.spheres):
-            for g in sphere:
-                xs = ch[g]
+            for g, xs in zip(sphere, table.sections(sphere)):
                 try:
                     total = sum(map(size.__getitem__, xs))
                 except KeyError:
@@ -110,11 +111,12 @@ def approximate_I_infty(atlas, K):
             out, ff = first_fail[succ[c]], first_fail[c]
             dead = {x for x, r in sections[c].items() if out[r] == k - 1}
             if dead:
-                for g in live[c]:
-                    if not dead.isdisjoint(children[c][g]):
+                for g, xs in zip(live[c], atlas.table(c).sections(live[c])):
+                    if not dead.isdisjoint(xs):
                         ff[g] = k
                         dropped = True
-                live[c] = [g for g in live[c] if ff[g] < 0]
+                live[c] = array(live[c].typecode,
+                                [g for g in live[c] if ff[g] < 0])
         if not dropped:
             stab = k - 1
             break
@@ -123,9 +125,9 @@ def approximate_I_infty(atlas, K):
     for c in classes:
         table, ff = atlas.table(c), first_fail[c]
         drops = [[0] * len(table.spheres) for _ in range(-1, K + 1)]
-        for n, (sphere, orbit) in enumerate(zip(table.spheres, table.orbits)):
-            for g, size in zip(sphere, orbit):
-                drops[ff[g]][n] += size
+        for n, sphere in enumerate(table.spheres):
+            for g in sphere:
+                drops[ff[g]][n] += table.orbits[g]
         counts[c] = [table.sphere_sizes()]
         for k in range(1, K + 1):
             counts[c].append([m - d for m, d in zip(counts[c][-1], drops[k])])
@@ -170,7 +172,7 @@ def factorization_dp(atlas, report, c, max_n):
 
     Layered BFS over double cosets: the j-th layer holds those of minimal
     count j, and every additive factorization has additive prefixes.  Each
-    reached representative p is expanded from its own row by p·a·h, a in A
+    reached representative p is expanded from its key by p·a·h, a in A
     and h a depth-K representative of positive length, shortest h first.
     For w = A[x]·p·A[y], w·A·h = A[x]·p·A·h, so these reach x·y's double
     coset for all x in p's and y in the depth-K set.  Only |p| + |h| <= R =
@@ -204,8 +206,7 @@ def factorization_dp(atlas, report, c, max_n):
     R = min(max_n, table.max_radius)
     zero, lengths, links = table.zero, table.lengths, table.links
     products, canonical, times = zero.products, zero.canonical, zero.times
-    roots, children = zero.rows.roots, zero.rows.children
-    intern = atlas.engine._intern
+    key, index = table.key, table.index
     ff = report.first_fail[c]
     factors = [[h for h in sphere if ff[h] < 0]
                for sphere in table.spheres[1:R + 1]]
@@ -214,7 +215,8 @@ def factorization_dp(atlas, report, c, max_n):
     back = {0: None, **{h: (0, 0, h) for h in layer}}
     frontier = [(h, 0) for h in layer]
     # every other p has |p| >= 1, so only buckets 1 to R - 1 are stepped
-    steps = [zero.steps(hs) for hs in factors[:-1]]
+    steps = [zero.steps([(h, *e) for h, e in zip(hs, table.elements(hs))])
+             for hs in factors[:-1]]
     if steps:
         by_suffix, deps = _prefix_filters(table, factors, steps[0])
         # bits[b]: p times the b-th length-1 step is additive; the last
@@ -225,7 +227,8 @@ def factorization_dp(atlas, report, c, max_n):
     while frontier:
         j += 1
         nxt = []
-        for p, i3p in frontier:
+        for (p, i3p), (root_p, ch_p) in zip(
+                frontier, table.elements([p for p, _ in frontier])):
             lp, row = lengths[p], times[i3p]
             for lh in range(1, R - lp + 1):
                 if lh == 1:
@@ -234,9 +237,9 @@ def factorization_dp(atlas, report, c, max_n):
                 else:
                     todo = compress(steps[lh - 1],
                                     map(bits.__getitem__, deps[lh - 2]))
-                for step, root, ch in products(roots[p], children[p], todo):
+                for step, root, ch in products(root_p, ch_p, todo):
                     root, ch, _, _, i3 = canonical(root, ch)
-                    q = intern(c, root, ch)
+                    q = index[key(root, ch)]
                     # |q| <= |p| + |h| <= R: q is a representative
                     if lengths[q] != lp + lh:
                         continue
@@ -342,8 +345,9 @@ def _rooted_exponent(spec, c, name):
     return e
 
 
-def extract_ternary_data(spec, table, spec_cls, g):
-    """Parse the stored geodesic of g into conjugate normal form.
+def extract_ternary_data(spec, table, spec_cls, g, j1=0, j3=0):
+    """Parse the stored geodesic of A[j1]·g·A[j3], g a representative, into
+    conjugate normal form.
 
     The word a^{k_0} b_1 a^{k_1} ... b_m a^{k_m} is rewritten (with the
     convention x^y = y x y^{-1}) as b_1^{a^{c_1}} ... b_m^{a^{c_m}} a^s where
@@ -354,7 +358,7 @@ def extract_ternary_data(spec, table, spec_cls, g):
     level = spec.level(spec_cls)
     beta, cs = [], []
     t = 0
-    for name in table.geodesic(g):
+    for name in table.geodesic(g, j1, j3):
         gen = level.gen(name)
         if gen.pseudolength == 0:
             t = (t + _rooted_exponent(spec, spec_cls, name)) % 3

@@ -147,12 +147,13 @@ TABLE_COLUMNS = ["id", "radius", "parent", "generator", "flags"]
 FLAG_BITS = 16      # depths 1..16 fit the flags column (FORMATS.md)
 
 
-def flags_bitfield(report, c, g):
-    """Bit k-1 set when the element is in the depth-k set, k = 1..FLAG_BITS:
-    the bits below its first-fail depth, capped at K and FLAG_BITS."""
+def flags_bitfield(report, c, rep):
+    """Bit k-1 set when the orbit of representative rep is in the depth-k
+    set, k = 1..FLAG_BITS: the bits below its first-fail depth, capped at K
+    and FLAG_BITS."""
     top = min(report.K, FLAG_BITS)
-    depth = report.fail_depth(c, g) or top + 1
-    return (1 << min(depth - 1, top)) - 1
+    depth = report.first_fail[c][rep]
+    return (1 << min(depth - 1 if depth > 0 else top, top)) - 1
 
 
 def save_table(path, config, table, report=None):

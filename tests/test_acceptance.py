@@ -102,8 +102,7 @@ def test_criterion_03_non_expansion(fg_atlas10, grig_atlas8):
             # sections of a1·g·a3 are those of g permuted, with the same sum
             for n in range(min(radius, table.max_radius) + 1):
                 for g in table.spheres[n]:
-                    kid_sum = sum(nxt.length(x)
-                                  for x in atlas.engine.children(c, g))
+                    kid_sum = sum(nxt.length(x) for x in table.element(g)[1])
                     ok = ok and kid_sum <= n
         for c in spec.classes():
             for g in spec.level(c).generators:
@@ -129,13 +128,13 @@ def test_criterion_04_filtration(fg_atlas10, fg_report10, grig_atlas8,
     # cover every element: first-fail depths are constant on A×A orbits, and
     # the sections of a1·g·a3 are those of g permuted (A is rooted)
     INF = 10 ** 9
-    eng = fg_atlas10.engine
-    for sphere in fg_atlas10.table(0).spheres:
+    table, ff = fg_atlas10.table(0), fg_report10.first_fail[0]
+    for sphere in table.spheres:
         for g in sphere:
-            fg_ = fg_report10.fail_depth(0, g) or INF
+            fg_ = ff[g] if ff[g] > 0 else INF
             if fg_ <= 1:
                 continue
-            for x in eng.children(0, g):
+            for x in table.element(g)[1]:
                 ok = ok and (fg_report10.fail_depth(0, x) or INF) >= fg_ - 1
     # generators stay in the depth-6 set, on every catalog group
     cases = [(fg_atlas10, fg_report10),
@@ -233,7 +232,8 @@ def test_criterion_09_determinism_persistence(tmp_path, fg_atlas6,
     for g, n, pid, name, flags in rows:
         ok = ok and n == ball.lengths[g] == table.length(g)
         ok = ok and (None if pid is None else (pid, name)) == ball.parents[g]
-        ok = ok and flags == store.flags_bitfield(fg_report6, 0, g)
+        ok = ok and flags == store.flags_bitfield(fg_report6, 0,
+                                                  table.find(g)[0])
     _check(9, "two fresh processes with different hash seeds give "
               "bit-identical CSV; save/load round-trip preserves every "
               "radius, parent link and flag", ok)

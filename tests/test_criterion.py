@@ -20,8 +20,8 @@ def test_partition_covers_sphere(fg_atlas6, fg_dp):
     table = fg_atlas6.table(0)
     for n in range(1, 7):
         big, small = cr.partition(table, N, n, 0.45)
-        size = dict(zip(table.sphere(n), table.orbits[n]))
-        assert sum(size[g] for g in big + small) == table.sphere_sizes()[n]
+        assert sum(table.orbits[g] for g in big + small) == \
+            table.sphere_sizes()[n]
         assert set(big).isdisjoint(small)
 
 
@@ -33,10 +33,10 @@ def test_pair_factors(fg_atlas6, fg_report6, fg_dp):
         pairs = cr.pair_factors(fg_atlas6, 0, factors)
         assert len(pairs) == len(factors) // 2
         # a pair still additive to depth K would contradict minimality
-        assert not any(fg_report6.in_Ik(0, h, fg_report6.K) for h in pairs)
+        assert not any(fg_report6.first_fail[0][h] < 0 for h in pairs)
         # the pairs and the unpaired last factor add up to g's length
-        left = table.length(factors[-1][1]) if len(factors) % 2 else 0
-        assert sum(map(table.length, pairs)) + left == 6
+        left = table.lengths[factors[-1][1]] if len(factors) % 2 else 0
+        assert sum(table.lengths[h] for h in pairs) + left == 6
 
 
 def _element_pairs(atlas, report, c, factors):
@@ -44,7 +44,8 @@ def _element_pairs(atlas, report, c, factors):
     factor built as the element A[ia]·h and each pair multiplied by
     Engine.mul."""
     eng, table = atlas.engine, atlas.table(c)
-    elements = [eng.mul(c, table.zero.ids[ia], h, store=False)
+    elements = [eng.mul(c, table.zero.ids[ia],
+                        eng._intern(c, *table.element(h)), store=False)
                 for ia, h in factors]
     pairs = [eng.mul(c, x, y, store=False)
              for x, y in zip(elements[::2], elements[1::2])]
@@ -76,7 +77,7 @@ def test_pair_factors_match_element_products(make, radius, whole):
         for g in big + small if whole else big:
             factors = inc.factors_of(back, g)
             got = cr.pair_factors(atlas, 0, factors)
-            assert [(table.length(h), report.in_Ik(0, h, report.K))
+            assert [(table.lengths[h], report.first_fail[0][h] < 0)
                     for h in got] == _element_pairs(atlas, report, 0, factors)
             pairs += len(got)
     assert pairs
@@ -91,21 +92,23 @@ def test_small_factor_bound_below_threshold(fg_atlas6, fg_report6, fg_dp):
 
 
 def test_small_factor_bound_reports_non_minimal_pair(fg_atlas6, fg_report6):
-    eng = fg_atlas6.engine
+    eng, table = fg_atlas6.engine, fg_atlas6.table(0)
     b1 = eng.gen_id(0, "b1")
-    g = eng.mul(0, b1, b1)
-    # hand-built chain g = b1 * b1, whose pair b1*b1 = b2 is a generator and
-    # so lies in the depth-K set: the factorization cannot be minimal
-    assert fg_report6.in_Ik(0, g, fg_report6.K)
-    N = {0: 0, b1: 1, g: 2}
-    back = {0: None, b1: (0, 0, b1), g: (b1, 0, b1)}
+    h, j1, j3 = table.find(b1)
+    g = table.find(eng.mul(0, b1, b1))[0]
+    # hand-built chain g ~ b1 * b1 = A[j1]·h·A[j3]·A[j1]·h·A[j3], whose pair
+    # b1*b1 = b2 is a generator and so lies in the depth-K set: the
+    # factorization cannot be minimal
+    assert fg_report6.first_fail[0][g] < 0
+    N = {0: 0, h: 1, g: 2}
+    back = {0: None, h: (0, 0, h), g: (h, table.zero.times[j3][j1], h)}
     # g has length 1, so at n = 7 its pair does not add up to n
     assert cr.check_small_factor_lower_bound(
         fg_atlas6, fg_report6, 0, N, back, [g], 7, 0.45) == (False, [g])
     # at n = 1000 both fail the exact sum, and the scan goes on past b1 to
     # report g
     assert cr.check_small_factor_lower_bound(
-        fg_atlas6, fg_report6, 0, N, back, [b1, g], 1000, 0.45) == \
+        fg_atlas6, fg_report6, 0, N, back, [h, g], 1000, 0.45) == \
         (False, [g])
 
 
@@ -150,7 +153,7 @@ def test_small_factor_bound_catches_a_misread_length(monkeypatch):
             head = inc.factors_of(back, g)[:-1]
             for h2 in (h2 for sphere in table.spheres for h2 in sphere
                        if report.first_fail[0][h2] < 0):
-                if table.length(h2) == table.length(h) - 1 and not any(
+                if table.lengths[h2] == table.lengths[h] - 1 and not any(
                         in_I for _, in_I in
                         _element_pairs(atlas, report, 0, head + [(ia, h2)])):
                     back[g] = (p, ia, h2)
@@ -164,14 +167,16 @@ def test_small_factor_bound_catches_a_misread_length(monkeypatch):
 
 def test_sections_at_depth(fg_atlas6):
     eng = fg_atlas6.engine
-    g = eng.element_from_word(0, ["b1", "a120", "b1"])
+    g = fg_atlas6.table(0).find(
+        eng.element_from_word(0, ["b1", "a120", "b1"]))[0]
     secs1 = cr.sections_at_depth(fg_atlas6, 0, g, 1)
     assert len(secs1) == 3
     secs2 = cr.sections_at_depth(fg_atlas6, 0, g, 2)
     assert len(secs2) == 9
     s1 = cr.level_section_sum(fg_atlas6, 0, g, 1)
     s2 = cr.level_section_sum(fg_atlas6, 0, g, 2)
-    assert s2 <= s1 <= fg_atlas6.table(0).length(g)
+    assert s2 <= s1 <= fg_atlas6.table(0).lengths[g] == \
+        cr.level_section_sum(fg_atlas6, 0, g, 0)
 
 
 def test_level_reduction_monotone(fg_spec):

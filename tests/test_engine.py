@@ -137,8 +137,8 @@ def test_budget_exceeded_leaves_engine_consistent():
     eng.budget = 10_000_000
     retried = build_atlas(spec, 6, engine=eng)
     fresh = build_atlas(spec, 6)
-    assert {c: t.spheres for c, t in retried.tables.items()} == \
-        {c: t.spheres for c, t in fresh.tables.items()}
+    assert {c: t.keys for c, t in retried.tables.items()} == \
+        {c: t.keys for c, t in fresh.tables.items()}
 
 
 @pytest.mark.parametrize("make_spec, radius", [
@@ -317,7 +317,7 @@ def test_inverse_of_every_ball_element(make_spec, radius):
 
 
 # Families whose balls settle cyclic components.  Their ids are pinned by a
-# sha256 of every class's roots/children tables and sphere id order, kept in
+# sha256 of every class's roots/children tables and the keys of the representatives in sphere order, kept in
 # tests/id_fingerprints.json; regenerate it (only after a deliberate
 # renumbering, recorded in CHANGES.md) with:
 #
@@ -339,8 +339,8 @@ FINGERPRINTS = Path(__file__).resolve().parent / "id_fingerprints.json"
 
 def _id_fingerprint(atlas):
     tables = [[t.roots, t.children] for t in atlas.engine.tables]
-    spheres = [atlas.tables[c].spheres for c in sorted(atlas.tables)]
-    return hashlib.sha256(json.dumps([tables, spheres]).encode()).hexdigest()
+    keys = [atlas.tables[c].keys for c in sorted(atlas.tables)]
+    return hashlib.sha256(json.dumps([tables, keys]).encode()).hexdigest()
 
 
 def test_ids_match_fingerprints():
@@ -358,7 +358,7 @@ def _session_mul(eng, c, u, v, store=True):
 
 def _engine_state(atlas):
     eng = atlas.engine
-    return ([atlas.tables[c].spheres for c in sorted(atlas.tables)],
+    return ([atlas.tables[c].keys for c in sorted(atlas.tables)],
             [(t.roots, t.children) for t in eng.tables], eng.n_ids)
 
 

@@ -51,9 +51,9 @@ def test_budget_exceeded_names_class_radius_and_elements():
     with pytest.raises(BudgetExceeded) as exc:
         build_atlas(spec, 8, engine=Engine(spec, budget=2000))
     e = exc.value
-    assert (e.cls, e.radius, e.elements) == (0, 6, 14064)
+    assert (e.cls, e.radius, e.elements) == (0, 6, 13821)
     assert str(e).endswith(
-        "; stopped at level class 0 expanding radius 6, 14064 elements")
+        "; stopped at level class 0 expanding radius 6, 13821 elements")
 
 
 def _counted(spec, radius, levels=None):
@@ -120,6 +120,33 @@ def test_counting_retried_after_budget_is_whole():
     eng.audit()
 
 
+@pytest.mark.parametrize("make_spec, radius, budget", [
+    (catalog.fabrykowski_gupta, 8, 2000),
+    # stops at class 2, so classes 0 and 1 stay whole and held
+    (catalog.first_grigorchuk, 8, 6500),
+], ids=["fg-r8", "grigorchuk-r8"])
+def test_atlas_retried_after_budget_is_whole(make_spec, radius, budget):
+    # the atlas's keys count against the budget while its tables live; a
+    # stop drops the class being expanded, leaves the engine minimal and
+    # holding only the whole tables' keys, and the same engine with a
+    # larger budget builds what an unbounded run builds
+    spec = make_spec()
+    eng = Engine(spec, budget=budget)
+    atlas = Atlas(spec, eng)
+    with pytest.raises(BudgetExceeded) as exc:
+        atlas.enumerate(radius)
+    assert sorted(atlas.tables) == list(range(exc.value.cls))
+    assert exc.value.cls == len(spec.classes()) - 1
+    assert eng.held == sum(len(t.keys) for t in atlas.tables.values())
+    eng.audit()
+    eng.budget = 10_000_000
+    atlas.enumerate(radius)
+    assert eng.held == sum(len(t.keys) for t in atlas.tables.values())
+    assert {c: t.sizes for c, t in atlas.tables.items()} == \
+        {c: t.sizes for c, t in build_atlas(spec, radius).tables.items()}
+    eng.audit()
+
+
 @pytest.mark.parametrize("make_spec, radius, skips", [
     (catalog.fabrykowski_gupta, 7, True),
     (catalog.first_grigorchuk, 9, True),
@@ -151,8 +178,9 @@ def test_skipped_steps_land_in_the_ball(monkeypatch, make_spec, radius, skips):
                 for ia, s, *_ in steps if (ia, s) not in tried]
         for m in range(2, radius + 1):
             for g in table.sphere(m):
+                x = eng._intern(c, *table.element(g))
                 for a, s in dropped[table.link(g)[3:]]:
-                    assert table.length(eng.mul(c, eng.mul(c, g, a), s)) <= m
+                    assert table.length(eng.mul(c, eng.mul(c, x, a), s)) <= m
                     skipped += 1
     assert skipped > 0 or not skips
 
@@ -176,7 +204,7 @@ def test_expansion_links_and_geodesics_multiply_back(make_spec, radius):
         lens = {g.name: g.pseudolength for g in level.generators}
         for x, n in ball.lengths.items():
             assert table.length(x) == n
-            word = table.geodesic(x)
+            word = table.geodesic(*table.find(x))
             assert sum(lens[nm] for nm in word) == n
             assert eng.element_from_word(c, word) == x
             steps = 0
@@ -191,16 +219,18 @@ def test_expansion_links_and_geodesics_multiply_back(make_spec, radius):
 
 
 @pytest.mark.parametrize("make_spec, radius, bound", [
-    (catalog.fabrykowski_gupta, 8, 200),
-    (catalog.first_grigorchuk, 10, 190),
+    (catalog.fabrykowski_gupta, 8, 145),
+    (catalog.first_grigorchuk, 10, 140),
     # A trivial and 354 unit generators: the widest link digits
-    (catalog.neumann6, 2, 220),
+    (catalog.neumann6, 2, 175),
 ], ids=["fg-r8", "grigorchuk-r10", "neumann6-r2"])
 def test_table_bytes_per_representative(make_spec, radius, bound):
-    # what the engine and the tables keep per representative: lengths and
-    # links in per-id arrays, and no intern key beside the children tuple.
-    # The sizes are CPython 3.11's: 192, 179 and 210 B.  With lengths and
-    # links in dicts keyed by representative they were 311, 268 and 334 B.
+    # what the engine and the tables keep per representative: a packed key,
+    # its index entry and a slot in each typed column, with only sections
+    # interned.  The sizes are CPython 3.11's: 138, 134 and 166 B.  With
+    # every representative an engine row they were 192, 179 and 210 B, and
+    # with lengths and links in dicts keyed by representative 311, 268 and
+    # 334 B.
     spec = make_spec()
     tracemalloc.start()
     try:
@@ -219,9 +249,9 @@ def test_table_bytes_per_representative(make_spec, radius, bound):
 ], ids=["fg-r8", "grigorchuk-r10"])
 def test_counting_bytes_per_representative(make_spec, radius):
     # the traced peak of counting every class, engine included, per
-    # representative: a key in a three-sphere window instead of an engine
-    # row and table columns for each.  CPython 3.11 gives 73 and 35 B; the
-    # peak of build_atlas on the same runs is 187 and 172 B.
+    # representative: a key in a three-sphere window instead of every
+    # sphere's keys, index and columns.  CPython 3.11 gives 73 and 35 B;
+    # the peak of build_atlas on the same runs is 153 and 135 B.
     spec = make_spec()
     tracemalloc.start()
     try:
@@ -246,7 +276,7 @@ def test_per_id_columns_hold_every_value():
     table = build_atlas(_two_cycles(), 140).table(0)
     assert table.lengths.typecode == "h"
     for n, sphere in enumerate(table.spheres):
-        assert all(table.length(g) == n for g in sphere)
+        assert all(table.lengths[g] == n for g in sphere)
     assert table.geodesic(table.spheres[140][0]).count("b") == 140
 
 
@@ -269,18 +299,15 @@ def test_ids_outside_the_ball():
     for x in (g, -1, "b1", 1.5, None):
         with pytest.raises(TableExhausted):
             table.find(x)
-    # ids never interned, past the engine's rows: the first lies within
-    # the table's per-id arrays, which grow ahead of the ids, the second
-    # past them
+    # ids never interned, past the engine's rows
     rows = len(atlas.engine.tables[0].roots)
-    assert rows < len(table.lengths) < rows + 10
     for x in (g, rows, rows + 10):
         with pytest.raises(TableExhausted):
             table.find(x)
         with pytest.raises(TableExhausted):
             table.length(x)
         with pytest.raises(TableExhausted):
-            table.geodesic(x)
+            table.geodesic(*table.find(x))
 
 
 def test_shift_into_preperiod():
@@ -302,9 +329,12 @@ def test_gamma_is_cumulative(fg_atlas6):
 
 
 def test_lengths_match_spheres(fg_atlas6):
+    # every member of a representative's orbit, found back by its engine id
     table = fg_atlas6.table(0)
     for n, sphere in enumerate(table.spheres):
-        assert all(table.length(g) == n for g in sphere)
+        assert all(table.lengths[g] == n for g in sphere)
+        assert all(table.length(x) == n for g in sphere[:300]
+                   for x in table.orbit(g))
 
 
 def test_geodesics_evaluate_back(fg_atlas6):
@@ -315,7 +345,7 @@ def test_geodesics_evaluate_back(fg_atlas6):
     for g in table.spheres[4][:50]:
         word = table.geodesic(g)
         assert sum(1 for nm in word if nm in unit) == 4
-        assert eng.element_from_word(0, word) == g
+        assert table.find(eng.element_from_word(0, word)) == (g, 0, 0)
 
 
 def test_table_exhausted(fg_atlas6):

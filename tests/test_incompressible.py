@@ -55,10 +55,10 @@ def _assert_matches_reference(spec, radius):
         ball = table.expand()
         assert [sorted(s) for s in ball.spheres] == \
             [sorted(s) for s in ref.table(c).spheres]
-        for n, (sphere, orbit) in enumerate(zip(table.spheres,
-                                                table.orbits)):
+        for n, sphere in enumerate(table.spheres):
             orbits = [table.orbit(rep) for rep in sphere]
-            assert [len(members) for members in orbits] == orbit
+            assert [len(members) for members in orbits] == \
+                [table.orbits[rep] for rep in sphere]
             assert set(ball.spheres[n]) == \
                 {x for members in orbits for x in members}
     atlas.engine.audit()
@@ -112,6 +112,25 @@ CATALOG = [
 def test_filtration_matches_reference_on_catalog():
     for spec, radius in CATALOG:
         _assert_matches_reference(spec, radius)
+
+
+@pytest.mark.parametrize("spec, radius", [
+    *CATALOG, *((make(), radius) for make, radius in CYCLIC_FAMILIES.values())
+], ids=[*(spec.name for spec, _ in CATALOG), *CYCLIC_FAMILIES])
+def test_representative_indices_and_engine_ids_stay_apart(spec, radius):
+    # a representative index i names the element its key decodes to; that
+    # element's engine id finds back to (i, 0, 0), and every member of its
+    # orbit, by engine id, has the depth first_fail[c][i] gives i
+    atlas = build_atlas(spec, radius)
+    eng = atlas.engine
+    report = inc.approximate_I_infty(atlas, 6)
+    for c, table in atlas.tables.items():
+        for i in range(len(table.keys)):
+            assert table.find(eng._intern(c, *table.element(i))) == (i, 0, 0)
+            depth = max(report.first_fail[c][i], 0) or None
+            assert {report.fail_depth(c, x) for x in table.orbit(i)} == \
+                {depth}
+    eng.audit()
 
 
 CYCLE3_POWERS = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
@@ -187,8 +206,8 @@ def test_filtration_resolves_each_section_once(name, request, monkeypatch):
     assert calls and max(calls.values()) == 1
     eng = atlas.engine
     assert set(calls) == {(eng.succ[c], x) for c in report.counts
-                          for sphere in atlas.table(c).spheres
-                          for g in sphere for x in eng.children(c, g)}
+                          for g in range(len(atlas.table(c).keys))
+                          for x in atlas.table(c).element(g)[1]}
 
 
 def test_membership_and_first_fail(fg_atlas6, fg_report6):
@@ -228,8 +247,7 @@ def test_level_function_empty_family(fg_atlas6, fg_report6):
 def test_factorization_dp_histogram(fg_atlas6, fg_report6):
     N, back = inc.factorization_dp(fg_atlas6, fg_report6, 0, 6)
     table = fg_atlas6.table(0)
-    size = {g: m for sphere, orbit in zip(table.spheres, table.orbits)
-            for g, m in zip(sphere, orbit)}
+    size = table.orbits
     # every ball element is reached; A's members other than the identity
     # are one factor each
     hist = {0: 1, 1: size[0] - 1}
@@ -243,8 +261,8 @@ def test_factorization_dp_histogram(fg_atlas6, fg_report6):
     for g in table.spheres[5][:100]:
         factors = inc.factors_of(back, g)
         assert len(factors) == N[g]
-        assert sum(table.length(h) for _, h in factors) == 5
-        assert all(fg_report6.in_Ik(0, h, 6) for _, h in factors)
+        assert sum(table.lengths[h] for _, h in factors) == 5
+        assert all(fg_report6.first_fail[0][h] < 0 for _, h in factors)
 
 
 def _reference_dp(atlas, report, c, max_n):
@@ -350,12 +368,14 @@ def test_factorization_dp_matches_reference(make, radius, max_n, classes,
         for q in N:
             factors = inc.factors_of(back, q)
             assert len(factors) == N[q]
-            assert sum(table.length(h) for _, h in factors) == \
+            assert sum(table.lengths[h] for _, h in factors) == \
                 table.lengths[q]
-            assert all(report.first_fail[c][rep(h)] < 0 for _, h in factors)
+            assert all(report.first_fail[c][h] < 0 for _, h in factors)
             product = 0
             for ia, h in factors:
-                member = eng.mul(c, table.zero.ids[ia], h, store=False)
+                member = eng.mul(c, table.zero.ids[ia],
+                                 eng._intern(c, *table.element(h)),
+                                 store=False)
                 product = eng.mul(c, product, member, store=False)
             assert rep(product) == q
 
@@ -366,9 +386,9 @@ def _unpruned_dp(atlas, report, c, max_n):
     table = atlas.table(c)
     R = min(max_n, table.max_radius)
     zero, lengths, ff = table.zero, table.lengths, report.first_fail[c]
-    products, find, times = zero.products, zero.find, zero.times
-    roots, children = zero.rows.roots, zero.rows.children
-    steps = [zero.steps([h for h in sphere if ff[h] < 0])
+    products, canonical, times = zero.products, zero.canonical, zero.times
+    steps = [zero.steps([(h, *table.element(h)) for h in sphere
+                         if ff[h] < 0])
              for sphere in table.spheres[1:R + 1]]
     N, back = {0: 0}, {0: None}
     frontier = [(0, 0)]
@@ -379,8 +399,9 @@ def _unpruned_dp(atlas, report, c, max_n):
         for p, i3p in frontier:
             lp, row = lengths[p], times[i3p]
             for lh, bucket in enumerate(steps[:R - lp], 1):
-                for step, root, ch in products(roots[p], children[p], bucket):
-                    q, _, _, i3 = find(root, ch)
+                for step, root, ch in products(*table.element(p), bucket):
+                    root, ch, _, _, i3 = canonical(root, ch)
+                    q = table.index[table.key(root, ch)]
                     if q in N or lengths[q] != lp + lh:
                         continue
                     N[q] = j
@@ -433,7 +454,9 @@ def test_factorization_dp_prunes_only_products_not_additive(
     products = ZeroGroup.products
 
     def recorded(zero, root, children, steps):
-        g = zero.rows.intern[root][children]    # the DP passes an id's row
+        # the DP passes a representative's decoded key
+        table = atlas.table(zero.c)
+        g = table.index[table.key(root, children)]
         for out in products(zero, root, children, steps):
             formed.append((g, out[0][:2]))
             yield out
@@ -456,10 +479,13 @@ def test_factorization_dp_prunes_only_products_not_additive(
             lp = table.lengths[p]
             for lh, hs in enumerate(depth_k[:radius - lp], 1):
                 for ia, a in enumerate(table.zero.ids):
-                    pa = eng.mul(c, p, a, store=False)
+                    pa = eng.mul(c, eng._intern(c, *table.element(p)), a,
+                                 store=False)
                     for h in hs:
                         if (p, (ia, h)) not in tried:
-                            q = eng.mul(c, pa, h, store=False)
+                            q = eng.mul(c, pa,
+                                        eng._intern(c, *table.element(h)),
+                                        store=False)
                             assert table.length(q) < lp + lh
 
 
@@ -491,8 +517,7 @@ def test_factorization_dp_interns_no_witness():
     (catalog.neumann6, 2), (spinal_z3sq, 4)], ids=["neumann6-r2", "z3sq-r4"])
 def test_filtration_bytes_per_representative(make_spec, radius):
     # what one filtration leaves held: the first_fail columns, a byte per
-    # id, and the tables' find memo of the section ids that are not
-    # representatives, 1.2 and 4.0 B on CPython 3.11.  A dict keyed by
+    # representative, 1.0 and 1.1 B on CPython 3.11.  A dict keyed by
     # representative costs about 50 B an entry, so the bound fails if the
     # report keeps one.
     atlas = build_atlas(make_spec(), radius)
@@ -514,7 +539,7 @@ def test_witness_minimal_count(fg_atlas6, fg_report6):
     N, back = inc.factorization_dp(fg_atlas6, fg_report6, 0, 6)
     q = fg_atlas6.table(0).find(g)[0]
     assert N[q] == 2
-    assert sorted(fg_atlas6.table(0).length(h)
+    assert sorted(fg_atlas6.table(0).lengths[h]
                   for _, h in inc.factors_of(back, q)) == [1, 2]
 
 
@@ -522,8 +547,8 @@ def test_ternary_parse_single_letter(fg_atlas6):
     eng = fg_atlas6.engine
     spec = fg_atlas6.spec
     table = fg_atlas6.table(0)
-    b = eng.gen_id(0, "b1")
-    data = inc.extract_ternary_data(spec, table, 0, b)
+    b = table.find(eng.gen_id(0, "b1"))
+    data = inc.extract_ternary_data(spec, table, 0, *b)
     assert data.beta == ["b1"]
     assert data.c == [0]
     assert data.derivative == []
@@ -536,8 +561,7 @@ def test_ternary_parse_exponents(fg_atlas6):
     spec = fg_atlas6.spec
     table = fg_atlas6.table(0)
     g = eng.element_from_word(0, ["a120", "b1", "a120", "b1", "a201"])
-    word = table.geodesic(g)
-    data = inc.extract_ternary_data(spec, table, 0, g)
+    data = inc.extract_ternary_data(spec, table, 0, *table.find(g))
     assert len(data.beta) == table.length(g) == 2
     # conjugation exponents are prefix sums of the rooted exponents
     assert all(x in (0, 1, 2) for x in data.c)

@@ -102,7 +102,8 @@ def test_save_load_roundtrip(tmp_path, fg_atlas6, fg_report6):
     # flags preserved: bit k-1 set iff the element is in the depth-k set
     by_id = {r[0]: r for r in rows}
     for g in ball.spheres[3]:
-        assert by_id[g][4] == store.flags_bitfield(fg_report6, 0, g)
+        assert by_id[g][4] == store.flags_bitfield(fg_report6, 0,
+                                                   table.find(g)[0])
     b = fg_atlas6.engine.gen_id(0, "b1")
     assert by_id[b][4] == 0b111111
 
