@@ -62,23 +62,21 @@ def check_small_factor_lower_bound(atlas, report, c, N, back, big, n,
     return ok, not_minimal
 
 
-def sections_at_depth(atlas, c, g, depth):
-    """Classes and engine ids of all level-`depth` sections of the
-    representative g, depth >= 1."""
-    eng = atlas.engine
-    cur = [(eng.succ[c], x) for x in atlas.table(c).element(g)[1]]
-    for _ in range(depth - 1):
-        cur = [(eng.succ[cc], y) for cc, x in cur for y in eng.children(cc, x)]
-    return cur
-
-
-def level_section_sum(atlas, c, g, depth):
+def level_section_sum(atlas, c, g, depth, memo):
     """The summed lengths of the representative g's level-`depth`
-    sections, its own length at depth 0."""
+    sections, its own length at depth 0.  A section's sums are those of
+    its representative, zero-length generators having zero-length
+    sections, so each is read there, once per (class, representative,
+    depth) held in memo."""
     if depth == 0:
         return atlas.table(c).lengths[g]
-    return sum(atlas.table(cc).length(x)
-               for cc, x in sections_at_depth(atlas, c, g, depth))
+    if (c, g, depth) not in memo:
+        sc = atlas.engine.succ[c]
+        memo[c, g, depth] = sum(
+            level_section_sum(atlas, sc, atlas.table(sc).find(x)[0],
+                              depth - 1, memo)
+            for x in atlas.table(c).element(g)[1])
+    return memo[c, g, depth]
 
 
 def check_level_reduction(atlas, big, c, n, epsilon, level):
@@ -96,8 +94,9 @@ def check_level_reduction(atlas, big, c, n, epsilon, level):
     reaches."""
     if n <= 3 / epsilon:
         return None
-    bound = (8 - epsilon) / 8 * n
-    return all(level_section_sum(atlas, c, g, level) < bound for g in big)
+    bound, memo = (8 - epsilon) / 8 * n, {}
+    return all(level_section_sum(atlas, c, g, level, memo) < bound
+               for g in big)
 
 
 @dataclass

@@ -196,7 +196,6 @@ class SphereTable:
         self.roots, self._root_index = [self.zero.perms[0]], {}
         self._root_index[self.roots[0]] = 0
         self.keys, self.index, self.spheres, self.sizes = [], {}, [], []
-        self.kept = None               # _kept_steps, None below radius 3
 
     def key(self, root, sections):
         """The key of the element with this root and these sections."""
@@ -247,8 +246,8 @@ class SphereTable:
         From radius 3 on, steps that provably land in the ball are skipped:
         g of radius m was found as A[i1]·h·A[ia]·s_u·A[i3] with |h| = m-1,
         so if |s_u·A[i3]·a·s| ≤ 1 then |g·a·s| ≤ m.  The steps kept per
-        suffix (_kept_steps) are built once, from the radius-2 ball, and
-        kept for the factorization DP; skipping changes no output.
+        suffix (_kept_steps) are built once, from the radius-2 ball;
+        skipping changes no output.
 
         Deterministic: sphere order, then A's and the spec's generator
         order.  Every key held counts against the budget (`Engine.held`):
@@ -308,10 +307,7 @@ class SphereTable:
                     eng.held -= len(prev)
                 prev, cur, nxt, total = cur, nxt, {}, 0
                 if n == 3:      # prev is the radius-1 sphere, cur radius 2
-                    low = {*prev, 0}
-                    kept = self.kept = _kept_steps(
-                        zero, units, steps, lambda root, ch:
-                        key(*canonical(root, ch)[:2]) in low)
+                    kept = _kept_steps(self, units, steps, {*prev, 0})
                 for g, (k, suffix), ch in zip(
                         count(len(self.keys) - len(cur)), cur.items(),
                         self._unpack(cur)):
@@ -511,20 +507,22 @@ def _column(top, n):
     return [-1] * n
 
 
-def _kept_steps(zero, units, steps, short):
+def _kept_steps(table, units, steps, low):
     """For each link suffix (u, i3), at index u·|A| + i3, the steps (a, s)
-    for which s_u·A[i3]·a·s, s_u the u-th unit-length generator, is not
-    provably of length at most 1, as `short(root, sections)` tells of the
-    product s_u·a·s.  That product is s_u·(A[k]·s) with A[k] = A[i3]·a, of
-    length at most 2, so its canonical form is already in the radius-2
-    ball; a section product not yet cached is multiplied and counts against
-    the budget like any other.  A[k] is read off `zero.times`."""
-    kept, eng = [], zero.eng
+    for which s_u·A[i3]·a·s, s_u the unit-length generator with engine id
+    units[u], is not provably of length at most 1: the key of its
+    canonical form is not in `low`, the keys of the table's radius-1 ball.
+    That product is s_u·(A[k]·s) with A[k] = A[i3]·a, read off
+    `zero.times`, so it is formed once per step (k, s); a section product
+    not yet cached is multiplied and counts against the budget like any
+    other."""
+    zero, key, kept = table.zero, table.key, []
+    eng, canonical = zero.eng, zero.canonical
     for f in units:
         drop = {step[:2] for step, root, ch
                 in zero.products(eng.root(zero.c, f), eng.children(zero.c, f),
                                  steps)
-                if short(root, ch)}
+                if key(*canonical(root, ch)[:2]) in low}
         kept += [[s for s in steps if (row[s[0]], s[1]) not in drop]
                  for row in zero.times]
     return kept

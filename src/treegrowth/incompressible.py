@@ -19,7 +19,7 @@ from array import array
 from dataclasses import dataclass, field
 from itertools import compress, filterfalse
 
-from .growth import _column
+from .growth import _column, _kept_steps
 
 
 class NotTernarySpinal(ValueError):
@@ -153,10 +153,10 @@ def level_function(atlas, report, c, r):
     computed on the available ball is a lower bound for the true one; any
     check monotone in the level stays conclusive with it.
     """
-    table, ff = atlas.table(c), report.first_fail[c]
-    r_eff = min(int(r), table.max_radius)
-    top = max((ff[g] for sphere in table.spheres[:max(r_eff + 1, 0)]
-               for g in sphere), default=-1)
+    counts, r_eff = report.counts[c], min(int(r), atlas.table(c).max_radius)
+    m = max(r_eff + 1, 0)       # a count drops at k where some first_fail is k
+    top = max((k for k in range(1, report.K + 1)
+               if counts[k][:m] != counts[k - 1][:m]), default=-1)
     return LevelFunctionResult(max(top, 1), r_eff, report.exact,
                                r_eff < int(r), empty_family=top < 0)
 
@@ -195,12 +195,12 @@ def factorization_dp(atlas, report, c, max_n):
     1 and |h| - 1.  Hence p·A[ia]·h is formed only when the length-1
     product p·A[ia·j·j1]·h1 was additive; where h1 is not depth-K that
     product is never formed, and the step is always kept.  The length-1
-    products themselves skip what enumeration's skip table dropped for p's
-    link suffix (u, i3): a dropped (a, s) has |s_u·A[i3]·a·s| <= 1, so
-    |p·a·s| <= |p| and the step (a·j1, h1) is not additive.  Each bucket
-    is filtered in its own order, and a pruned product is one the loop
-    would have formed and then skipped as not additive, so N and back,
-    insertion order included, are those of the unpruned loop.
+    products themselves skip by enumeration's rule (`_kept_steps`) for p's
+    link suffix (u, i3): a step (a, h1) with |s_u·A[i3]·a·h1| <= 1 has
+    |p·a·h1| <= |p|, so it is not additive.  Each bucket is filtered in
+    its own order, and a pruned product is one the loop would have formed
+    and then skipped as not additive, so N and back, insertion order
+    included, are those of the unpruned loop.
     """
     table = atlas.table(c)
     R = min(max_n, table.max_radius)
@@ -256,11 +256,11 @@ def factorization_dp(atlas, report, c, max_n):
 
 def _prefix_filters(table, factors, steps1):
     """What factorization_dp prunes by: per link suffix, the length-1 steps
-    that the skip table leaves (all of them, as one list, without a skip
-    table), each numbered b = 0, 1, ... in its order as step[4]; and for
-    the buckets of length 2 to R - 1, the b each step depends on.
-    `after[name][x]` is the b of A[x]·name, or len(steps1), the always-set
-    bit, when the generator's representative is not depth-K."""
+    that enumeration's skip rule (`_kept_steps`) keeps, each numbered
+    b = 0, 1, ... in its order as step[4]; and for the buckets of length 2
+    to R - 1, the b each step depends on.  `after[name][x]` is the b of
+    A[x]·name, or len(steps1), the always-set bit, when the generator's
+    representative is not depth-K."""
     zero, times = table.zero, table.zero.times
     place = {h: k for k, h in enumerate(factors[0])}
     none, after, units = len(steps1), {}, []
@@ -270,7 +270,7 @@ def _prefix_filters(table, factors, steps1):
         k = place.get(h1)
         after[name] = [none if k is None else times[x][j1] * len(place) + k
                        for x in range(zero.size)]
-        units.append((s, after[name]))
+        units.append(s)
 
     def letter(h):
         # after[name] and j for h's geodesic A[j]·name⋯, read off its links
@@ -287,15 +287,8 @@ def _prefix_filters(table, factors, steps1):
         deps.append([bs[times[ia][j]] for ia in range(zero.size)
                      for bs, j in lead])
     first = [step + (b,) for b, step in enumerate(steps1)]
-    if table.kept is None:
-        return [first], deps
-    by_suffix = []
-    for kept in table.kept:
-        tried = {step[:2] for step in kept}
-        dropped = {bs[a] for s, bs in units for a in range(zero.size)
-                   if (a, s) not in tried}
-        by_suffix.append([step for step in first if step[4] not in dropped])
-    return by_suffix, deps
+    low = set(table.keys[:table.spheres[1].stop])
+    return _kept_steps(table, units, first, low), deps
 
 
 def factors_of(back, g):

@@ -165,18 +165,25 @@ def test_small_factor_bound_catches_a_misread_length(monkeypatch):
     assert res.failures == ["small-factor bound fails at n=8"]
 
 
-def test_sections_at_depth(fg_atlas6):
-    eng = fg_atlas6.engine
-    g = fg_atlas6.table(0).find(
-        eng.element_from_word(0, ["b1", "a120", "b1"]))[0]
-    secs1 = cr.sections_at_depth(fg_atlas6, 0, g, 1)
-    assert len(secs1) == 3
-    secs2 = cr.sections_at_depth(fg_atlas6, 0, g, 2)
-    assert len(secs2) == 9
-    s1 = cr.level_section_sum(fg_atlas6, 0, g, 1)
-    s2 = cr.level_section_sum(fg_atlas6, 0, g, 2)
-    assert s2 <= s1 <= fg_atlas6.table(0).lengths[g] == \
-        cr.level_section_sum(fg_atlas6, 0, g, 0)
+@pytest.mark.parametrize("name", ["fg_atlas6", "grig_atlas8"])
+def test_level_section_sum_matches_engine_sections(request, name):
+    # every representative of every class, at depths 0 to 3, against its
+    # level-L sections walked through the engine's children, each one's
+    # length read off its own class's table; the memo is shared by all of
+    # them, as by one check_level_reduction call
+    atlas = request.getfixturevalue(name)
+    eng, memo = atlas.engine, {}
+    for c, table in atlas.tables.items():
+        for g in range(len(table.keys)):
+            sums = [table.lengths[g]]
+            level = [(eng.succ[c], x) for x in table.element(g)[1]]
+            for _ in range(3):
+                sums.append(sum(atlas.table(cc).length(x) for cc, x in level))
+                level = [(eng.succ[cc], y) for cc, x in level
+                         for y in eng.children(cc, x)]
+            assert [cr.level_section_sum(atlas, c, g, depth, memo)
+                     for depth in range(4)] == sums
+            assert sums == sorted(sums, reverse=True)
 
 
 def test_level_reduction_monotone(fg_spec):

@@ -160,9 +160,9 @@ def test_skipped_steps_land_in_the_ball(monkeypatch, make_spec, radius, skips):
     kept = {}
     find = growth._kept_steps
 
-    def recorded(zero, units, steps, short):
-        kept[zero.c] = steps, find(zero, units, steps, short)
-        return kept[zero.c][1]
+    def recorded(table, units, steps, low):
+        kept[table.cls] = steps, find(table, units, steps, low)
+        return kept[table.cls][1]
     monkeypatch.setattr(growth, "_kept_steps", recorded)
     atlas = build_atlas(make_spec(), radius)
     eng, skipped = atlas.engine, 0

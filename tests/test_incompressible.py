@@ -301,6 +301,13 @@ def _reference_dp(atlas, report, c, max_n):
     return N, back
 
 
+def spinal_z3sq():
+    """The B = (Z/3)^2 spinal draw of examples_configs/spinal_z3sq.json: 3
+    level classes, |A| = 3 and 8 unit-length generators."""
+    return store.build_spec(json.loads(
+        (EXAMPLES / "spinal_z3sq.json").read_text(encoding="utf-8")))
+
+
 def _without_length_one(atlas, report, keep=0):
     """The report with the class-0 length-1 representatives after the first
     `keep` left out of the depth-K set, so that the set is not closed under
@@ -316,6 +323,11 @@ def _with_one_letter(atlas, report):
     step whose first letter is b2 and prunes by those through b1."""
     return _without_length_one(atlas, report, keep=1)
 
+
+# Families at table radius 2, where the DP prunes only its length-1 steps,
+# by the skip rule alone
+RADIUS_2 = {"neumann6": catalog.neumann6,
+            "grigorchuk": catalog.first_grigorchuk, "z3sq": spinal_z3sq}
 
 # (id, family, radius, max_n, classes or None for every class, edit of the
 # report or None); "fg-beyond" asks for a larger radius than the table has.
@@ -415,7 +427,9 @@ def _unpruned_dp(atlas, report, c, max_n):
     *(case[1:] for case in DP_CASES),
     (catalog.fabrykowski_gupta, 8, 8, [0], None),
     (lambda: catalog.sunic(3, 2, (0,)), 4, 4, [0], None),
-], ids=[*(case[0] for case in DP_CASES), "fg-r8", "sunic320-r4"])
+    *((make, 2, 2, None, None) for make in RADIUS_2.values()),
+], ids=[*(case[0] for case in DP_CASES), "fg-r8", "sunic320-r4",
+        *(f"{name}-r2" for name in RADIUS_2)])
 def test_factorization_dp_matches_unpruned_loop(make, radius, max_n, classes,
                                                 edit):
     # pruning skips only products the loop would skip as not additive, so
@@ -438,29 +452,42 @@ def test_factorization_dp_matches_unpruned_loop(make, radius, max_n, classes,
     (catalog.fabrykowski_gupta, 6, _with_one_letter, None),
     (_hidden_root, 8, None, None),
     (_two_cycles, 5, None, None),
+    *((make, 2, None, None) for make in RADIUS_2.values()),
 ], ids=["fg-r7", "grigorchuk-r10", "fg-not-prefix-closed", "fg-one-letter",
-        "hidden_root-r8", "two_cycles-r5"])
+        "hidden_root-r8", "two_cycles-r5",
+        *(f"{name}-r2" for name in RADIUS_2)])
 def test_factorization_dp_prunes_only_products_not_additive(
         monkeypatch, make, radius, edit, most):
     # the identity's layer is written without forming a product, and every
-    # step p·A[ia]·h the DP leaves out for any other reached p, multiplied
-    # out element by element, is shorter than |p| + |h|
+    # step p·A[ia]·h the DP leaves out for any other reached p, layer 1
+    # included, multiplied out element by element, is shorter than |p| + |h|
     atlas = build_atlas(make(), radius)
     eng = atlas.engine
     report = inc.approximate_I_infty(atlas, 6)
     if edit is not None:
         report = edit(atlas, report)
-    formed = []
-    products = ZeroGroup.products
+    formed, building = [], []
+    products, kept_steps = ZeroGroup.products, inc._kept_steps
 
     def recorded(zero, root, children, steps):
-        # the DP passes a representative's decoded key
+        # the DP expands a representative's decoded key; the products its
+        # skip rule forms from the unit-length generators are not steps of
+        # the DP, and would hide the very steps they prune
         table = atlas.table(zero.c)
-        g = table.index[table.key(root, children)]
         for out in products(zero, root, children, steps):
-            formed.append((g, out[0][:2]))
+            if not building:
+                formed.append((table.index[table.key(root, children)],
+                               out[0][:2]))
             yield out
+
+    def build(*args):
+        building.append(True)
+        try:
+            return kept_steps(*args)
+        finally:
+            building.pop()
     monkeypatch.setattr(ZeroGroup, "products", recorded)
+    monkeypatch.setattr(inc, "_kept_steps", build)
     for c in sorted(atlas.tables):
         table = atlas.table(c)
         formed.clear()
@@ -475,7 +502,8 @@ def test_factorization_dp_prunes_only_products_not_additive(
             [(0, 0)] + [(h, 1) for h in layer]
         assert [q for q, j in N.items() if j == 1] == layer
         assert all(back[h] == (0, 0, h) for h in layer)
-        for p in list(N)[len(layer) + 1:]:
+        left_out = 0
+        for p in list(N)[1:]:
             lp = table.lengths[p]
             for lh, hs in enumerate(depth_k[:radius - lp], 1):
                 for ia, a in enumerate(table.zero.ids):
@@ -487,13 +515,9 @@ def test_factorization_dp_prunes_only_products_not_additive(
                                         eng._intern(c, *table.element(h)),
                                         store=False)
                             assert table.length(q) < lp + lh
-
-
-def spinal_z3sq():
-    """The B = (Z/3)^2 spinal draw of examples_configs/spinal_z3sq.json: 3
-    level classes, |A| = 3 and 8 unit-length generators."""
-    return store.build_spec(json.loads(
-        (EXAMPLES / "spinal_z3sq.json").read_text(encoding="utf-8")))
+                            left_out += 1
+        # the steps are pruned by length-1 factors, which one edit removes
+        assert left_out or edit is _without_length_one
 
 
 def test_factorization_dp_interns_no_witness():
