@@ -16,7 +16,6 @@ does this for `enumerate_spheres`, which keeps every sphere, and for
 
 import sys
 from array import array
-from dataclasses import dataclass
 from itertools import accumulate, chain, count, islice
 from math import factorial
 from operator import itemgetter
@@ -57,15 +56,20 @@ class ZeroGroup:
     def __init__(self, eng, c, names):
         self.eng, self.c = eng, c
         gens = [eng.gen_id(c, nm) for nm in names]
-        self.ids, self.words = [0], [[]]
+        # (parent index, name) links, and words once A is whole: an infinite
+        # A, stopped by the budget, would hold words of every length first
+        self.ids, links = [0], []
         index = {0: 0}
-        for u, word in zip(self.ids, self.words):   # both grow while read
+        for i, u in enumerate(self.ids):    # grows while read
             for nm, z in zip(names, gens):
                 w = eng.mul(c, u, z, store=False)
                 if w not in index:
                     index[w] = len(self.ids)
                     self.ids.append(w)
-                    self.words.append(word + [nm])
+                    links.append((i, nm))
+        self.words = [[]]
+        for i, nm in links:
+            self.words.append(self.words[i] + [nm])
         self.size = len(self.ids)
         self.times = [[index[eng.mul(c, a, b, store=False)] for b in self.ids]
                       for a in self.ids]
@@ -157,17 +161,6 @@ class ZeroGroup:
         if i3 or not self.rooted:
             children = self._reader(root, i1, i3)(children)
         return perms.compose(self.perms[i1], self.getters[i3](root)), children
-
-
-@dataclass
-class Ball:
-    """Every element of a table, each sphere in breadth-first order.
-    `parents[x]` is (y, name) with y·name = x and |y| + |name| = |x|, None
-    for the identity; the links have no cycle, so they give one geodesic
-    per element."""
-    spheres: list
-    lengths: dict
-    parents: dict
 
 
 class SphereTable:
@@ -409,37 +402,6 @@ class SphereTable:
         return list(dict.fromkeys(
             intern(self.cls, *zero.member(i1, root, ch, i3))
             for i1 in range(zero.size) for i3 in range(zero.size)))
-
-    def expand(self):
-        """Ball of every element of the table, by one breadth-first pass:
-        the radius-(n-1) elements times the unit-length generators, the new
-        products closed under the zero-length ones.  The first product to
-        reach an element is its parent link."""
-        eng, c = self.zero.eng, self.cls
-        mul, level = eng.mul, eng.spec.level(c)
-        lengths, parents = {0: 0}, {0: None}
-
-        def extend(sphere, sources, gens, n):
-            # with the sphere as its own sources the loop reaches the
-            # appended elements too
-            for u in sources:
-                for name, s in gens:
-                    w = mul(c, u, s, store=False)
-                    if w not in lengths:
-                        lengths[w] = n
-                        parents[w] = (u, name)
-                        sphere.append(w)
-
-        unit = [(g.name, eng.gen_id(c, g.name)) for g in level.unit_generators]
-        zero = [(g.name, eng.gen_id(c, g.name)) for g in level.zero_generators]
-        spheres = [[0]]
-        extend(spheres[0], spheres[0], zero, 0)
-        for n in range(1, self.max_radius + 1):
-            sphere = []
-            extend(sphere, spheres[n - 1], unit, n)
-            extend(sphere, sphere, zero, n)
-            spheres.append(sphere)
-        return Ball(spheres, lengths, parents)
 
 
 class Atlas:

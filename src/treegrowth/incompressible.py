@@ -195,9 +195,10 @@ def factorization_dp(atlas, report, c, max_n):
     1 and |h| - 1.  Hence p·A[ia]·h is formed only when the length-1
     product p·A[ia·j·j1]·h1 was additive; where h1 is not depth-K that
     product is never formed, and the step is always kept.  The length-1
-    products themselves skip by enumeration's rule (`_kept_steps`) for p's
-    link suffix (u, i3): a step (a, h1) with |s_u·A[i3]·a·h1| <= 1 has
-    |p·a·h1| <= |p|, so it is not additive.  Each bucket is filtered in
+    products themselves skip, from R = 3 on, by enumeration's rule
+    (`_kept_steps`) for p's link suffix (u, i3): a step (a, h1) with
+    |s_u·A[i3]·a·h1| <= 1 has |p·a·h1| <= |p|, so it is not additive
+    (`_prefix_filters` says why not at R = 2).  Each bucket is filtered in
     its own order, and a pruned product is one the loop would have formed
     and then skipped as not additive, so N and back, insertion order
     included, are those of the unpruned loop.
@@ -260,7 +261,15 @@ def _prefix_filters(table, factors, steps1):
     b = 0, 1, ... in its order as step[4]; and for the buckets of length 2
     to R - 1, the b each step depends on.  `after[name][x]` is the b of
     A[x]·name, or len(steps1), the always-set bit, when the generator's
-    representative is not depth-K."""
+    representative is not depth-K.
+
+    At R = 2 every p is a length-1 factor, so what the rule prunes is
+    among the loop's |L1|·|A|·|L1| products, L1 the length-1 factors,
+    and the rule forms |units|·|A|·|L1|, no fewer: there one list keeps
+    every step and no product is formed.  From R = 3 on it pays."""
+    first = [step + (b,) for b, step in enumerate(steps1)]
+    if len(factors) == 2:
+        return [first], []
     zero, times = table.zero, table.zero.times
     place = {h: k for k, h in enumerate(factors[0])}
     none, after, units = len(steps1), {}, []
@@ -286,7 +295,6 @@ def _prefix_filters(table, factors, steps1):
         lead = [letter(h) for h in hs]
         deps.append([bs[times[ia][j]] for ia in range(zero.size)
                      for bs, j in lead])
-    first = [step + (b,) for b, step in enumerate(steps1)]
     low = set(table.keys[:table.spheres[1].stop])
     return _kept_steps(table, units, first, low), deps
 

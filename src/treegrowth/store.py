@@ -156,9 +156,36 @@ def flags_bitfield(report, c, rep):
     return (1 << min(depth - 1 if depth > 0 else top, top)) - 1
 
 
+def _parent_links(table):
+    """(y, name) with y·name = x and |y| + |name| = |x| for every element x
+    of the table's ball, None for the identity: the first product to reach
+    x in one breadth-first pass, the radius-(n-1) elements times the
+    unit-length generators, the new products closed under the zero-length
+    ones.  The links have no cycle.  The pass interns every element, in its
+    order, holding two spheres; it can be retried after a BudgetExceeded."""
+    eng, c = table.zero.eng, table.cls
+    level = eng.spec.level(c)
+    unit, zero = ([(g.name, eng.gen_id(c, g.name)) for g in gens]
+                  for gens in (level.unit_generators, level.zero_generators))
+    parents, prev, sphere = {0: None}, [], [0]
+    for _ in range(table.max_radius + 1):
+        # with the sphere as its own sources the loop reaches the appended
+        # elements too
+        for sources, gens in ((prev, unit), (sphere, zero)):
+            for u in sources:
+                for name, s in gens:
+                    w = eng.mul(c, u, s, store=False)
+                    if w not in parents:
+                        parents[w] = (u, name)
+                        sphere.append(w)
+        prev, sphere = sphere, []
+    return parents
+
+
 def save_table(path, config, table, report=None):
     """Write every element of the table, orbit by orbit: its id, radius,
-    parent link in the table's expansion and the flags of its orbit."""
+    parent link (`_parent_links`) and the flags of its orbit.  A
+    BudgetExceeded is raised before the file is opened."""
     header = {
         "format_version": FORMAT_VERSION,
         "group_hash": group_hash(config),
@@ -166,7 +193,7 @@ def save_table(path, config, table, report=None):
         "max_radius": table.max_radius,
         "truncated": False,     # v1 key; tables are exact to max_radius
     }
-    parents = table.expand().parents
+    parents = _parent_links(table)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("#" + json.dumps(header, sort_keys=True) + "\n")
         w = csv.writer(fh)

@@ -4,7 +4,6 @@ from hypothesis import assume, given, settings
 from treegrowth import build_atlas, catalog
 from treegrowth import criterion as cr
 from treegrowth import incompressible as inc
-from treegrowth.growth import SphereTable
 
 from test_engine import _hidden_root
 from test_incompressible import spinal_data
@@ -245,18 +244,6 @@ def test_run_criterion_interns_nothing():
     res = cr.run_criterion(atlas, report, 0, 8, 0.45)
     assert res.small_factor_ok[7] is True and res.small_factor_ok[8] is True
     assert len(atlas.engine.tables[0].roots) == before
-
-
-def test_criterion_never_expands_the_ball(monkeypatch):
-    atlas = build_atlas(catalog.fabrykowski_gupta(), 7)
-    report = inc.approximate_I_infty(atlas, 6)
-
-    def refuse(*args):
-        raise AssertionError("the criterion expanded the ball")
-
-    monkeypatch.setattr(SphereTable, "expand", refuse)
-    res = cr.run_criterion(atlas, report, 0, 7, 0.45)
-    assert res.ok and res.small_factor_ok[7] is True
 
 
 def test_run_criterion_epsilon_range(fg_atlas6, fg_report6):

@@ -3,7 +3,7 @@ import tracemalloc
 import pytest
 from hypothesis import assume, given, settings
 
-from treegrowth import catalog, growth, shift
+from treegrowth import catalog, growth, shift, store
 from treegrowth.engine import BudgetExceeded, Engine
 from treegrowth.growth import (Atlas, TableExhausted, build_atlas,
                                check_submultiplicative,
@@ -11,9 +11,10 @@ from treegrowth.growth import (Atlas, TableExhausted, build_atlas,
                                count_spheres, enumerate_spheres,
                                kappa_estimates, level_classes)
 
-from oracle import oracle_spheres
+from oracle import oracle_spheres, reference_atlas
 from test_engine import CYCLIC_FAMILIES, _two_cycles
 from test_incompressible import spinal_data, spinal_z3sq
+from test_store_cli import ADDING_MACHINE, FG_CONFIG
 
 FG_SPHERES = [3, 18, 72, 288, 1152, 4296]
 GRIG_SPHERES = [2, 12, 34, 80, 190, 432, 976]
@@ -193,27 +194,31 @@ def test_skipped_steps_land_in_the_ball(monkeypatch, make_spec, radius, skips):
     (_two_cycles, 5),
 ], ids=["fg", "grigorchuk", "sunic320", "neumann6", "two_cycles"])
 def test_expansion_links_and_geodesics_multiply_back(make_spec, radius):
-    # every element of the expansion: one parent link y*gen = x with
-    # |y| + |gen| = |x| and no cycle, and a geodesic that evaluates to it
+    # every element of the per-element reference loop's ball: one parent
+    # link y*gen = x in save_table's pass, with |y| + |gen| = |x| and no
+    # cycle, and a geodesic that evaluates to it
     atlas = build_atlas(make_spec(), radius)
     eng = atlas.engine
+    ref = reference_atlas(atlas.spec, radius, eng)
     for c, table in atlas.tables.items():
-        ball = table.expand()
-        assert [len(s) for s in ball.spheres] == table.sphere_sizes()
+        lengths = ref.table(c).lengths
+        assert ref.table(c).sphere_sizes() == table.sphere_sizes()
+        parents = store._parent_links(table)
+        assert parents.keys() == lengths.keys()
         level = atlas.spec.level(c)
         lens = {g.name: g.pseudolength for g in level.generators}
-        for x, n in ball.lengths.items():
+        for x, n in lengths.items():
             assert table.length(x) == n
             word = table.geodesic(*table.find(x))
             assert sum(lens[nm] for nm in word) == n
             assert eng.element_from_word(c, word) == x
             steps = 0
-            while ball.parents[x] is not None:
-                y, name = ball.parents[x]
+            while parents[x] is not None:
+                y, name = parents[x]
                 assert eng.mul(c, y, eng.gen_id(c, name), store=False) == x
-                assert ball.lengths[y] + lens[name] == ball.lengths[x]
+                assert lengths[y] + lens[name] == lengths[x]
                 x, steps = y, steps + 1
-                assert steps <= len(ball.lengths)
+                assert steps <= len(lengths)
             assert x == 0
     atlas.engine.audit()
 
@@ -265,6 +270,21 @@ def test_counting_bytes_per_representative(make_spec, radius):
     assert peak / reps <= 100
 
 
+def test_infinite_zero_group_stops_at_the_budget():
+    # A listed up to the budget keeps one (parent, name) link per element,
+    # not a word each: CPython 3.11 peaks at 8 MB here, and at 595 MB with
+    # the words, whose lengths grow with A
+    spec = store.build_spec(ADDING_MACHINE)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            count_spheres(Engine(spec, budget=40_000), 0, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32_000_000
+
+
 def test_per_id_columns_hold_every_value():
     # each column's typecode is the narrowest that holds its values, a
     # list past 'q'; _two_cycles has 4 elements a sphere, so radii past
@@ -280,15 +300,22 @@ def test_per_id_columns_hold_every_value():
     assert table.geodesic(table.spheres[140][0]).count("b") == 140
 
 
-def test_expansion_retried_after_budget_is_whole():
+def test_expansion_retried_after_budget_is_whole(tmp_path):
+    # save_table's pass over every element stops before the file is
+    # opened, leaves the engine minimal, and once retried writes the rows
+    # of an unbudgeted run
     spec = catalog.fabrykowski_gupta()
     eng = Engine(spec, budget=1200)
     table = build_atlas(spec, 4, engine=eng).table(0)
+    path, fresh = tmp_path / "retried.csv", tmp_path / "fresh.csv"
     with pytest.raises(BudgetExceeded):
-        table.expand()
+        store.save_table(str(path), FG_CONFIG, table)
+    assert not path.exists()
+    eng.audit()
     eng.budget = 10_000_000
-    ball = table.expand()
-    assert [len(s) for s in ball.spheres] == table.sphere_sizes()
+    store.save_table(str(path), FG_CONFIG, table)
+    store.save_table(str(fresh), FG_CONFIG, build_atlas(spec, 4).table(0))
+    assert store.load_table(str(path))[1] == store.load_table(str(fresh))[1]
     eng.audit()
 
 

@@ -10,8 +10,20 @@ from treegrowth.cli import main
 from treegrowth.family import validate
 from treegrowth.store import ConfigError
 
+from oracle import reference_atlas
+
 
 FG_CONFIG = {"kind": "ggs", "parameters": {"d": 3, "epsilon": [1, 0]}}
+# a = (1, a) swapping the root, the binary adding machine, with its inverse:
+# zero-length generators of infinite order, so A is infinite.  `define`
+# checks only A's root closure; listing A stops at the budget.
+ADDING_MACHINE = {"kind": "custom", "parameters": {"degree": 2, "period": [[
+    {"name": "a", "pseudolength": 0, "inverse": "A", "root": [1, 0],
+     "children": [[], ["a"]]},
+    {"name": "A", "pseudolength": 0, "inverse": "a", "root": [1, 0],
+     "children": [["A"], []]},
+    {"name": "b", "pseudolength": 1, "inverse": "b", "root": [0, 1],
+     "children": [["a"], ["b"]]}]]}}
 
 
 @pytest.fixture()
@@ -91,17 +103,17 @@ def test_save_load_roundtrip(tmp_path, fg_atlas6, fg_report6):
     got_header, rows = store.load_table(path)
     assert got_header == header
     assert got_header["group_hash"] == store.group_hash(FG_CONFIG)
-    # every row's radius and parent link match the table's expansion, every
-    # ball element once
-    ball = table.expand()
+    # every row's radius and parent link match the per-element reference
+    # loop's, every ball element once
+    ref = reference_atlas(fg_atlas6.spec, 6, fg_atlas6.engine).table(0)
     assert len(rows) == table.gamma(6)
-    assert sorted(r[0] for r in rows) == sorted(ball.lengths)
+    assert sorted(r[0] for r in rows) == sorted(ref.lengths)
     for g, n, pid, name, _ in rows:
-        assert n == ball.lengths[g] == table.length(g)
-        assert (None if pid is None else (pid, name)) == ball.parents[g]
+        assert n == ref.lengths[g] == table.length(g)
+        assert (None if pid is None else (pid, name)) == ref.parents[g]
     # flags preserved: bit k-1 set iff the element is in the depth-k set
     by_id = {r[0]: r for r in rows}
-    for g in ball.spheres[3]:
+    for g in ref.spheres[3]:
         assert by_id[g][4] == store.flags_bitfield(fg_report6, 0,
                                                    table.find(g)[0])
     b = fg_atlas6.engine.gen_id(0, "b1")
@@ -391,6 +403,17 @@ def test_cli_spheres_budget_exit(tmp_path, fg_config_path, capsys):
                  "--out", str(tmp_path / "r5.csv")]) == 0
     assert (tmp_path / "s.csv").read_text() == \
         (tmp_path / "r5.csv").read_text()
+
+
+def test_cli_spheres_budget_stops_infinite_zero_group(tmp_path, capsys):
+    path = tmp_path / "adding.json"
+    path.write_text(json.dumps(ADDING_MACHINE))
+    assert main(["define", "--config", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["spheres", "--config", str(path), "--max-radius", "2",
+                 "--budget", "40000", "--out", str(tmp_path / "s.csv")]) == 3
+    assert capsys.readouterr().err.startswith(
+        "error: engine state-space budget of 40000 exceeded")
 
 
 def test_cli_spheres_budget_keeps_earlier_classes(tmp_path, capsys):
