@@ -2,7 +2,11 @@
 
 Subcommands: define, spheres, incompressible, criterion, report.
 Exit codes: 0 success, 1 domain error, 2 I/O or parse error, 3 the engine
-budget (`--budget`, the one limit on a run) was exceeded.
+budget (`--budget`, the one limit on a run) was exceeded, or memory ran
+out before it was.
+
+Each subcommand imports the modules it runs when it runs: `define` loads
+no enumeration, and `spheres` no filtration or criterion.
 """
 
 import argparse
@@ -11,9 +15,6 @@ import json
 import sys
 from itertools import accumulate
 
-from . import criterion as cr
-from . import growth
-from . import incompressible as inc
 from . import store
 from .catalog import CatalogError
 from .engine import BudgetExceeded, Engine
@@ -61,6 +62,8 @@ def _spec_from(args):
 
 def _setup(args):
     """The spec, its atlas to --max-radius and its depth-K filtration."""
+    from . import growth
+    from . import incompressible as inc
     spec = _spec_from(args)
     atlas = growth.build_atlas(spec, args.max_radius,
                                engine=Engine(spec, budget=args.budget))
@@ -88,6 +91,7 @@ def cmd_spheres(args):
     `growth.count_spheres`, which builds no table.  When the budget stops
     the run, those are the earlier classes whole and the radii done at the
     class it stopped in, and the budget error is raised after writing."""
+    from . import growth
     spec = _spec_from(args)
     eng = Engine(spec, budget=args.budget)
     sizes, stop = {}, None
@@ -115,6 +119,7 @@ def cmd_spheres(args):
 
 
 def cmd_incompressible(args):
+    from . import incompressible as inc
     spec, atlas, report = _setup(args)
     out = args.out or "incompressible"
     with open(out + ".csv", "w", encoding="utf-8", newline="") as fh:
@@ -160,6 +165,7 @@ def cmd_incompressible(args):
 
 
 def cmd_criterion(args):
+    from . import criterion as cr
     _, atlas, report = _setup(args)
     res = cr.run_criterion(atlas, report, 0, args.max_radius, args.epsilon)
     hyp = cr.theorem_hypotheses_report(atlas, report, args.max_radius)
@@ -240,6 +246,13 @@ def main(argv=None):
         return EXIT_DOMAIN
     except BudgetExceeded as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError:
+        # define parses one config; every other subcommand has a budget
+        if "budget" not in args:
+            raise
+        print(f"error: out of memory before the engine budget of "
+              f"{args.budget} was reached; lower --budget", file=sys.stderr)
         return EXIT_BUDGET
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -28,9 +28,9 @@ def pair_factors(atlas, c, factors):
     table = atlas.table(c)
     zero, pairs = table.zero, []
     for (_, h1), (ia, h2) in zip(factors[::2], factors[1::2]):
-        _, root, ch = next(zero.products(*table.element(h1), [
-            zero.step(ia, h2, *table.element(h2))]))
-        pairs.append(table.index[table.key(*zero.canonical(root, ch)[:2])])
+        [(_, key, *_)] = table.multiply(*table.element(h1), [
+            zero.step(ia, h2, *table.element(h2))])
+        pairs.append(table.index[key])
     return pairs
 
 

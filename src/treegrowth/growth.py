@@ -12,13 +12,16 @@ minimal pseudolength.  Every representative records the product it was
 found as, which gives one geodesic word for every ball element.  One loop
 does this for `enumerate_spheres`, which keeps every sphere, and for
 `count_spheres`, which keeps three spheres at a time and only the sizes.
+One kernel, `SphereTable.multiply`, forms every such product and its
+canonical key, for enumeration, its skip table, the factorization DP and
+the criterion's pairs alike.
 """
 
 import sys
 from array import array
 from itertools import accumulate, chain, count, islice
 from math import factorial
-from operator import itemgetter
+from operator import getitem, itemgetter
 
 from . import perms
 from .engine import BudgetExceeded, Engine
@@ -26,6 +29,44 @@ from .engine import BudgetExceeded, Engine
 
 class TableExhausted(LookupError):
     """A length or membership query beyond the enumerated radius."""
+
+
+class _Row(dict):
+    """u -> u·v at class c for one id v, filled as read: row[0] = v, and a
+    missing entry is read from the engine's memo or else multiplied
+    (`Engine.mul`, so the memo, the order of interning and the budget are
+    those of a product formed section by section), then kept.  With v the
+    identity, row[u] = u.  So a row holds no more entries than the memo
+    or the class has ids."""
+    __slots__ = ("eng", "c", "v")
+
+    def __init__(self, eng, c, v):
+        super().__init__({0: v})
+        self.eng, self.c, self.v = eng, c, v
+
+    def __missing__(self, u):
+        c, v, r = self.c, self.v, u
+        if v:
+            r = self.eng.mul_memo.get((c, u, v))
+            if r is None:
+                r = self.eng.mul(c, u, v)
+        self[u] = r
+        return r
+
+
+def _least(cands, children):
+    """(sections, pairs, i1, i3) of the least member's sections over the
+    candidates (reader, i1, i3) of a plan (`ZeroGroup.plan`), for the
+    element with these sections, the first pair reaching it and how many
+    do."""
+    best = None
+    for get, j1, j3 in cands:
+        ch = get(children)
+        if best is None or ch < best:
+            best, pairs, i1, i3 = ch, 1, j1, j3
+        elif ch == best:
+            pairs += 1
+    return best, pairs, i1, i3
 
 
 class ZeroGroup:
@@ -46,11 +87,13 @@ class ZeroGroup:
     Elements are given by their root and sections, as a sphere table
     decodes them from its keys.  Enumeration, its skip table, the
     factorization DP and the criterion's pairs multiply an element g by
-    a·f, a in A, and read the product modulo A×A.  `member` forms a·f and
-    `products` g·a·f in one wreath step, interning only section products.
-    `canonical(root, children)` gives the key of the canonical form
-    A[i1]·g·A[i3] of the element g with that key, with i1, i3 and how many
-    |A|² pairs reach it.
+    a·f, a in A, and read the product modulo A×A, all through
+    `SphereTable.multiply`.  `step` forms a·f once, with a reader of its
+    root shared by every step of that root and a row per section holding
+    the section products u·(a·f)_x; `plan(root)` lists the pairs (i1, i3)
+    that give the members of least root, and `canonical(root, children)`
+    gives the canonical form A[i1]·g·A[i3] of the element g with that key,
+    with i1, i3 and how many |A|² pairs reach it.
     """
 
     def __init__(self, eng, c, names):
@@ -79,18 +122,22 @@ class ZeroGroup:
         self.perms = [t.roots[a] for a in self.ids]
         self.sections = [t.children[a] for a in self.ids]
         self.getters = [itemgetter(*p) for p in self.perms]
-        self._plans = {}
+        self._plans, self._readers = {}, {}
+        self._rows = {}
 
-    def _plan(self, root):
-        # the least root over the pairs, and (reader, i1, i3) for each pair
-        # that reaches it
-        pairs = [(perms.compose(a1, perms.compose(root, a3)), i1, i3)
-                 for i3, a3 in enumerate(self.perms)
-                 for i1, a1 in enumerate(self.perms)]
-        least = min(r for r, _, _ in pairs)
-        plan = self._plans[root] = (least, [
-            (self._reader(root, i1, i3), i1, i3)
-            for r, i1, i3 in pairs if r == least])
+    def plan(self, root):
+        """(least, candidates) for an element g with this root: the least
+        root of a member A[i1]·g·A[i3], and (reader, i1, i3) for each pair
+        that reaches it, the reader mapping g's sections to the member's."""
+        plan = self._plans.get(root)
+        if plan is None:
+            pairs = [(perms.compose(a1, perms.compose(root, a3)), i1, i3)
+                     for i3, a3 in enumerate(self.perms)
+                     for i1, a1 in enumerate(self.perms)]
+            least = min(r for r, _, _ in pairs)
+            plan = self._plans[root] = (least, [
+                (self._reader(root, i1, i3), i1, i3)
+                for r, i1, i3 in pairs if r == least])
         return plan
 
     def _reader(self, root, i1, i3):
@@ -114,33 +161,8 @@ class ZeroGroup:
         it."""
         if self.size == 1:
             return root, tuple(children), 1, 0, 0
-        least, cands = self._plans.get(root) or self._plan(root)
-        best = None
-        for get, j1, j3 in cands:
-            ch = get(children)
-            if best is None or ch < best:
-                best, pairs, i1, i3 = ch, 1, j1, j3
-            elif ch == best:
-                pairs += 1
-        return least, best, pairs, i1, i3
-
-    def products(self, root, children, steps):
-        """(step, root, sections) of g·a·f for the element g with this root
-        and these sections and each step (as made by `step`): one wreath
-        step, whose section products at the successor class are read from
-        the memo or else multiplied."""
-        eng = self.eng
-        memo, mul, sc = eng.mul_memo, eng.mul, eng.succ[self.c]
-        for step in steps:
-            get = step[2]
-            ch = []
-            for u, v in zip(get(children), step[3]):
-                if u and v:
-                    r = memo.get((sc, u, v))
-                    ch.append(mul(sc, u, v) if r is None else r)
-                else:               # one of them is the identity, 0
-                    ch.append(u or v)
-            yield step, get(root), ch
+        least, cands = self.plan(root)
+        return (least, *_least(cands, children))
 
     def steps(self, factors):
         """`step(ia, *f)` for each a = A[ia], then each (label, root,
@@ -148,11 +170,21 @@ class ZeroGroup:
         return [self.step(ia, *f) for ia in range(self.size) for f in factors]
 
     def step(self, ia, label, root, sections):
-        """(ia, label, getter of a·f's root, a·f's sections) for a = A[ia]
-        and the element f with this root and these sections, a·f formed by
-        `member`, not interned."""
+        """(ia, label, reader, rows) for a = A[ia] and the element f with
+        this root and these sections, a·f formed by `member`, not interned.
+        g·a·f has root reader(g's root) and section rows[x][u] at x, u the
+        x-th of reader(g's sections).  The reader is the itemgetter of
+        a·f's root, one for every step with that root, so what is keyed by
+        it is bounded by A's roots, not the steps.  rows[x] is the `_Row`
+        of the section (a·f)_x, one per section id."""
         root, sections = self.member(ia, root, sections, 0)
-        return ia, label, itemgetter(*root), sections
+        reader = self._readers.get(root)
+        if reader is None:
+            reader = self._readers[root] = itemgetter(*root)
+        rows, sc = self._rows, self.eng.succ[self.c]
+        return ia, label, reader, [
+            rows.get(v) or rows.setdefault(v, _Row(self.eng, sc, v))
+            for v in sections]
 
     def member(self, i1, root, children, i3):
         """(root, sections) of A[i1]·g·A[i3] for the element g with this
@@ -189,17 +221,66 @@ class SphereTable:
         self.roots, self._root_index = [self.zero.perms[0]], {}
         self._root_index[self.roots[0]] = 0
         self.keys, self.index, self.spheres, self.sizes = [], {}, [], []
+        self._plans = {}
 
-    def key(self, root, sections):
-        """The key of the element with this root and these sections."""
+    def _root(self, root):
+        # root's index in roots, the key's leading field, listed when first
+        # met
         key = self._root_index.get(root)
         if key is None:
             key = self._root_index[root] = len(self.roots)
             self.roots.append(root)
-        width = self.width
+        return key
+
+    def key(self, root, sections):
+        """The key of the element with this root and these sections."""
+        key, width = self._root(root), self.width
         for x in sections:
             key = key << width | x
         return key
+
+    def multiply(self, root, sections, steps):
+        """(step, key, pairs, i1, i3) for each step a·f (`ZeroGroup.step`),
+        in order: the key of the canonical form A[i1]·(g·a·f)·A[i3] of the
+        product with the element g of this root and these sections, and
+        `pairs` of the |A|² pairs reaching it, as `ZeroGroup.canonical`
+        gives them.
+
+        The product is one wreath step: its sections are read off the
+        step's rows, which multiply only what no row or memo holds.  With
+        |A| = 1 the product's root is its key's root.  Otherwise
+        `_plans[root][reader]` holds, for g's root and the step's root
+        reader, the index of the least root of the product's members and
+        the plan's candidates; it is bounded by the roots times the roots
+        of the steps."""
+        width, out = self.width, []
+        if self.zero.size == 1:
+            index = self._root_index
+            for step in steps:
+                get = step[2]
+                key = index.get(get(root))
+                if key is None:
+                    key = self._root(get(root))
+                for x in map(getitem, step[3], get(sections)):
+                    key = key << width | x
+                out.append((step, key, 1, 0, 0))
+            return out
+        plans = self._plans.get(root)
+        if plans is None:
+            plans = self._plans[root] = {}
+        for step in steps:
+            get = step[2]
+            plan = plans.get(get)
+            if plan is None:
+                least, cands = self.zero.plan(get(root))
+                plan = plans[get] = self._root(least), cands
+            key, cands = plan
+            best, pairs, i1, i3 = _least(
+                cands, list(map(getitem, step[3], get(sections))))
+            for x in best:
+                key = key << width | x
+            out.append((step, key, pairs, i1, i3))
+        return out
 
     def element(self, i):
         """(root, sections) of representative i, decoded from its key."""
@@ -227,11 +308,11 @@ class SphereTable:
         (enumerate_spheres) and only the sizes without (count_spheres).
 
         Each representative g of sphere n is multiplied by every h = a·s (a
-        in A, s a unit-length generator) in one wreath step
-        (ZeroGroup.products), whose section products are memoized, being
-        few.  The product's canonical form (ZeroGroup.canonical) is a new
-        radius-(n+1) representative, with |A|² / pairs orbit members,
-        unless it is in the ball already.  It lies on sphere n-1, n or n+1,
+        in A, s a unit-length generator), all at once by the kernel
+        (`multiply`), whose section products are memoized, being few.  The
+        product's canonical form, as its key, is a new radius-(n+1)
+        representative, with |A|² / pairs orbit members, unless it is in
+        the ball already.  It lies on sphere n-1, n or n+1,
         the generating set being symmetric, so only those are tested, each
         a dict from key to the link suffix u·|A| + i3.  Radius 0 is A, with
         the identity as representative.
@@ -252,8 +333,8 @@ class SphereTable:
         sizes of the spheres completed.
         """
         zero, c, eng = self.zero, self.cls, self.zero.eng
-        products, canonical, check = zero.products, zero.canonical, eng._check_ids
-        key, roots, top = self.key, self.roots, self._top
+        multiply, check = self.multiply, eng._check_ids
+        roots, top = self.roots, self._top
         units = [eng.gen_id(c, nm) for nm in self.units]
         size = zero.size
         suffixes = len(units) * size
@@ -305,9 +386,8 @@ class SphereTable:
                         count(len(self.keys) - len(cur)), cur.items(),
                         self._unpack(cur)):
                     todo = steps if kept is None else kept[suffix]
-                    for step, root, ch in products(roots[k >> top], ch, todo):
-                        least, best, pairs, i1, i3 = canonical(root, ch)
-                        new = key(least, best)
+                    for step, new, pairs, i1, i3 in multiply(
+                            roots[k >> top], ch, todo):
                         if new in nxt or new in cur or new in prev:
                             continue
                         check(1)
@@ -475,16 +555,17 @@ def _kept_steps(table, units, steps, low):
     units[u], is not provably of length at most 1: the key of its
     canonical form is not in `low`, the keys of the table's radius-1 ball.
     That product is s_u·(A[k]·s) with A[k] = A[i3]·a, read off
-    `zero.times`, so it is formed once per step (k, s); a section product
-    not yet cached is multiplied and counts against the budget like any
-    other."""
-    zero, key, kept = table.zero, table.key, []
-    eng, canonical = zero.eng, zero.canonical
+    `zero.times`, so it is formed once per step (k, s), by the kernel
+    (`SphereTable.multiply`) from s_u's root and sections; a section
+    product not yet cached is multiplied and counts against the budget
+    like any other."""
+    zero, kept = table.zero, []
+    eng = zero.eng
     for f in units:
-        drop = {step[:2] for step, root, ch
-                in zero.products(eng.root(zero.c, f), eng.children(zero.c, f),
-                                 steps)
-                if key(*canonical(root, ch)[:2]) in low}
+        drop = {step[:2] for step, key, *_
+                in table.multiply(eng.root(zero.c, f), eng.children(zero.c, f),
+                                  steps)
+                if key in low}
         kept += [[s for s in steps if (row[s[0]], s[1]) not in drop]
                  for row in zero.times]
     return kept

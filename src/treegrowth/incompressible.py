@@ -10,9 +10,9 @@ ball elements stay inside the next ball.
 
 Everything here runs on the A×A double-coset representatives of the sphere
 tables, by their dense index.  The factorization DP expands each reached
-representative from its decoded key through the table's ZeroGroup, one
-wreath step a product, so it holds no witness, reads no engine internals
-and interns no step factor.
+representative from its decoded key through the table's kernel
+(`SphereTable.multiply`), one wreath step a product, so it holds no
+witness, reads no engine internals and interns no step factor.
 """
 
 from array import array
@@ -173,7 +173,9 @@ def factorization_dp(atlas, report, c, max_n):
     Layered BFS over double cosets: the j-th layer holds those of minimal
     count j, and every additive factorization has additive prefixes.  Each
     reached representative p is expanded from its key by p·a·h, a in A
-    and h a depth-K representative of positive length, shortest h first.
+    and h a depth-K representative of positive length, shortest h first,
+    each bucket of steps in one call of the kernel (`SphereTable.multiply`),
+    whose keys are read back through the table's index.
     For w = A[x]·p·A[y], w·A·h = A[x]·p·A·h, so these reach x·y's double
     coset for all x in p's and y in the depth-K set.  Only |p| + |h| <= R =
     min(max_n, table radius) is additive in the ball, so no representative
@@ -206,8 +208,7 @@ def factorization_dp(atlas, report, c, max_n):
     table = atlas.table(c)
     R = min(max_n, table.max_radius)
     zero, lengths, links = table.zero, table.lengths, table.links
-    products, canonical, times = zero.products, zero.canonical, zero.times
-    key, index = table.key, table.index
+    multiply, index, times = table.multiply, table.index, zero.times
     ff = report.first_fail[c]
     factors = [[h for h in sphere if ff[h] < 0]
                for sphere in table.spheres[1:R + 1]]
@@ -238,9 +239,8 @@ def factorization_dp(atlas, report, c, max_n):
                 else:
                     todo = compress(steps[lh - 1],
                                     map(bits.__getitem__, deps[lh - 2]))
-                for step, root, ch in products(root_p, ch_p, todo):
-                    root, ch, _, _, i3 = canonical(root, ch)
-                    q = index[key(root, ch)]
+                for step, key, _, _, i3 in multiply(root_p, ch_p, todo):
+                    q = index[key]
                     # |q| <= |p| + |h| <= R: q is a representative
                     if lengths[q] != lp + lh:
                         continue

@@ -5,7 +5,6 @@ versioned; any change to the layout bumps FORMAT_VERSION.
 """
 
 import csv
-import hashlib
 import json
 
 from . import catalog
@@ -19,7 +18,10 @@ class ConfigError(ValueError):
 
 
 def group_hash(config):
-    """Stable hash of the group-defining part of a config mapping."""
+    """Stable hash of the group-defining part of a config mapping.  Only
+    `save_table` calls it, so hashlib, which maps libcrypto, is imported
+    here and no subcommand pays for it."""
+    import hashlib
     payload = {"kind": config.get("kind"),
                "parameters": config.get("parameters", {})}
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))

@@ -13,7 +13,7 @@ from treegrowth.growth import (Atlas, TableExhausted, build_atlas,
 
 from oracle import oracle_spheres, reference_atlas
 from test_engine import CYCLIC_FAMILIES, _two_cycles
-from test_incompressible import spinal_data, spinal_z3sq
+from test_incompressible import CATALOG, spinal_data, spinal_z3sq
 from test_store_cli import ADDING_MACHINE, FG_CONFIG
 
 FG_SPHERES = [3, 18, 72, 288, 1152, 4296]
@@ -145,6 +145,59 @@ def test_atlas_retried_after_budget_is_whole(make_spec, radius, budget):
     assert eng.held == sum(len(t.keys) for t in atlas.tables.values())
     assert {c: t.sizes for c, t in atlas.tables.items()} == \
         {c: t.sizes for c, t in build_atlas(spec, radius).tables.items()}
+    eng.audit()
+
+
+# A = <a>, a rooted transposition of degree 3, and b a rooted 3-cycle with a
+# self-section: the representatives have two roots, so the kernel's plans
+# differ by g's root, which in the catalog's families is always the identity
+MIXED_ROOTS = {"kind": "custom", "parameters": {"degree": 3, "period": [[
+    {"name": "a", "pseudolength": 0, "inverse": "a", "root": [1, 0, 2],
+     "children": [[], [], []]},
+    {"name": "b", "pseudolength": 1, "inverse": "B", "root": [1, 2, 0],
+     "children": [["b"], [], []]},
+    {"name": "B", "pseudolength": 1, "inverse": "b", "root": [2, 0, 1],
+     "children": [[], ["B"], []]}]]}}
+
+
+@pytest.mark.parametrize("spec, radius", [
+    *((spec, min(radius, 3)) for spec, radius in CATALOG),
+    *((make(), min(radius, 3)) for make, radius in CYCLIC_FAMILIES.values()),
+    (spinal_z3sq(), 2),
+    (store.build_spec(MIXED_ROOTS), 4),
+], ids=[*(f"{spec.name}-catalog" for spec, _ in CATALOG), *CYCLIC_FAMILIES,
+        "z3sq", "mixed_roots"])
+def test_multiply_matches_products_formed_by_the_engine(spec, radius):
+    # every representative below the table radius times every step a·f, f
+    # a unit-length generator or a radius-1 representative: the kernel's
+    # key, pairs, i1 and i3 are those of the interned product g·(a·f),
+    # multiplied by the engine and brought to its canonical form
+    atlas = build_atlas(spec, radius)
+    eng, multiple = atlas.engine, 0
+    for c, table in atlas.tables.items():
+        zero, t = table.zero, eng.tables[c]
+        factors = [(f, eng.root(c, f), eng.children(c, f))
+                   for f in map(eng.gen_id, [c] * len(table.units),
+                                table.units)]
+        factors += [(h, *table.element(h)) for h in table.sphere(1)]
+        ids = [eng._intern(c, root, ch) for _, root, ch in factors]
+        steps = zero.steps(factors)
+        for g in range(table.spheres[radius - 1].stop):
+            root, sections = table.element(g)
+            got = table.multiply(root, sections, steps)
+            x = eng._intern(c, root, sections)
+            want = []
+            for k, step in enumerate(steps):
+                af = eng.mul(c, zero.ids[step[0]], ids[k % len(ids)],
+                             store=False)
+                p = eng.mul(c, x, af, store=False)
+                least, best, pairs, i1, i3 = zero.canonical(t.roots[p],
+                                                            t.children[p])
+                want.append((step, table.key(least, best), pairs, i1, i3))
+            assert got == want, (c, g)
+            multiple += sum(pairs > 1 for _, _, pairs, _, _ in got)
+    # the products on the identity are reached by every pair of A×A
+    assert multiple or all(t.zero.size == 1 for t in atlas.tables.values())
     eng.audit()
 
 

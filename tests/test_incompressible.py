@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from treegrowth import build_atlas, catalog, store
 from treegrowth import incompressible as inc
-from treegrowth.growth import SphereTable, TableExhausted, ZeroGroup
+from treegrowth.growth import SphereTable, TableExhausted
 
 from oracle import oracle_spheres, reference_atlas, reference_filtration
 from test_engine import CYCLIC_FAMILIES, _hidden_root, _two_cycles
@@ -393,7 +393,7 @@ def _unpruned_dp(atlas, report, c, max_n):
     table = atlas.table(c)
     R = min(max_n, table.max_radius)
     zero, lengths, ff = table.zero, table.lengths, report.first_fail[c]
-    products, canonical, times = zero.products, zero.canonical, zero.times
+    times = zero.times
     steps = [zero.steps([(h, *table.element(h)) for h in sphere
                          if ff[h] < 0])
              for sphere in table.spheres[1:R + 1]]
@@ -406,9 +406,9 @@ def _unpruned_dp(atlas, report, c, max_n):
         for p, i3p in frontier:
             lp, row = lengths[p], times[i3p]
             for lh, bucket in enumerate(steps[:R - lp], 1):
-                for step, root, ch in products(*table.element(p), bucket):
-                    root, ch, _, _, i3 = canonical(root, ch)
-                    q = table.index[table.key(root, ch)]
+                for step, key, _, _, i3 in table.multiply(
+                        *table.element(p), bucket):
+                    q = table.index[key]
                     if q in N or lengths[q] != lp + lh:
                         continue
                     N[q] = j
@@ -464,20 +464,20 @@ def test_factorization_dp_prunes_only_products_not_additive(
     if edit is not None:
         report = edit(atlas, report)
     formed, building, skip_products = [], [], []
-    products, kept_steps = ZeroGroup.products, inc._kept_steps
+    multiply, kept_steps = SphereTable.multiply, inc._kept_steps
 
-    def recorded(zero, root, children, steps):
+    def recorded(table, root, children, steps):
         # the DP expands a representative's decoded key; the products its
         # skip rule forms from the unit-length generators are not steps of
         # the DP, and would hide the very steps they prune
-        table = atlas.table(zero.c)
-        for out in products(zero, root, children, steps):
+        out = multiply(table, root, children, steps)
+        for step, *_ in out:
             if building:
-                skip_products.append(out[0][:2])
+                skip_products.append(step[:2])
             else:
                 formed.append((table.index[table.key(root, children)],
-                               out[0][:2]))
-            yield out
+                               step[:2]))
+        return out
 
     def build(*args):
         building.append(True)
@@ -485,7 +485,7 @@ def test_factorization_dp_prunes_only_products_not_additive(
             return kept_steps(*args)
         finally:
             building.pop()
-    monkeypatch.setattr(ZeroGroup, "products", recorded)
+    monkeypatch.setattr(SphereTable, "multiply", recorded)
     monkeypatch.setattr(inc, "_kept_steps", build)
     for c in sorted(atlas.tables):
         table = atlas.table(c)

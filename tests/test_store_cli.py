@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from treegrowth import build_atlas, catalog, cli, growth, store
+from treegrowth import build_atlas, catalog, cli, criterion, growth, store
 from treegrowth import incompressible as inc
 from treegrowth.cli import main
 from treegrowth.family import validate
@@ -433,6 +433,60 @@ def test_cli_spheres_budget_keeps_earlier_classes(tmp_path, capsys):
         whole[:1 + 6 + 6 + 5]
 
 
+@pytest.mark.parametrize("command", ["spheres", "report", "criterion",
+                                     "incompressible"])
+def test_cli_memory_error_exit(tmp_path, fg_config_path, capsys, monkeypatch,
+                               command):
+    # memory running out before the budget is one error line and exit 3,
+    # not a traceback; it is raised here, not provoked
+    def exhaust(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(growth, "count_spheres", exhaust)
+    monkeypatch.setattr(growth, "build_atlas", exhaust)
+    code = main([command, "--config", fg_config_path, "--max-radius", "2",
+                 "--budget", "5000", "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "error: out of memory before the engine budget of 5000 was reached; "
+        "lower --budget\n")
+
+
+# what each subcommand leaves in sys.modules, in a fresh interpreter
+_IMPORTED = """
+import sys
+from treegrowth import cli
+assert cli.main(sys.argv[1:]) == 0
+print(" ".join(sorted(sys.modules)))
+"""
+
+
+def test_cli_imports_only_what_the_subcommand_runs(tmp_path, fg_config_path,
+                                                   run_fresh):
+    def loaded(argv):
+        done = run_fresh(["-c", _IMPORTED, *argv,
+                          "--config", fg_config_path], hash_seed=0)
+        assert done.returncode == 0, done.stderr.decode()
+        return set(done.stdout.decode().split("\n")[-2].split())
+
+    define = loaded(["define"])
+    assert not define & {"hashlib", "treegrowth.growth",
+                         "treegrowth.incompressible", "treegrowth.criterion"}
+    assert "treegrowth.store" in define
+    spheres = loaded(["spheres", "--max-radius", "3",
+                      "--out", str(tmp_path / "s.csv")])
+    assert "treegrowth.growth" in spheres
+    assert not spheres & {"treegrowth.incompressible", "treegrowth.criterion"}
+
+
+def test_package_names_resolve_on_first_use():
+    import treegrowth
+    for name in treegrowth.__all__:
+        assert getattr(treegrowth, name) is getattr(
+            sys.modules[f"treegrowth.{treegrowth._HOME[name]}"], name)
+    with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+        treegrowth.nothing
+
+
 def test_cli_incompressible(tmp_path, fg_config_path):
     out = str(tmp_path / "inc")
     assert main(["incompressible", "--config", fg_config_path,
@@ -457,7 +511,7 @@ def test_cli_criterion(tmp_path, fg_config_path):
 
 
 def test_cli_criterion_verdict_fail(tmp_path, fg_config_path, monkeypatch):
-    monkeypatch.setattr(cli.cr, "check_level_reduction",
+    monkeypatch.setattr(criterion, "check_level_reduction",
                         lambda *args: False)
     out = tmp_path / "crit.json"
     assert main(["criterion", "--config", fg_config_path,
