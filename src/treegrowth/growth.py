@@ -14,7 +14,8 @@ does this for `enumerate_spheres`, which keeps every sphere, and for
 `count_spheres`, which keeps three spheres at a time and only the sizes.
 One kernel, `SphereTable.multiply`, forms every such product and its
 canonical key, for enumeration, its skip table, the factorization DP and
-the criterion's pairs alike.
+the criterion's pairs alike, and `find` reads an element's key from it as
+the product g·1.
 """
 
 import sys
@@ -33,11 +34,13 @@ class TableExhausted(LookupError):
 
 class _Row(dict):
     """u -> u·v at class c for one id v, filled as read: row[0] = v, and a
-    missing entry is read from the engine's memo or else multiplied
-    (`Engine.mul`, so the memo, the order of interning and the budget are
-    those of a product formed section by section), then kept.  With v the
-    identity, row[u] = u.  So a row holds no more entries than the memo
-    or the class has ids."""
+    missing entry is the engine's product (`Engine.mul`, which reads its
+    memo first and returns u for v the identity, so the memo, the order of
+    interning and the budget are those of a product formed section by
+    section), then kept.  A row holds at most one entry per id of class c.
+    Its entries besides row[0] are memo entries (c, u, v), except in the
+    identity's row, so the rows hold what the memo holds again, plus one
+    entry per row and the identity row's."""
     __slots__ = ("eng", "c", "v")
 
     def __init__(self, eng, c, v):
@@ -45,28 +48,8 @@ class _Row(dict):
         self.eng, self.c, self.v = eng, c, v
 
     def __missing__(self, u):
-        c, v, r = self.c, self.v, u
-        if v:
-            r = self.eng.mul_memo.get((c, u, v))
-            if r is None:
-                r = self.eng.mul(c, u, v)
-        self[u] = r
+        r = self[u] = self.eng.mul(self.c, u, self.v)
         return r
-
-
-def _least(cands, children):
-    """(sections, pairs, i1, i3) of the least member's sections over the
-    candidates (reader, i1, i3) of a plan (`ZeroGroup.plan`), for the
-    element with these sections, the first pair reaching it and how many
-    do."""
-    best = None
-    for get, j1, j3 in cands:
-        ch = get(children)
-        if best is None or ch < best:
-            best, pairs, i1, i3 = ch, 1, j1, j3
-        elif ch == best:
-            pairs += 1
-    return best, pairs, i1, i3
 
 
 class ZeroGroup:
@@ -86,14 +69,12 @@ class ZeroGroup:
 
     Elements are given by their root and sections, as a sphere table
     decodes them from its keys.  Enumeration, its skip table, the
-    factorization DP and the criterion's pairs multiply an element g by
-    a·f, a in A, and read the product modulo A×A, all through
-    `SphereTable.multiply`.  `step` forms a·f once, with a reader of its
-    root shared by every step of that root and a row per section holding
-    the section products u·(a·f)_x; `plan(root)` lists the pairs (i1, i3)
-    that give the members of least root, and `canonical(root, children)`
-    gives the canonical form A[i1]·g·A[i3] of the element g with that key,
-    with i1, i3 and how many |A|² pairs reach it.
+    factorization DP, the criterion's pairs and `SphereTable.find` multiply
+    an element g by a·f, a in A, and read the product modulo A×A, all
+    through `SphereTable.multiply`.  `step` forms a·f once, with a reader
+    of its root shared by every step of that root and a row per section
+    holding the section products u·(a·f)_x, and `plan(root)` lists the
+    pairs (i1, i3) that give the members of least root.
     """
 
     def __init__(self, eng, c, names):
@@ -122,28 +103,23 @@ class ZeroGroup:
         self.perms = [t.roots[a] for a in self.ids]
         self.sections = [t.children[a] for a in self.ids]
         self.getters = [itemgetter(*p) for p in self.perms]
-        self._plans, self._readers = {}, {}
-        self._rows = {}
+        self._readers, self._rows = {}, {}
 
     def plan(self, root):
         """(least, candidates) for an element g with this root: the least
         root of a member A[i1]·g·A[i3], and (reader, i1, i3) for each pair
-        that reaches it, the reader mapping g's sections to the member's."""
-        plan = self._plans.get(root)
-        if plan is None:
-            pairs = [(perms.compose(a1, perms.compose(root, a3)), i1, i3)
-                     for i3, a3 in enumerate(self.perms)
-                     for i1, a1 in enumerate(self.perms)]
-            least = min(r for r, _, _ in pairs)
-            plan = self._plans[root] = (least, [
-                (self._reader(root, i1, i3), i1, i3)
-                for r, i1, i3 in pairs if r == least])
-        return plan
+        that reaches it, the reader mapping g's sections to the member's.
+        The kernel keeps them (`SphereTable.multiply`)."""
+        pairs = [(perms.compose(a1, perms.compose(root, a3)), i1, i3)
+                 for i3, a3 in enumerate(self.perms)
+                 for i1, a1 in enumerate(self.perms)]
+        least = min(r for r, _, _ in pairs)
+        return least, [(self._reader(root, i1, i3), i1, i3)
+                       for r, i1, i3 in pairs if r == least]
 
     def _reader(self, root, i1, i3):
         # the map from the sections of a g with this root to those of
-        # A[i1]·g·A[i3]; it holds the engine, not self, so plans make no
-        # reference cycle
+        # A[i1]·g·A[i3]
         get = self.getters[i3]
         if self.rooted:
             return get
@@ -153,16 +129,6 @@ class ZeroGroup:
         return lambda children: tuple([
             mul(sc, mul(sc, a, u), b)
             for a, u, b in zip(left, get(children), right)])
-
-    def canonical(self, root, children):
-        """(root, sections, pairs, i1, i3) of the canonical form
-        A[i1]·g·A[i3] of the element g with this key, the member with the
-        least key, not interned, and `pairs` of the |A|² pairs reaching
-        it."""
-        if self.size == 1:
-            return root, tuple(children), 1, 0, 0
-        least, cands = self.plan(root)
-        return (least, *_least(cands, children))
 
     def steps(self, factors):
         """`step(ia, *f)` for each a = A[ia], then each (label, root,
@@ -222,6 +188,9 @@ class SphereTable:
         self._root_index[self.roots[0]] = 0
         self.keys, self.index, self.spheres, self.sizes = [], {}, [], []
         self._plans = {}
+        # the step by the identity, whose product g·1 gives `find` g's key
+        self._identity = [self.zero.step(0, None, self.roots[0],
+                                         (0,) * eng.d)]
 
     def _root(self, root):
         # root's index in roots, the key's leading field, listed when first
@@ -232,19 +201,14 @@ class SphereTable:
             self.roots.append(root)
         return key
 
-    def key(self, root, sections):
-        """The key of the element with this root and these sections."""
-        key, width = self._root(root), self.width
-        for x in sections:
-            key = key << width | x
-        return key
-
     def multiply(self, root, sections, steps):
         """(step, key, pairs, i1, i3) for each step a·f (`ZeroGroup.step`),
         in order: the key of the canonical form A[i1]·(g·a·f)·A[i3] of the
-        product with the element g of this root and these sections, and
-        `pairs` of the |A|² pairs reaching it, as `ZeroGroup.canonical`
-        gives them.
+        product with the element g of this root and these sections, the
+        member with the least (root, sections), i1 and i3 the first pair
+        reaching it, i3-major, and `pairs` of the |A|² pairs reaching it.
+        It is the one place a key is packed, each section id in its field
+        unchecked: one wider than the field carries into the next.
 
         The product is one wreath step: its sections are read off the
         step's rows, which multiply only what no row or memo holds.  With
@@ -275,8 +239,13 @@ class SphereTable:
                 least, cands = self.zero.plan(get(root))
                 plan = plans[get] = self._root(least), cands
             key, cands = plan
-            best, pairs, i1, i3 = _least(
-                cands, list(map(getitem, step[3], get(sections))))
+            children, best = list(map(getitem, step[3], get(sections))), None
+            for read, j1, j3 in cands:
+                ch = read(children)
+                if best is None or ch < best:
+                    best, pairs, i1, i3 = ch, 1, j1, j3
+                elif ch == best:
+                    pairs += 1
             for x in best:
                 key = key << width | x
             out.append((step, key, pairs, i1, i3))
@@ -443,15 +412,20 @@ class SphereTable:
     def find(self, g):
         """(rep, j1, j3) with g = A[j1]·rep·A[j3] for an engine id g of the
         table's ball; TableExhausted for any other value, -1 and non-ints
-        included.  A section id wider than the key fields is no
-        section of a representative."""
-        zero, t = self.zero, self.zero.eng.tables[self.cls]
+        included.  g's key is the kernel's for g·1 (`multiply`).  Once the
+        successor class has ids wider than the key fields, which a budget
+        raised after the build allows, a key can match another
+        representative's, so a hit stands only if the elements agree."""
+        zero, eng = self.zero, self.zero.eng
+        t = eng.tables[self.cls]
         if isinstance(g, int) and 0 <= g < len(t.roots):
-            root, ch, _, i1, i3 = zero.canonical(t.roots[g], t.children[g])
-            if max(ch) <= self._mask:
-                rep = self.index.get(self.key(root, ch))
-                if rep is not None:
-                    return rep, zero.inverse[i1], zero.inverse[i3]
+            root, ch = t.roots[g], t.children[g]
+            [(_, key, _, i1, i3)] = self.multiply(root, ch, self._identity)
+            rep = self.index.get(key)
+            wide = len(eng.tables[eng.succ[self.cls]].roots) > self._mask + 1
+            if rep is not None and (not wide or self.element(rep) ==
+                                    zero.member(i1, root, ch, i3)):
+                return rep, zero.inverse[i1], zero.inverse[i3]
         raise TableExhausted(
             f"element not within enumerated radius {self.max_radius}")
 

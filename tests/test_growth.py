@@ -170,8 +170,10 @@ MIXED_ROOTS = {"kind": "custom", "parameters": {"degree": 3, "period": [[
 def test_multiply_matches_products_formed_by_the_engine(spec, radius):
     # every representative below the table radius times every step a·f, f
     # a unit-length generator or a radius-1 representative: the kernel's
-    # key, pairs, i1 and i3 are those of the interned product g·(a·f),
-    # multiplied by the engine and brought to its canonical form
+    # key is that of the least (root, sections) of the |A|² members
+    # A[i1]·p·A[i3] of the interned product p = g·(a·f), each multiplied by
+    # the engine, and i1, i3 and pairs are the first pair reaching it,
+    # i3-major, and how many do
     atlas = build_atlas(spec, radius)
     eng, multiple = atlas.engine, 0
     for c, table in atlas.tables.items():
@@ -191,9 +193,16 @@ def test_multiply_matches_products_formed_by_the_engine(spec, radius):
                 af = eng.mul(c, zero.ids[step[0]], ids[k % len(ids)],
                              store=False)
                 p = eng.mul(c, x, af, store=False)
-                least, best, pairs, i1, i3 = zero.canonical(t.roots[p],
-                                                            t.children[p])
-                want.append((step, table.key(least, best), pairs, i1, i3))
+                members = [(t.roots[m], t.children[m]) for m in (
+                    eng.mul(c, eng.mul(c, a1, p, store=False), a3,
+                            store=False)
+                    for a3 in zero.ids for a1 in zero.ids)]
+                least = min(members)
+                i3, i1 = divmod(members.index(least), zero.size)
+                key = table.roots.index(least[0])
+                for section in least[1]:
+                    key = key << table.width | section
+                want.append((step, key, members.count(least), i1, i3))
             assert got == want, (c, g)
             multiple += sum(pairs > 1 for _, _, pairs, _, _ in got)
     # the products on the identity are reached by every pair of A×A
@@ -285,10 +294,11 @@ def test_expansion_links_and_geodesics_multiply_back(make_spec, radius):
 def test_table_bytes_per_representative(make_spec, radius, bound):
     # what the engine and the tables keep per representative: a packed key,
     # its index entry and a slot in each typed column, with only sections
-    # interned.  The sizes are CPython 3.11's: 138, 134 and 166 B.  With
-    # every representative an engine row they were 192, 179 and 210 B, and
-    # with lengths and links in dicts keyed by representative 311, 268 and
-    # 334 B.
+    # interned, and the kernel's section rows.  The sizes are CPython
+    # 3.11's: 141.5, 138.7 and 174.2 B built in one process, and 175.4 B
+    # for neumann6 alone in a fresh one.  With every representative an
+    # engine row they were 192, 179 and 210 B, and with lengths and links
+    # in dicts keyed by representative 311, 268 and 334 B.
     spec = make_spec()
     tracemalloc.start()
     try:
@@ -388,6 +398,23 @@ def test_ids_outside_the_ball():
             table.length(x)
         with pytest.raises(TableExhausted):
             table.geodesic(*table.find(x))
+
+
+def test_find_rejects_sections_wider_than_the_key_fields():
+    # the budget raised after the table was built lets section ids outgrow
+    # the key's 6-bit fields: (x1, x2 - 1, x3 + 64) packs to the key of the
+    # representative (x1, x2, x3), yet is outside the ball
+    spec = catalog.fabrykowski_gupta()
+    eng = Engine(spec, budget=40)
+    table = build_atlas(spec, 2, engine=eng).table(0)
+    assert table.width == 6
+    eng.budget = 10_000_000
+    count_spheres(eng, 0, 6)
+    assert len(eng.tables[0].roots) == 253
+    root, (x1, x2, x3) = table.element(1)
+    assert table.find(eng._intern(0, root, (x1, x2, x3))) == (1, 0, 0)
+    with pytest.raises(TableExhausted):
+        table.find(eng._intern(0, root, (x1, x2 - 1, x3 + 64)))
 
 
 def test_shift_into_preperiod():

@@ -465,18 +465,22 @@ def test_factorization_dp_prunes_only_products_not_additive(
         report = edit(atlas, report)
     formed, building, skip_products = [], [], []
     multiply, kept_steps = SphereTable.multiply, inc._kept_steps
+    reps = {c: {e: i for i, e in enumerate(t.elements(range(len(t.keys))))}
+            for c, t in atlas.tables.items()}
 
     def recorded(table, root, children, steps):
         # the DP expands a representative's decoded key; the products its
         # skip rule forms from the unit-length generators are not steps of
-        # the DP, and would hide the very steps they prune
+        # the DP, and would hide the very steps they prune, nor are the
+        # products by the identity that give `find` its keys
         out = multiply(table, root, children, steps)
+        if steps is table._identity:
+            return out
         for step, *_ in out:
             if building:
                 skip_products.append(step[:2])
             else:
-                formed.append((table.index[table.key(root, children)],
-                               step[:2]))
+                formed.append((reps[table.cls][root, children], step[:2]))
         return out
 
     def build(*args):

@@ -438,7 +438,8 @@ def test_cli_spheres_budget_keeps_earlier_classes(tmp_path, capsys):
 def test_cli_memory_error_exit(tmp_path, fg_config_path, capsys, monkeypatch,
                                command):
     # memory running out before the budget is one error line and exit 3,
-    # not a traceback; it is raised here, not provoked
+    # not a traceback, and no output file, from spheres either; it is
+    # raised here, not provoked
     def exhaust(*args, **kwargs):
         raise MemoryError
     monkeypatch.setattr(growth, "count_spheres", exhaust)
@@ -449,6 +450,7 @@ def test_cli_memory_error_exit(tmp_path, fg_config_path, capsys, monkeypatch,
     assert capsys.readouterr().err == (
         "error: out of memory before the engine budget of 5000 was reached; "
         "lower --budget\n")
+    assert not (tmp_path / "out").exists()
 
 
 # what each subcommand leaves in sys.modules, in a fresh interpreter
